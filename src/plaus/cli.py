@@ -410,69 +410,52 @@ def _posterior_for(record: CaseRecord, config: RunConfig, reliability, seed: int
     raise ConfigError(f"model {config.model!r} does not produce plausibility samples")
 
 
-def _case_metrics(record: CaseRecord, config: RunConfig, reliability, seed: int):
-    """All metric values and per-sample vectors for one (case, reliability)."""
+def _score_metrics(record: CaseRecord, config: RunConfig, seed: int) -> dict:
+    """Threshold certainty of the gaussian-scores model, which has no posterior."""
+    scores = [s for s in record.scores if s is not None]
+    if len(scores) < len(record.scores) or not scores:
+        raise DataError("gaussian-scores needs a score on every annotation")
+    return {
+        "certainty_threshold": score_threshold_certainty(
+            scores, threshold=config.threshold, num_samples=config.num_samples, seed=seed
+        )
+    }
+
+
+def _case_metrics(record: CaseRecord, config: RunConfig, posterior: PosteriorSamples):
+    """All metric values and per-sample vectors for one (case, reliability).
+
+    Every kernel returns per-sample values: (M,), or (depth, M) for the
+    overlap curve. A metric's value is their mean and its per-sample vector
+    their mean over the leading axis.
+    """
+    space, pred = record.class_space, record.prediction
+    kernels = [
+        (f"annotation_certainty_top{j}", metrics_mod.annotation_certainty_hits, (j,))
+        for j in range(1, min(3, space.size) + 1)
+    ]
+    if pred is not None:
+        for k in config.k_grid:
+            if k <= len(pred.ranked_classes) and k <= space.size:
+                kernels.append((f"ua_top{k}_accuracy", metrics_mod.ua_topk_hits, (pred, k)))
+                kernels.append((f"ua_set{k}_accuracy", metrics_mod.ua_set_hits, (pred, k)))
+        depth = config.overlap_depth
+        if depth <= len(pred.ranked_classes) and depth <= space.size:
+            kernels.append(("ua_average_overlap", metrics_mod._overlap_curve, (pred, depth)))
+    if space.risk is not None:
+        kernels.append(("risk_certainty", metrics_mod.risk_level_hits, (space,)))
+        kernels.append(("expected_risk_mean", metrics_mod.expected_risk, (space,)))
+
     scalars: dict[str, float] = {}
     vectors: dict[str, np.ndarray] = {}
-
-    if config.model == "gaussian-scores":
-        scores = [s for s in record.scores if s is not None]
-        if len(scores) < len(record.scores) or not scores:
-            raise DataError("gaussian-scores needs a score on every annotation")
-        scalars["certainty_threshold"] = score_threshold_certainty(
-            scores,
-            threshold=config.threshold,
-            num_samples=config.num_samples,
-            seed=seed,
-        )
-        return scalars, vectors
-
-    posterior = _posterior_for(record, config, reliability, seed)
-    arr = posterior.samples
-    top1 = arr.argmax(axis=1)
-
-    for j in range(1, min(3, record.class_space.size) + 1):
-        name = f"annotation_certainty_top{j}"
-        sets = np.sort(np.argsort(-arr, axis=1, kind="stable")[:, :j], axis=1)
-        uniq, counts = np.unique(sets, axis=0, return_counts=True)
-        modal = uniq[counts.argmax()]
-        vectors[name] = np.all(sets == modal, axis=1).astype(float)
-        scalars[name] = float(vectors[name].mean())
-
-    if record.prediction is not None:
-        pred = record.prediction
-        for k in config.k_grid:
-            if k > len(pred.ranked_classes) or k > record.class_space.size:
-                continue
-            hits = metrics_mod.ua_topk_hits(posterior, pred, k)
-            vectors[f"ua_top{k}_accuracy"] = hits
-            scalars[f"ua_top{k}_accuracy"] = float(hits.mean())
-            set_hits = metrics_mod.ua_set_hits(posterior, pred, k)
-            vectors[f"ua_set{k}_accuracy"] = set_hits
-            scalars[f"ua_set{k}_accuracy"] = float(set_hits.mean())
-        depth = config.overlap_depth
-        if depth <= len(pred.ranked_classes) and depth <= record.class_space.size:
-            curve = metrics_mod._overlap_curve(posterior, pred, depth)
-            vectors["ua_average_overlap"] = curve.mean(axis=0)
-            scalars["ua_average_overlap"] = float(curve.mean())
-
-    if record.class_space.risk is not None:
-        risk = metrics_mod.risk_metrics(posterior, record.class_space, record.prediction)
-        scalars["risk_certainty"] = risk["risk_certainty"]
-        scalars["expected_risk_mean"] = risk["expected_risk_mean"]
-        scalars["expected_risk_min"] = risk["expected_risk_min"]
-        scalars["expected_risk_max"] = risk["expected_risk_max"]
-        risk_vec = np.array(
-            [record.class_space.risk[c] for c in range(record.class_space.size)],
-            dtype=float,
-        )
-        pooled = np.stack([arr[:, risk_vec == lv].sum(axis=1) for lv in range(3)], axis=1)
-        top_level = pooled.argmax(axis=1)
-        vectors["risk_certainty"] = (top_level == risk["top_risk_level"]).astype(float)
-        vectors["expected_risk_mean"] = arr @ risk_vec
-        if record.prediction is not None:
-            scalars["ua_risk_match"] = risk["ua_risk_match"]
-
+    for name, kernel, args in kernels:
+        values = kernel(posterior, *args)
+        vectors[name] = values if values.ndim == 1 else values.mean(axis=0)
+        scalars[name] = float(values.mean())
+    if space.risk is not None:
+        risk = metrics_mod.risk_metrics(posterior, space, pred)
+        extras = ("expected_risk_min", "expected_risk_max", "ua_risk_match")
+        scalars.update((name, risk[name]) for name in extras if name in risk)
     return scalars, vectors
 
 
@@ -485,15 +468,19 @@ def _compute_case(payload):
         tag = reliability_tag(reliability)
         seed = _case_seed(config.base_seed, record.case_id, config.model, tag)
         try:
-            scalars, vectors = _case_metrics(record, config, reliability, seed)
+            if config.model == "gaussian-scores":
+                out[tag] = (_score_metrics(record, config, seed), {}, seed)
+                continue
+            posterior = _posterior_for(record, config, reliability, seed)
+            scalars, vectors = _case_metrics(record, config, posterior)
             out[tag] = (scalars, vectors, seed)
-            if include_aggregate and config.model != "gaussian-scores":
-                posterior = _posterior_for(record, config, reliability, seed)
-                arr = posterior.samples
+            if include_aggregate:
+                mean = posterior.samples.mean(axis=0)
                 aggregates[tag] = {
-                    "mean": arr.mean(axis=0),
-                    "sd": arr.std(axis=0, ddof=0),
+                    "mean": mean,
+                    "sd": posterior.samples.std(axis=0, ddof=0),
                     "seed": seed,
+                    "top_classes": np.argsort(-mean, kind="stable")[:5],
                 }
         except (DataError, AllZeroMassError, RankingError, ValueError) as exc:
             failures.append(
@@ -561,10 +548,12 @@ def run(
     """Sweep one model over its reliability grid and write reports.
 
     Writes, inside ``out_dir``: one ``metrics_<model>_<rel>.jsonl`` per
-    reliability with per-case metric rows, a ``summary.jsonl`` of dataset
-    rows (mean, across-sample sd, histogram), optionally
-    ``aggregate_<model>_<rel>.jsonl`` posterior summaries, a
-    ``failures.jsonl`` when cases failed, and ``manifest.json``.
+    reliability with per-case metric rows, ``loo.jsonl``, a
+    ``summary_<model>.jsonl`` of dataset rows (mean, across-sample sd,
+    histogram), optionally ``aggregate_<model>_<rel>.jsonl`` posterior
+    summaries, and a ``failures_<model>.jsonl`` when cases failed.
+    ``manifest.json`` is written by ``_run_models`` from the returned
+    manifests of every model.
 
     Cases are processed by a worker pool; output depends only on inputs and
     the base seed, not on worker count. Returns the manifest.
@@ -617,6 +606,15 @@ def run(
         metrics_path = os.path.join(out_dir, f"metrics_{config.model}_{tag}.jsonl")
         _write_rows(metrics_path, case_rows)
         written_files.append(os.path.basename(metrics_path))
+        if include_aggregate:
+            rows = []
+            for record in records:
+                _, agg = by_case[record.case_id]
+                if tag in agg:
+                    rows.append({**provenance, "case_id": record.case_id, **agg[tag]})
+            path = os.path.join(out_dir, f"aggregate_{config.model}_{tag}.jsonl")
+            _write_rows(path, rows)
+            written_files.append(os.path.basename(path))
 
         for metric in sorted(scalar_stacks):
             row = {
@@ -682,33 +680,6 @@ def run(
     summary_path = os.path.join(out_dir, f"summary_{config.model}.jsonl")
     _write_rows(summary_path, summary_rows)
     written_files.append(os.path.basename(summary_path))
-
-    if include_aggregate:
-        for reliability in config.reliability_grid:
-            tag = reliability_tag(reliability)
-            rows = []
-            for record in records:
-                _, agg = by_case[record.case_id]
-                if tag not in agg:
-                    continue
-                entry = agg[tag]
-                order = np.argsort(-entry["mean"], kind="stable")[:5]
-                rows.append(
-                    {
-                        "schema_version": SCHEMA_VERSION,
-                        "case_id": record.case_id,
-                        "model": config.model,
-                        "reliability": reliability,
-                        "M": 1 if config.model == "irn" else config.num_samples,
-                        "seed": entry["seed"],
-                        "mean": entry["mean"],
-                        "sd": entry["sd"],
-                        "top_classes": order,
-                    }
-                )
-            path = os.path.join(out_dir, f"aggregate_{config.model}_{tag}.jsonl")
-            _write_rows(path, rows)
-            written_files.append(os.path.basename(path))
 
     if failures:
         failures_path = os.path.join(out_dir, f"failures_{config.model}.jsonl")
@@ -987,8 +958,6 @@ def _cmd_reports(args, with_predictions: bool, include_aggregate: bool) -> int:
         missing = [r.case_id for r in records if r.prediction is None]
         if missing:
             raise DataError(f"no prediction for cases {missing}")
-    if args.workers < 1:
-        raise ConfigError("workers must be >= 1")
     return _run_models(
         models, records, _out_dir(args), args.workers, args, include_aggregate
     )

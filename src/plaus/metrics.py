@@ -27,6 +27,7 @@ __all__ = [
     "MissingRiskMappingError",
     "PredictionSet",
     "certainty_label",
+    "annotation_certainty_hits",
     "annotation_certainty_topj",
     "ua_topk_hits",
     "ua_topk_accuracy",
@@ -36,6 +37,8 @@ __all__ = [
     "ua_average_overlap",
     "average_overlap",
     "mean_average_overlap",
+    "risk_level_hits",
+    "expected_risk",
     "risk_metrics",
     "loo_agreement",
     "MetricReport",
@@ -98,19 +101,25 @@ def certainty_label(samples, label: int) -> float:
     return float(np.mean(arr.argmax(axis=1) == label))
 
 
-def annotation_certainty_topj(samples, j: int) -> float:
-    """Frequency of the modal top-j set across samples.
+def annotation_certainty_hits(samples, j: int) -> np.ndarray:
+    """Per-sample indicator that the sample's top-j set is the modal one.
 
     The top-j set of a sample is unordered; only sets actually realized in
-    the samples compete, and the most frequent one's share is returned. For
-    j = 1 this is the certainty of the most likely label.
+    the samples compete, and ties between equally frequent sets go to the
+    lexicographically lowest.
     """
     arr = _sample_matrix(samples)
     if not (1 <= j <= arr.shape[1]):
         raise ValueError(f"j must lie in [1, {arr.shape[1]}]")
     sets = np.sort(_top_indices(arr, j), axis=1)
-    _, counts = np.unique(sets, axis=0, return_counts=True)
-    return float(counts.max() / arr.shape[0])
+    uniq, counts = np.unique(sets, axis=0, return_counts=True)
+    return np.all(sets == uniq[counts.argmax()], axis=1).astype(float)
+
+
+def annotation_certainty_topj(samples, j: int) -> float:
+    """Frequency of the modal top-j set (for j = 1, the certainty of the most
+    likely label): mean of :func:`annotation_certainty_hits`."""
+    return float(np.mean(annotation_certainty_hits(samples, j)))
 
 
 def ua_topk_hits(samples, prediction: PredictionSet, k: int) -> np.ndarray:
@@ -218,13 +227,38 @@ def mean_average_overlap(
     return cross / np.sqrt(self_a * self_b)
 
 
-def _risk_vector(class_space: ClassSpace) -> np.ndarray:
+def _risk_inputs(samples, class_space: ClassSpace):
+    """The (M, K) sample matrix and the (K,) risk level vector."""
+    arr = _sample_matrix(samples)
     if class_space.risk is None:
         raise MissingRiskMappingError("class space carries no risk levels")
     missing = [c for c in range(class_space.size) if c not in class_space.risk]
     if missing:
         raise MissingRiskMappingError(f"no risk level for classes {missing}")
-    return np.array([class_space.risk[c] for c in range(class_space.size)], dtype=float)
+    if arr.shape[1] != class_space.size:
+        raise ValueError("sample width does not match the class space")
+    return arr, np.array([class_space.risk[c] for c in range(arr.shape[1])], dtype=float)
+
+
+def _top_risk_levels(samples, class_space: ClassSpace):
+    """Per-sample argmax of mass pooled by risk level (0 low, 1 medium, 2 high)
+    and its modal value; both argmaxes break ties to the lower level."""
+    arr, risk = _risk_inputs(samples, class_space)
+    pooled = np.stack([arr[:, risk == lv].sum(axis=1) for lv in range(3)], axis=1)
+    levels = pooled.argmax(axis=1)
+    return levels, int(np.bincount(levels, minlength=3).argmax())
+
+
+def risk_level_hits(samples, class_space: ClassSpace) -> np.ndarray:
+    """Per-sample indicator that the sample's top risk level is the modal one."""
+    levels, modal = _top_risk_levels(samples, class_space)
+    return (levels == modal).astype(float)
+
+
+def expected_risk(samples, class_space: ClassSpace) -> np.ndarray:
+    """Per-sample expected risk level under the sample's plausibilities."""
+    arr, risk = _risk_inputs(samples, class_space)
+    return arr @ risk
 
 
 def risk_metrics(
@@ -234,36 +268,28 @@ def risk_metrics(
 ) -> dict:
     """Risk-level summaries of a posterior.
 
-    Per sample, plausibility mass is pooled by risk level (0 low, 1 medium,
-    2 high). Reported are the certainty of the top risk level (frequency of
-    the modal argmax of pooled mass, ties to the lower level) and the mean,
-    minimum and maximum expected risk across samples. When a prediction is
-    given, ``ua_risk_match`` adds how often the sample's top risk level
-    equals the risk level of the predicted top class.
+    Reported are the certainty of the top risk level (the mean of
+    :func:`risk_level_hits`) and the mean, minimum and maximum of
+    :func:`expected_risk` across samples. When a prediction is given,
+    ``ua_risk_match`` adds how often the sample's top risk level equals the
+    risk level of the predicted top class.
 
     Raises:
         MissingRiskMappingError: some class has no risk level.
     """
-    arr = _sample_matrix(samples)
-    risk = _risk_vector(class_space)
-    if arr.shape[1] != risk.size:
-        raise ValueError("sample width does not match the class space")
-    levels = np.arange(3)
-    pooled = np.stack([arr[:, risk == lv].sum(axis=1) for lv in levels], axis=1)
-    top_level = pooled.argmax(axis=1)
-    counts = np.bincount(top_level, minlength=3)
-    expected = arr @ risk
+    levels, modal = _top_risk_levels(samples, class_space)
+    expected = expected_risk(samples, class_space)
     out = {
-        "risk_certainty": float(counts.max() / arr.shape[0]),
-        "top_risk_level": int(counts.argmax()),
+        "risk_certainty": float(np.mean(levels == modal)),
+        "top_risk_level": modal,
         "expected_risk_mean": float(expected.mean()),
         "expected_risk_min": float(expected.min()),
         "expected_risk_max": float(expected.max()),
     }
     if prediction is not None:
-        predicted_level = int(risk[prediction.top(1)[0]])
+        predicted_level = int(class_space.risk[prediction.top(1)[0]])
         out["predicted_risk_level"] = predicted_level
-        out["ua_risk_match"] = float(np.mean(top_level == predicted_level))
+        out["ua_risk_match"] = float(np.mean(levels == predicted_level))
     return out
 
 

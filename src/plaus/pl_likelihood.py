@@ -140,15 +140,16 @@ def _table_values_layered(w, zbar: float):
     size = 1 << n
     masks = np.arange(size, dtype=np.int64)
     subset_sum = np.zeros(size)
+    popcounts = np.zeros(size, dtype=np.int64)
     for i in range(n):
         has = (masks >> i) & 1 == 1
         subset_sum[has] += w[i]
+        popcounts += has
     denom = zbar + subset_sum
 
     values = np.zeros(size)
     values[0] = 1.0
     log_scale = 0.0
-    popcounts = np.array([int(m).bit_count() for m in masks], dtype=np.int64)
     for layer in range(1, n + 1):
         layer_masks = masks[popcounts == layer]
         numer = np.zeros(layer_masks.size)

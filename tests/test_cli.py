@@ -377,6 +377,34 @@ def test_aggregate_writes_posterior_summaries(small_dataset, tmp_path):
         np.testing.assert_allclose(sum(row["mean"]), 1.0, atol=1e-6)
 
 
+def test_aggregate_samples_each_unit_once(small_dataset, tmp_path, monkeypatch):
+    # metrics and the posterior summary of a (case, reliability) unit come
+    # from one posterior draw
+    cases, annotations, _ = small_dataset
+    repetitions = []
+    real_gibbs_run = cli.gibbs_run
+
+    def counting_gibbs_run(rankings, config):
+        repetitions.append(config.repetitions)
+        return real_gibbs_run(rankings, config)
+
+    monkeypatch.setattr(cli, "gibbs_run", counting_gibbs_run)
+    code = run_main(
+        [
+            "aggregate",
+            "--cases", cases,
+            "--annotations", annotations,
+            "--model", "pl",
+            "--reliability", "1,2",
+            "--samples", "20",
+            "--gibbs-burn-in", "10",
+            "--out-dir", str(tmp_path / "out"),
+        ]
+    )
+    assert code == 0
+    assert sorted(repetitions) == [1, 1, 2, 2]  # 2 cases x 2 reliabilities
+
+
 def test_bad_config_exits_one(small_dataset, tmp_path):
     cases, annotations, _ = small_dataset
     base = ["certainty", "--cases", cases, "--annotations", annotations,

@@ -8,12 +8,15 @@ from conftest import partial_rankings
 from plaus.metrics import (
     MissingRiskMappingError,
     PredictionSet,
+    annotation_certainty_hits,
     annotation_certainty_topj,
     average_overlap,
     certainty_label,
+    expected_risk,
     loo_agreement,
     mean_average_overlap,
     overlap,
+    risk_level_hits,
     risk_metrics,
     summarize_metric,
     ua_average_overlap,
@@ -61,6 +64,10 @@ def test_topj_certainty_modal_set():
     assert_allclose(annotation_certainty_topj(samples, 3), 1.0)
     with pytest.raises(ValueError):
         annotation_certainty_topj(samples, 4)
+    for j, hits in ((1, [1.0, 0.0, 0.0]), (2, [1.0, 1.0, 0.0]), (3, [1.0, 1.0, 1.0])):
+        per_sample = annotation_certainty_hits(samples, j)
+        assert_array_equal(per_sample, hits)
+        assert per_sample.mean() == annotation_certainty_topj(samples, j)
 
 
 def test_ua_topk_against_hand_counts():
@@ -238,6 +245,14 @@ def test_risk_metrics_frozen_case():
     assert_allclose(out["expected_risk_mean"], 0.96)
     assert_allclose(out["expected_risk_min"], 0.8)
     assert_allclose(out["expected_risk_max"], 1.2)
+    hits = risk_level_hits(samples, space)
+    assert_array_equal(hits, [1.0, 1.0, 1.0, 0.0, 0.0])
+    assert hits.mean() == out["risk_certainty"]
+    expected = expected_risk(samples, space)
+    assert_allclose(expected, [0.8, 0.8, 0.8, 1.2, 1.2])
+    assert expected.mean() == out["expected_risk_mean"]
+    assert expected.min() == out["expected_risk_min"]
+    assert expected.max() == out["expected_risk_max"]
 
 
 def test_pooled_risk_certainty_can_undercut_label_certainty():

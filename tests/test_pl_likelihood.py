@@ -12,6 +12,8 @@ from plaus.pl_likelihood import (
     MAX_BLOCK_SIZE,
     BlockTooLargeError,
     NonPositiveWeightError,
+    _table_values_layered,
+    _table_values_small,
     pl_full_ranking_log_prob,
     pl_log_likelihood,
     pl_partial_ranking_log_prob,
@@ -137,6 +139,19 @@ def test_extreme_scales_survive_both_paths():
         pl_partial_ranking_log_prob(lam, r),
         atol=1e-6,
     )
+
+
+@pytest.mark.parametrize("n", [3, 7, 10])
+def test_small_and_layered_tables_agree(n):
+    # the plain-float walk serves n <= 10 and the layered one n > 10; on the
+    # same weights both must tabulate the same recursion
+    rng = np.random.default_rng(n)
+    w = rng.uniform(0.1, 5.0, size=n)
+    for zbar in (0.0, 2.5):
+        small, small_scale = _table_values_small([float(x) for x in w], zbar)
+        layered, layered_scale = _table_values_layered(w, zbar)
+        assert_allclose(layered, small, rtol=1e-12)
+        assert layered_scale == small_scale
 
 
 def test_block_size_cap():
