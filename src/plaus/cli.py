@@ -427,29 +427,34 @@ def _case_metrics(record: CaseRecord, config: RunConfig, posterior: PosteriorSam
 
     Every kernel returns per-sample values: (M,), or (depth, M) for the
     overlap curve. A metric's value is their mean and its per-sample vector
-    their mean over the leading axis.
+    their mean over the leading axis. The top-k kernels all slice one
+    selection of each sample's top classes, made to the deepest k they need.
     """
     space, pred = record.class_space, record.prediction
+    top_j = min(3, space.size)
+    usable = min(len(pred.ranked_classes), space.size) if pred is not None else 0
+    k_grid = [k for k in config.k_grid if k <= usable]
+    depth = config.overlap_depth if config.overlap_depth <= usable else 0
+    order = metrics_mod._top_indices(posterior.samples, max(top_j, depth, *k_grid))
+    ranked = {"order": order}
+
     kernels = [
-        (f"annotation_certainty_top{j}", metrics_mod.annotation_certainty_hits, (j,))
-        for j in range(1, min(3, space.size) + 1)
+        (f"annotation_certainty_top{j}", metrics_mod.annotation_certainty_hits, (j,), ranked)
+        for j in range(1, top_j + 1)
     ]
-    if pred is not None:
-        for k in config.k_grid:
-            if k <= len(pred.ranked_classes) and k <= space.size:
-                kernels.append((f"ua_top{k}_accuracy", metrics_mod.ua_topk_hits, (pred, k)))
-                kernels.append((f"ua_set{k}_accuracy", metrics_mod.ua_set_hits, (pred, k)))
-        depth = config.overlap_depth
-        if depth <= len(pred.ranked_classes) and depth <= space.size:
-            kernels.append(("ua_average_overlap", metrics_mod._overlap_curve, (pred, depth)))
+    for k in k_grid:
+        kernels.append((f"ua_top{k}_accuracy", metrics_mod.ua_topk_hits, (pred, k), ranked))
+        kernels.append((f"ua_set{k}_accuracy", metrics_mod.ua_set_hits, (pred, k), ranked))
+    if depth:
+        kernels.append(("ua_average_overlap", metrics_mod._overlap_curve, (pred, depth), ranked))
     if space.risk is not None:
-        kernels.append(("risk_certainty", metrics_mod.risk_level_hits, (space,)))
-        kernels.append(("expected_risk_mean", metrics_mod.expected_risk, (space,)))
+        kernels.append(("risk_certainty", metrics_mod.risk_level_hits, (space,), {}))
+        kernels.append(("expected_risk_mean", metrics_mod.expected_risk, (space,), {}))
 
     scalars: dict[str, float] = {}
     vectors: dict[str, np.ndarray] = {}
-    for name, kernel, args in kernels:
-        values = kernel(posterior, *args)
+    for name, kernel, args, kwargs in kernels:
+        values = kernel(posterior, *args, **kwargs)
         vectors[name] = values if values.ndim == 1 else values.mean(axis=0)
         scalars[name] = float(values.mean())
     if space.risk is not None:

@@ -88,9 +88,40 @@ def _sample_matrix(samples) -> np.ndarray:
     return arr
 
 
+# Deepest selection done by repeated argmax; deeper ones sort the whole row.
+_SELECT_MAX_DEPTH = 8
+
+
 def _top_indices(arr: np.ndarray, k: int) -> np.ndarray:
-    """Per-row indices of the k largest entries, ties to the lower id."""
-    return np.argsort(-arr, axis=1, kind="stable")[:, :k]
+    """Per-row indices of the k largest entries, ties to the lower id.
+
+    Equals ``np.argsort(-arr, axis=1, kind="stable")[:, :k]``. Up to
+    ``_SELECT_MAX_DEPTH`` it takes k argmax passes, each masking its pick with
+    -inf; argmax returns the first maximum, so ties go to the lower id. Rows
+    that would pick a -inf or NaN entry fall back to the sort.
+    """
+    if k > _SELECT_MAX_DEPTH:
+        return np.argsort(-arr, axis=1, kind="stable")[:, :k]
+    work = arr.astype(float)
+    rows = np.arange(work.shape[0])
+    order = np.empty((work.shape[0], k), dtype=np.intp)
+    picked = np.empty((work.shape[0], k))
+    for i in range(k):
+        order[:, i] = work.argmax(axis=1)
+        picked[:, i] = work[rows, order[:, i]]
+        work[rows, order[:, i]] = -np.inf
+    if not np.all(picked > -np.inf):
+        return np.argsort(-arr, axis=1, kind="stable")[:, :k]
+    return order
+
+
+def _top_columns(arr: np.ndarray, k: int, order: np.ndarray | None) -> np.ndarray:
+    """The first k columns of a shared ``order``, or a fresh selection."""
+    if order is None:
+        return _top_indices(arr, k)
+    if order.shape[1] < k:
+        raise ValueError(f"order holds {order.shape[1]} classes per sample, need {k}")
+    return order[:, :k]
 
 
 def certainty_label(samples, label: int) -> float:
@@ -101,17 +132,21 @@ def certainty_label(samples, label: int) -> float:
     return float(np.mean(arr.argmax(axis=1) == label))
 
 
-def annotation_certainty_hits(samples, j: int) -> np.ndarray:
+def annotation_certainty_hits(samples, j: int, *, order=None) -> np.ndarray:
     """Per-sample indicator that the sample's top-j set is the modal one.
 
     The top-j set of a sample is unordered; only sets actually realized in
     the samples compete, and ties between equally frequent sets go to the
     lexicographically lowest.
+
+    This and the other top-k kernels accept ``order``, the samples'
+    ``_top_indices`` to some depth of at least k, so that one selection
+    serves every kernel of a posterior; without it they select their own.
     """
     arr = _sample_matrix(samples)
     if not (1 <= j <= arr.shape[1]):
         raise ValueError(f"j must lie in [1, {arr.shape[1]}]")
-    sets = np.sort(_top_indices(arr, j), axis=1)
+    sets = np.sort(_top_columns(arr, j, order), axis=1)
     uniq, counts = np.unique(sets, axis=0, return_counts=True)
     return np.all(sets == uniq[counts.argmax()], axis=1).astype(float)
 
@@ -122,11 +157,12 @@ def annotation_certainty_topj(samples, j: int) -> float:
     return float(np.mean(annotation_certainty_hits(samples, j)))
 
 
-def ua_topk_hits(samples, prediction: PredictionSet, k: int) -> np.ndarray:
+def ua_topk_hits(samples, prediction: PredictionSet, k: int, *, order=None) -> np.ndarray:
     """Per-sample indicator that the sample's best class is in the top-k set."""
     arr = _sample_matrix(samples)
     candidate = np.asarray(prediction.top(k), dtype=np.int64)
-    return np.isin(arr.argmax(axis=1), candidate).astype(float)
+    best = arr.argmax(axis=1) if order is None else order[:, 0]
+    return np.isin(best, candidate).astype(float)
 
 
 def ua_topk_accuracy(samples, prediction: PredictionSet, k: int) -> float:
@@ -134,11 +170,11 @@ def ua_topk_accuracy(samples, prediction: PredictionSet, k: int) -> float:
     return float(np.mean(ua_topk_hits(samples, prediction, k)))
 
 
-def ua_set_hits(samples, prediction: PredictionSet, k: int) -> np.ndarray:
+def ua_set_hits(samples, prediction: PredictionSet, k: int, *, order=None) -> np.ndarray:
     """Per-sample indicator that the sample's top-k set equals the predicted one."""
     arr = _sample_matrix(samples)
     target = np.sort(np.asarray(prediction.top(k), dtype=np.int64))
-    sets = np.sort(_top_indices(arr, k), axis=1)
+    sets = np.sort(_top_columns(arr, k, order), axis=1)
     return np.all(sets == target, axis=1).astype(float)
 
 
@@ -155,10 +191,12 @@ def overlap(candidate, reference) -> float:
     return len(cand & set(reference)) / len(cand)
 
 
-def _overlap_curve(samples, prediction: PredictionSet, depth: int) -> np.ndarray:
+def _overlap_curve(
+    samples, prediction: PredictionSet, depth: int, *, order=None
+) -> np.ndarray:
     """(depth, M) per-sample overlaps of predicted and sampled top-k sets."""
     arr = _sample_matrix(samples)
-    order = _top_indices(arr, depth)
+    order = _top_columns(arr, depth, order)
     out = np.empty((depth, arr.shape[0]))
     for k in range(1, depth + 1):
         candidate = np.asarray(prediction.top(k), dtype=np.int64)

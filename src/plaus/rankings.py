@@ -208,9 +208,21 @@ def enumerate_compatible_permutations(
         raise CombinatorialCapError(
             f"{total} compatible permutations exceed the cap of {cap}"
         )
+    # An odometer over the blocks' permutations, last block fastest: the
+    # order of itertools.product, without building every block's list first.
     parts = [sorted(b) for b in ranking.partition()]
-    for pieces in itertools.product(*(itertools.permutations(p) for p in parts)):
+    digits = [itertools.permutations(p) for p in parts]
+    pieces = [next(d) for d in digits]
+    while True:
         yield tuple(itertools.chain.from_iterable(pieces))
+        i = len(parts) - 1
+        while (piece := next(digits[i], None)) is None:
+            if i == 0:
+                return
+            digits[i] = itertools.permutations(parts[i])
+            pieces[i] = next(digits[i])
+            i -= 1
+        pieces[i] = piece
 
 
 @dataclass(frozen=True, eq=False)

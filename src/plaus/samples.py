@@ -38,6 +38,8 @@ class PosteriorSamples:
         arr = np.ascontiguousarray(np.asarray(self.samples, dtype=float))
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"samples must be a non-empty (M, K) array, got {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("samples must be finite")
         if np.any(arr < 0):
             raise ValueError("samples must be non-negative")
         sums = arr.sum(axis=1)

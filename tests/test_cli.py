@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from plaus import cli
+from plaus import cli, metrics
 from plaus.cli import (
     CaseRecord,
     ConfigError,
@@ -403,6 +403,33 @@ def test_aggregate_samples_each_unit_once(small_dataset, tmp_path, monkeypatch):
     )
     assert code == 0
     assert sorted(repetitions) == [1, 1, 2, 2]  # 2 cases x 2 reliabilities
+
+
+def test_evaluate_selects_top_classes_once_per_unit(small_dataset, tmp_path, monkeypatch):
+    # every top-k kernel of a (case, reliability) unit slices one selection
+    cases, annotations, predictions = small_dataset
+    depths = []
+    real_top_indices = metrics._top_indices
+
+    def counting_top_indices(arr, k):
+        depths.append(k)
+        return real_top_indices(arr, k)
+
+    monkeypatch.setattr(metrics, "_top_indices", counting_top_indices)
+    code = run_main(
+        [
+            "evaluate",
+            "--cases", cases,
+            "--annotations", annotations,
+            "--predictions", predictions,
+            "--model", "prirn",
+            "--reliability", "1,2",
+            "--samples", "20",
+            "--out-dir", str(tmp_path / "out"),
+        ]
+    )
+    assert code == 0
+    assert depths == [3] * 4  # 2 cases x 2 reliabilities, top-3 certainty
 
 
 def test_bad_config_exits_one(small_dataset, tmp_path):

@@ -6,7 +6,10 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import partial_rankings
 from plaus.metrics import (
+    _SELECT_MAX_DEPTH,
     MissingRiskMappingError,
+    _overlap_curve,
+    _top_indices,
     PredictionSet,
     annotation_certainty_hits,
     annotation_certainty_topj,
@@ -68,6 +71,51 @@ def test_topj_certainty_modal_set():
         per_sample = annotation_certainty_hits(samples, j)
         assert_array_equal(per_sample, hits)
         assert per_sample.mean() == annotation_certainty_topj(samples, j)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(1, _SELECT_MAX_DEPTH + 4))
+def test_top_indices_equal_the_stable_argsort_prefix(seed, m, k):
+    # few distinct values make exact ties common; zero columns and one-hot
+    # rows are the PrIRN and point-mass shapes; depths past the cutoff sort
+    rng = np.random.default_rng(seed)
+    arr = rng.choice([0.0, 0.1, 0.25, 0.5], size=(m, k))
+    arr[:, rng.random(k) < 0.3] = 0.0
+    one_hot = rng.random(m) < 0.2
+    arr[one_hot] = np.eye(k)[rng.integers(0, k, size=one_hot.sum())]
+    for depth in range(1, k + 1):
+        expected = np.argsort(-arr, axis=1, kind="stable")[:, :depth]
+        assert_array_equal(_top_indices(arr, depth), expected)
+
+
+def test_top_indices_fall_back_on_non_finite_rows():
+    arr = np.array([[-np.inf, -np.inf, 0.5], [np.nan, 0.2, 0.2], [np.inf, 0.0, np.inf]])
+    for depth in (1, 2, 3, 4):
+        expected = np.argsort(-arr, axis=1, kind="stable")[:, :depth]
+        assert_array_equal(_top_indices(arr, depth), expected)
+
+
+def test_kernels_slice_a_shared_order():
+    rng = np.random.default_rng(3)
+    samples = rng.dirichlet(np.full(6, 0.3), size=50)
+    pred = PredictionSet((4, 1, 0, 2))
+    order = _top_indices(samples, 4)
+    for kernel, args in (
+        *((annotation_certainty_hits, (k,)) for k in (1, 2, 3)),
+        *((ua_topk_hits, (pred, k)) for k in (1, 2, 3)),
+        *((ua_set_hits, (pred, k)) for k in (1, 2, 3)),
+        (_overlap_curve, (pred, 4)),
+    ):
+        assert_array_equal(kernel(samples, *args, order=order), kernel(samples, *args))
+    with pytest.raises(ValueError):
+        ua_set_hits(samples, pred, 3, order=order[:, :2])
+
+
+def test_posterior_samples_reject_non_finite_entries():
+    # every comparison with NaN is False, so the sign and sum checks let it by
+    with pytest.raises(ValueError, match="finite"):
+        PosteriorSamples(np.array([[np.nan, 0.5, 0.5]]), model="test")
+    with pytest.raises(ValueError, match="finite"):
+        PosteriorSamples(np.array([[np.inf, 0.0]]), model="test")
 
 
 def test_ua_topk_against_hand_counts():

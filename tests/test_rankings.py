@@ -108,6 +108,16 @@ def test_enumeration_matches_count_and_block_order(ranking):
             start = stop
 
 
+@given(partial_rankings(max_classes=6, max_block=3))
+def test_enumeration_order_is_the_product_of_block_permutations(ranking):
+    parts = [sorted(b) for b in ranking.partition()]
+    expected = [
+        tuple(itertools.chain.from_iterable(pieces))
+        for pieces in itertools.product(*(itertools.permutations(p) for p in parts))
+    ]
+    assert list(enumerate_compatible_permutations(ranking)) == expected
+
+
 def test_enumeration_cap():
     # 11! compatible orderings of a single unranked block exceed the cap
     r = PartialRanking([], ClassSpace(size=11))
