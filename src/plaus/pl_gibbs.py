@@ -38,7 +38,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .pl_likelihood import _table_values
+from .pl_likelihood import _check_block_size, _table_values
 from .rankings import ClassSpace, PartialRanking
 from .samples import PosteriorSamples
 
@@ -113,6 +113,8 @@ class _AnnotationPrep:
 
     def __init__(self, ranking: PartialRanking):
         parts = ranking.partition()
+        for block in parts[:-1]:
+            _check_block_size(len(block))
         # Non-trailing blocks carry likelihood; the trailing one is free.
         self.blocks = [np.array(sorted(b), dtype=np.int64) for b in parts[:-1]]
         self.final_block = np.array(sorted(parts[-1]), dtype=np.int64)
@@ -132,6 +134,10 @@ class GibbsSampler:
             samples the prior.
         config: chain settings; reliability comes from ``config.repetitions``.
         class_space: required when ``rankings`` is empty.
+
+    Raises:
+        BlockTooLargeError: some annotation ties more than
+            ``MAX_BLOCK_SIZE`` classes in a non-trailing block.
     """
 
     def __init__(

@@ -21,6 +21,7 @@ one. Probabilities are invariant to rescaling lambda.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -52,6 +53,11 @@ class NonPositiveWeightError(ValueError):
 
 class BlockTooLargeError(ValueError):
     """A tied block exceeds the subset-table cap."""
+
+
+def _check_block_size(n: int) -> None:
+    if n > MAX_BLOCK_SIZE:
+        raise BlockTooLargeError(f"block of {n} tied classes exceeds cap {MAX_BLOCK_SIZE}")
 
 
 def _check_weights(lam) -> np.ndarray:
@@ -95,7 +101,8 @@ class SubsetTable:
 
 
 def _table_values_small(w, zbar: float):
-    # Plain-float subset walk; faster than array ops below ~2^10 entries.
+    # Plain-float subset walk; its per-mask Python work beats the gather
+    # kernel's per-layer numpy calls only up to about six tied classes.
     # Proceeds a popcount layer at a time: a mask only reads one-bit-removed
     # masks, so rescaling by the layer peak keeps every read on one scale.
     n = len(w)
@@ -134,31 +141,60 @@ def _table_values_small(w, zbar: float):
     return np.array(values), log_scale
 
 
+@lru_cache(maxsize=None)
+def _subset_layout(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per popcount layer 1..n: its masks and their one-bit-removed masks.
+
+    Each layer is ``(masks, preds)``: ``masks`` holds every n-bit mask with
+    that popcount L, ascending, and row j of the (L, C) ``preds`` is each
+    mask with its j-th lowest set bit cleared. The layout depends on n
+    alone, so it is built once per block size (n <= ``MAX_BLOCK_SIZE``
+    bounds the cache; n = 20 keeps about 50 MB). ``preds`` is int32 to halve
+    that; the arrays are read-only because every caller shares them.
+    """
+    masks = np.arange(1 << n)
+    # A bit loop, since np.bitwise_count needs numpy 2.
+    popcounts = np.zeros(1 << n, dtype=np.int8)
+    for i in range(n):
+        popcounts += (masks >> i) & 1
+    layers = []
+    for layer in range(1, n + 1):
+        layer_masks = masks[popcounts == layer]
+        preds = np.empty((layer, layer_masks.size), dtype=np.int32)
+        rest = layer_masks.copy()
+        for j in range(layer):
+            low = rest & -rest
+            preds[j] = layer_masks ^ low
+            rest ^= low
+        layer_masks.flags.writeable = False
+        preds.flags.writeable = False
+        layers.append((layer_masks, preds))
+    return tuple(layers)
+
+
 def _table_values_layered(w, zbar: float):
-    # Same recursion, vectorized a popcount layer at a time.
+    # Same recursion, a popcount layer at a time: one gather of every
+    # mask's one-bit-removed values, summed row by row in ascending bit
+    # order (np.add.reduce may sum pairwise, which changes the last bits).
     n = len(w)
     size = 1 << n
-    masks = np.arange(size, dtype=np.int64)
-    subset_sum = np.zeros(size)
-    popcounts = np.zeros(size, dtype=np.int64)
+    # denom[mask] adds the weights in ascending bit order.
+    denom = np.zeros(size)
     for i in range(n):
-        has = (masks >> i) & 1 == 1
-        subset_sum[has] += w[i]
-        popcounts += has
-    denom = zbar + subset_sum
+        np.add(denom[: 1 << i], w[i], out=denom[1 << i : 2 << i])
+    denom += zbar
 
     values = np.zeros(size)
     values[0] = 1.0
     log_scale = 0.0
-    for layer in range(1, n + 1):
-        layer_masks = masks[popcounts == layer]
-        numer = np.zeros(layer_masks.size)
-        for i in range(n):
-            bit = 1 << i
-            has = (layer_masks & bit) != 0
-            numer[has] += values[layer_masks[has] ^ bit]
-        values[layer_masks] = numer / denom[layer_masks]
-        peak = float(values[layer_masks].max())
+    for layer_masks, preds in _subset_layout(n):
+        gathered = values[preds]
+        numer = gathered[0]
+        for row in gathered[1:]:
+            numer += row
+        numer /= denom[layer_masks]
+        values[layer_masks] = numer
+        peak = float(numer.max())
         if peak != 0.0 and not (_RESCALE_LO < peak < _RESCALE_HI):
             # Stale layers may saturate to inf; they are never read again.
             with np.errstate(over="ignore"):
@@ -169,7 +205,7 @@ def _table_values_layered(w, zbar: float):
 
 def _table_values(w, zbar: float):
     """Subset values and shared log scale for one block's weights."""
-    if len(w) <= 10:
+    if len(w) <= 6:
         return _table_values_small([float(x) for x in w], zbar)
     return _table_values_layered(np.asarray(w, dtype=float), zbar)
 
@@ -194,8 +230,7 @@ def subset_recursion(members, zbar: float, lam) -> SubsetTable:
     n = len(members)
     if n == 0:
         raise ValueError("block must be non-empty")
-    if n > MAX_BLOCK_SIZE:
-        raise BlockTooLargeError(f"block of {n} tied classes exceeds cap {MAX_BLOCK_SIZE}")
+    _check_block_size(n)
     if zbar < 0:
         raise ValueError("zbar must be non-negative")
     values, log_scale = _table_values(lam[list(members)], float(zbar))

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .samples import PosteriorSamples
 
@@ -156,4 +155,7 @@ def score_threshold_certainty(
 
 
 def _normal_cdf(z: np.ndarray) -> np.ndarray:
+    # Imported here so that only the gaussian-scores model loads scipy.
+    from scipy.special import erf
+
     return 0.5 * (1.0 + erf(z / math.sqrt(2.0)))

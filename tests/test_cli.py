@@ -1,10 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import plaus
 from plaus import cli, metrics
 from plaus.cli import (
     CaseRecord,
@@ -19,6 +22,7 @@ from plaus.cli import (
     read_report,
     reliability_tag,
 )
+from plaus.pl_likelihood import MAX_BLOCK_SIZE
 
 DATA = Path(__file__).parent / "data"
 
@@ -54,6 +58,25 @@ def small_dataset(tmp_path):
         ],
     )
     return cases, annotations, predictions
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    # only the gaussian-scores model needs scipy; every CLI run pays its import
+    package_root = str(Path(plaus.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    probe = (
+        "import sys, plaus.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert result.stdout.strip() == "[]"
 
 
 # -- ingest -----------------------------------------------------------------
@@ -403,6 +426,40 @@ def test_aggregate_samples_each_unit_once(small_dataset, tmp_path, monkeypatch):
     )
     assert code == 0
     assert sorted(repetitions) == [1, 1, 2, 2]  # 2 cases x 2 reliabilities
+
+
+def test_evaluate_reports_an_oversized_tie_as_a_case_failure(tmp_path):
+    k = MAX_BLOCK_SIZE + 3
+    cases = write_lines(tmp_path / "c.jsonl", [{"case_id": "wide", "num_classes": k}])
+    annotations = write_lines(
+        tmp_path / "a.jsonl",
+        [
+            {
+                "case_id": "wide",
+                "annotator_id": "r",
+                "blocks": [list(range(MAX_BLOCK_SIZE + 1))],
+            }
+        ],
+    )
+    predictions = write_lines(
+        tmp_path / "p.jsonl", [{"case_id": "wide", "ranked_classes": [0, 1]}]
+    )
+    out = tmp_path / "out"
+    code = run_main(
+        [
+            "evaluate",
+            "--cases", cases,
+            "--annotations", annotations,
+            "--predictions", predictions,
+            "--model", "pl",
+            "--reliability", "1",
+            "--out-dir", str(out),
+        ]
+    )
+    assert code == 2
+    (failure,) = read_report(str(out))["files"]["failures_pl.jsonl"]
+    assert failure["case_id"] == "wide"
+    assert failure["error"] == "BlockTooLargeError"
 
 
 def test_evaluate_selects_top_classes_once_per_unit(small_dataset, tmp_path, monkeypatch):

@@ -1,8 +1,11 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from plaus.pl_gibbs import DEFAULT_REPETITION_GRID, GibbsConfig, GibbsSampler, gibbs_run
+from plaus.pl_likelihood import MAX_BLOCK_SIZE, BlockTooLargeError
 from plaus.rankings import ClassSpace, PartialRanking
 
 
@@ -152,6 +155,38 @@ def test_copies_draw_their_block_orders_independently():
     assert n == 400
     se = np.sqrt(p_first * (1 - p_first) / n)
     assert abs(np.mean(firsts == 0) - p_first) < 4 * se
+
+
+def test_copies_order_a_large_tie_by_its_exact_first_pick_probabilities():
+    # an 8-way tie takes the gather kernel; 2000 copies share one table
+    k, members = 10, list(range(8))
+    sampler = make_sampler([[members]], k=k, repetitions=2000, seed=17)
+    lam = np.array([3.0, 0.5, 1.0, 2.0, 0.8, 1.5, 0.3, 2.5, 1.0, 0.7])
+    sampler.state.lam = lam
+    zbar = lam[8:].sum()
+    # exact first-pick law by enumerating all 8! block orderings
+    orders = np.array(list(permutations(members)))
+    w = lam[orders]
+    probs = np.prod(w / (zbar + w[:, ::-1].cumsum(1)[:, ::-1]), axis=1)
+    probs /= probs.sum()
+    p_first = np.bincount(orders[:, 0], weights=probs, minlength=8)
+    sampler.sample_sigma()
+    sigmas = sampler.state.sigmas
+    assert sigmas.shape == (2000, k)
+    assert (np.sort(sigmas[:, :8], axis=1) == members).all()
+    freq = np.bincount(sigmas[:, 0], minlength=8) / 2000
+    se = np.sqrt(p_first * (1 - p_first) / 2000)
+    assert (np.abs(freq - p_first) < 4 * se).all()
+
+
+def test_oversized_ties_are_refused_at_construction():
+    k = MAX_BLOCK_SIZE + 3
+    with pytest.raises(BlockTooLargeError):
+        make_sampler([[list(range(MAX_BLOCK_SIZE + 1))]], k=k)
+    with pytest.raises(BlockTooLargeError):
+        make_sampler([[[0]], [[1], list(range(2, MAX_BLOCK_SIZE + 3))]], k=k)
+    # a trailing block of any size is free
+    make_sampler([[[0], [1]]], k=k)
 
 
 def test_tau_requires_sigma_first():

@@ -13,6 +13,7 @@ from plaus.pl_likelihood import (
     BlockTooLargeError,
     NonPositiveWeightError,
     _table_values_layered,
+    _subset_layout,
     _table_values_small,
     pl_full_ranking_log_prob,
     pl_log_likelihood,
@@ -118,20 +119,20 @@ def test_two_block_chains_sum_to_one():
 
 def test_extreme_scales_survive_both_paths():
     rng = np.random.default_rng(2)
-    # small-table path
     lam = rng.uniform(0.5, 2.0, size=10)
-    r = PartialRanking([[0, 1, 2, 3, 4, 5, 6, 7]], ClassSpace(size=10))
-    assert_allclose(
-        pl_partial_ranking_log_prob(lam * 1e-140, r),
-        pl_partial_ranking_log_prob(lam, r),
-        atol=1e-6,
-    )
-    assert_allclose(
-        pl_partial_ranking_log_prob(lam * 1e140, r),
-        pl_partial_ranking_log_prob(lam, r),
-        atol=1e-6,
-    )
-    # layered path kicks in above ten tied classes
+    # the plain-float walk serves up to six tied classes, the gather kernel more
+    for tied in (5, 8):
+        r = PartialRanking([list(range(tied))], ClassSpace(size=10))
+        assert_allclose(
+            pl_partial_ranking_log_prob(lam * 1e-140, r),
+            pl_partial_ranking_log_prob(lam, r),
+            atol=1e-6,
+        )
+        assert_allclose(
+            pl_partial_ranking_log_prob(lam * 1e140, r),
+            pl_partial_ranking_log_prob(lam, r),
+            atol=1e-6,
+        )
     lam = rng.uniform(0.5, 2.0, size=14)
     r = PartialRanking([list(range(12))], ClassSpace(size=14))
     assert_allclose(
@@ -141,9 +142,9 @@ def test_extreme_scales_survive_both_paths():
     )
 
 
-@pytest.mark.parametrize("n", [3, 7, 10])
+@pytest.mark.parametrize("n", [3, 7, 10, 11, 13])
 def test_small_and_layered_tables_agree(n):
-    # the plain-float walk serves n <= 10 and the layered one n > 10; on the
+    # the plain-float walk serves n <= 6 and the gather kernel n > 6; on the
     # same weights both must tabulate the same recursion
     rng = np.random.default_rng(n)
     w = rng.uniform(0.1, 5.0, size=n)
@@ -152,6 +153,26 @@ def test_small_and_layered_tables_agree(n):
         layered, layered_scale = _table_values_layered(w, zbar)
         assert_allclose(layered, small, rtol=1e-12)
         assert layered_scale == small_scale
+    # weights this small push every layer below the rescale threshold
+    tiny = w * 1e-140
+    small, small_scale = _table_values_small([float(x) for x in tiny], 0.0)
+    layered, layered_scale = _table_values_layered(tiny, 0.0)
+    assert small_scale != 0.0
+    assert_allclose(layered, small, rtol=1e-12)
+    assert layered_scale == small_scale
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_subset_layout_lists_each_layer_and_its_one_bit_removals(n):
+    layout = _subset_layout(n)
+    assert len(layout) == n
+    for layer, (masks, preds) in enumerate(layout, start=1):
+        expected = [m for m in range(1 << n) if m.bit_count() == layer]
+        assert masks.tolist() == expected
+        assert preds.shape == (layer, len(expected))
+        for col, mask in enumerate(expected):
+            bits = [1 << i for i in range(n) if mask >> i & 1]
+            assert preds[:, col].tolist() == [mask ^ bit for bit in bits]
 
 
 def test_block_size_cap():
