@@ -4,24 +4,27 @@ Everything here exists to check the fast code against something independent:
 annotations drawn from a known ground-truth weight vector, partial-ranking
 probabilities summed permutation by permutation, and a brute-force grid
 posterior for two or three classes. The oracles trade speed for obvious
-correctness and are used by the test suite and the command line selfcheck.
+correctness. The ``*_gap`` functions hold the one copy of each exactness check
+(recursion vs enumeration, Gibbs vs grid, point-mass reduction); the acceptance
+suite, ``plaus selfcheck`` and demo 03 call them with their own seeds and trial
+counts and compare the returned gap with their own tolerances.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .rankings import (
-    ClassSpace,
-    CombinatorialCapError,
-    PartialRanking,
-    count_compatible_permutations,
+from .metrics import (
+    PredictionSet, overlap, ua_average_overlap, ua_set_accuracy, ua_topk_accuracy
 )
+from .pl_gibbs import GibbsConfig, gibbs_run
 from .pl_likelihood import pl_partial_ranking_log_prob
+from .rankings import ClassSpace, CombinatorialCapError, PartialRanking
+from .samples import PosteriorSamples
 
 __all__ = [
     "SimSpec",
@@ -29,6 +32,10 @@ __all__ = [
     "brute_force_partial_prob",
     "GridPosterior",
     "grid_posterior_oracle",
+    "random_partial_ranking",
+    "recursion_enumeration_gap",
+    "gibbs_grid_gap",
+    "point_mass_reduction_gap",
 ]
 
 BRUTE_FORCE_CAP = 10_000_000
@@ -162,7 +169,8 @@ def grid_posterior_oracle(rankings, alpha: float = 1.0, resolution: int = 200) -
     improves as the resolution grows.
 
     Args:
-        rankings: annotations for one case; may be empty (prior only).
+        rankings: annotations for one case, at least one to fix the class
+            count; rankings without blocks leave the prior.
         alpha: Gamma shape of the sampler prior being mirrored.
         resolution: lattice subdivisions, >= 2.
 
@@ -170,10 +178,9 @@ def grid_posterior_oracle(rankings, alpha: float = 1.0, resolution: int = 200) -
         GridPosterior with mean and variance per class.
     """
     rankings = list(rankings)
-    if rankings:
-        k = rankings[0].class_space.size
-    else:
+    if not rankings:
         raise ValueError("need at least one ranking to fix the class count")
+    k = rankings[0].class_space.size
     if k not in (2, 3):
         raise ValueError(f"grid oracle supports 2 or 3 classes, got {k}")
     if resolution < 2:
@@ -205,3 +212,65 @@ def grid_posterior_oracle(rankings, alpha: float = 1.0, resolution: int = 200) -
     return GridPosterior(
         mean=mean, variance=variance, resolution=resolution, num_nodes=nodes.shape[0]
     )
+
+
+def random_partial_ranking(rng, space, max_blocks=3, max_block=3):
+    """Up to ``max_blocks`` blocks of at most ``max_block`` classes, cut from a
+    random ordering of ``space``; the rest stay unranked."""
+    ids = rng.permutation(space.size)
+    blocks = []
+    start = 0
+    for _ in range(int(rng.integers(1, max_blocks + 1))):
+        if start >= space.size:
+            break
+        size = int(rng.integers(1, min(max_block, space.size - start) + 1))
+        blocks.append(ids[start : start + size].tolist())
+        start += size
+    return PartialRanking(blocks, space)
+
+
+def recursion_enumeration_gap(seed: int, trials: int) -> float:
+    """Worst |recursion - enumeration| over ``trials`` random partial rankings
+    of 2 to 6 classes with weights uniform on [0.05, 5]."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        k = int(rng.integers(2, 7))
+        space = ClassSpace(size=k)
+        lam = rng.uniform(0.05, 5.0, size=k)
+        ranking = random_partial_ranking(rng, space)
+        dp = math.exp(pl_partial_ranking_log_prob(lam, ranking))
+        bf = brute_force_partial_prob(lam, ranking)
+        worst = max(worst, abs(dp - bf))
+    return worst
+
+
+def gibbs_grid_gap(rankings, config: GibbsConfig, resolution: int) -> float:
+    """Largest per-class gap between the Gibbs chain mean and the grid mean;
+    the grid mirrors one repetition, so ``config.repetitions`` should be 1."""
+    oracle = grid_posterior_oracle(rankings, alpha=config.alpha, resolution=resolution)
+    chain = gibbs_run(rankings, config)
+    return float(np.max(np.abs(chain.samples.mean(axis=0) - oracle.mean)))
+
+
+def point_mass_reduction_gap(seed: int, trials: int) -> float:
+    """Worst gap between the uncertainty-adjusted top-k, set and overlap
+    metrics of a point mass and their deterministic values, over ``trials``
+    random weights of 3 to 8 classes and predictions of 1 to K classes."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        k = int(rng.integers(3, 9))
+        lam = rng.dirichlet(np.ones(k))
+        point = PosteriorSamples.point_mass(lam, model="irn")
+        m = int(rng.integers(1, k + 1))
+        pred = PredictionSet(tuple(int(c) for c in rng.permutation(k)[:m]))
+        order = np.argsort(-lam, kind="stable")
+        for j in range(1, m + 1):
+            det_top = 1.0 if order[0] in pred.ranked_classes[:j] else 0.0
+            worst = max(worst, abs(ua_topk_accuracy(point, pred, j) - det_top))
+            det_set = 1.0 if set(pred.top(j)) == set(order[:j].tolist()) else 0.0
+            worst = max(worst, abs(ua_set_accuracy(point, pred, j) - det_set))
+        aos = [overlap(pred.ranked_classes[:j], order[:j]) for j in range(1, m + 1)]
+        worst = max(worst, abs(ua_average_overlap(point, pred, m) - float(np.mean(aos))))
+    return worst

@@ -16,13 +16,11 @@ from plaus import (
     ClassSpace,
     GibbsConfig,
     PartialRanking,
-    PosteriorSamples,
     PredictionSet,
     PrIrnModel,
     SimSpec,
     annotation_certainty_topj,
     average_overlap,
-    brute_force_partial_prob,
     gibbs_run,
     grid_posterior_oracle,
     irn_aggregate,
@@ -31,32 +29,22 @@ from plaus import (
     simulate_annotations,
     to_soft_permutation,
     top1_label,
-    ua_average_overlap,
-    ua_set_accuracy,
     ua_topk_accuracy,
 )
 from plaus.cli import main
-from plaus.metrics import overlap
 from plaus.prirn import DEFAULT_GAMMA_GRID
+from plaus.sim_oracle import (
+    gibbs_grid_gap,
+    point_mass_reduction_gap,
+    random_partial_ranking,
+    recursion_enumeration_gap,
+)
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
     line = f"criterion {num:02d} {'PASS' if ok else 'FAIL'}: {detail}"
     print(line)
     assert ok, line
-
-
-def _random_partial_ranking(rng, space, max_blocks=3, max_block=3):
-    ids = rng.permutation(space.size)
-    blocks = []
-    start = 0
-    for _ in range(int(rng.integers(1, max_blocks + 1))):
-        if start >= space.size:
-            break
-        size = int(rng.integers(1, min(max_block, space.size - start) + 1))
-        blocks.append(ids[start : start + size].tolist())
-        start += size
-    return PartialRanking(blocks, space)
 
 
 def _batch_se(values, batches=50) -> float:
@@ -67,17 +55,8 @@ def _batch_se(values, batches=50) -> float:
 
 
 def test_criterion_01_recursion_matches_enumeration():
-    rng = np.random.default_rng(101)
     start = time.perf_counter()
-    worst = 0.0
-    for _ in range(500):
-        k = int(rng.integers(2, 7))
-        space = ClassSpace(size=k)
-        lam = rng.uniform(0.05, 5.0, size=k)
-        ranking = _random_partial_ranking(rng, space)
-        dp = math.exp(pl_partial_ranking_log_prob(lam, ranking))
-        bf = brute_force_partial_prob(lam, ranking)
-        worst = max(worst, abs(dp - bf))
+    worst = recursion_enumeration_gap(101, 500)
     elapsed = time.perf_counter() - start
     _report(
         1,
@@ -121,10 +100,9 @@ def test_criterion_03_gibbs_matches_grid_posterior():
         PartialRanking([[1], [0]], space3),
     ]
 
-    gaps = []
-    oracle2 = grid_posterior_oracle(simple, alpha=1.0, resolution=1500)
-    chain2 = gibbs_run(simple, GibbsConfig(iterations=5500, burn_in=500, seed=301))
-    gaps.append(float(np.max(np.abs(chain2.samples.mean(axis=0) - oracle2.mean))))
+    gaps = [
+        gibbs_grid_gap(simple, GibbsConfig(iterations=5500, burn_in=500, seed=301), 1500)
+    ]
 
     oracle3 = grid_posterior_oracle(contradictory, alpha=1.0, resolution=240)
     chain3a = gibbs_run(
@@ -151,26 +129,7 @@ def test_criterion_03_gibbs_matches_grid_posterior():
 
 
 def test_criterion_04_point_mass_reduces_to_deterministic_metrics():
-    rng = np.random.default_rng(404)
-    worst = 0.0
-    for _ in range(100):
-        k = int(rng.integers(3, 9))
-        lam = rng.dirichlet(np.ones(k))
-        point = PosteriorSamples.point_mass(lam, model="irn")
-        m = int(rng.integers(1, k + 1))
-        pred = PredictionSet(tuple(int(c) for c in rng.permutation(k)[:m]))
-        order = np.argsort(-lam, kind="stable")
-        for j in range(1, m + 1):
-            det_top = 1.0 if order[0] in pred.ranked_classes[:j] else 0.0
-            worst = max(worst, abs(ua_topk_accuracy(point, pred, j) - det_top))
-            det_set = 1.0 if set(pred.top(j)) == set(order[:j].tolist()) else 0.0
-            worst = max(worst, abs(ua_set_accuracy(point, pred, j) - det_set))
-        det_ao = float(
-            np.mean(
-                [overlap(pred.ranked_classes[:j], order[:j]) for j in range(1, m + 1)]
-            )
-        )
-        worst = max(worst, abs(ua_average_overlap(point, pred, m) - det_ao))
+    worst = point_mass_reduction_gap(404, 100)
     _report(
         4,
         worst <= 1e-12,
@@ -243,7 +202,7 @@ def test_criterion_07_overlap_and_matrix_identities():
     for _ in range(200):
         k = int(rng.integers(2, 9))
         space = ClassSpace(size=k)
-        ranking = _random_partial_ranking(rng, space, max_blocks=4, max_block=3)
+        ranking = random_partial_ranking(rng, space, max_blocks=4, max_block=3)
         depth = int(rng.integers(1, k + 1))
         worst_self = max(
             worst_self, abs(mean_average_overlap(ranking, ranking, depth) - 1.0)

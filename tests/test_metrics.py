@@ -118,6 +118,17 @@ def test_posterior_samples_reject_non_finite_entries():
         PosteriorSamples(np.array([[np.inf, 0.0]]), model="test")
 
 
+def test_posterior_samples_hold_rows_to_the_simplex():
+    rows = np.array([[0.2, 0.3, 0.5], [0.6, 0.3, 0.1]])
+    with pytest.raises(ValueError, match="sum to 1"):
+        PosteriorSamples(rows * np.array([[1.0], [1.01]]), model="test")
+    with pytest.raises(ValueError, match="non-negative"):
+        PosteriorSamples(np.array([[1.1, -0.1]]), model="test")
+    near = rows.copy()
+    near[0, 0] += 5e-10
+    assert PosteriorSamples(near, model="test").num_samples == 2
+
+
 def test_ua_topk_against_hand_counts():
     samples = np.array([[0.6, 0.3, 0.1], [0.1, 0.6, 0.3], [0.2, 0.1, 0.7]])
     pred = PredictionSet((0, 1))

@@ -2,12 +2,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from plaus import sim_oracle
+from plaus.pl_gibbs import GibbsConfig
 from plaus.rankings import ClassSpace, CombinatorialCapError, PartialRanking
 from plaus.sim_oracle import (
     GridPosterior,
     SimSpec,
     brute_force_partial_prob,
+    gibbs_grid_gap,
     grid_posterior_oracle,
+    point_mass_reduction_gap,
+    recursion_enumeration_gap,
     simulate_annotations,
 )
 
@@ -130,3 +135,36 @@ def test_grid_limits():
         grid_posterior_oracle([PartialRanking([[0]], space2)], resolution=1)
     with pytest.raises(ValueError):
         grid_posterior_oracle([PartialRanking([[0]], space2)], alpha=0.0)
+
+
+# Each shared check passes on the real code and fails on a planted fault in
+# the fast code it checks.
+
+PAIR = [PartialRanking([[0], [1]], ClassSpace(size=2))]
+PAIR_CHAIN = GibbsConfig(iterations=4500, burn_in=500, seed=1)
+
+
+def test_recursion_enumeration_gap_catches_a_shifted_likelihood(monkeypatch):
+    assert recursion_enumeration_gap(0, 80) < 1e-10
+    real = sim_oracle.pl_partial_ranking_log_prob
+    monkeypatch.setattr(
+        sim_oracle, "pl_partial_ranking_log_prob", lambda lam, r: real(lam, r) + 1e-9
+    )
+    assert recursion_enumeration_gap(0, 80) > 1e-10
+
+
+def test_gibbs_grid_gap_catches_a_chain_on_the_wrong_ranking(monkeypatch):
+    assert gibbs_grid_gap(PAIR, PAIR_CHAIN, 1500) < 0.025
+    real = sim_oracle.gibbs_run
+    reversed_pair = [PartialRanking([[1], [0]], ClassSpace(size=2))]
+    monkeypatch.setattr(sim_oracle, "gibbs_run", lambda r, config: real(reversed_pair, config))
+    assert gibbs_grid_gap(PAIR, PAIR_CHAIN, 1500) > 0.025
+
+
+def test_point_mass_reduction_gap_catches_a_flipped_metric(monkeypatch):
+    assert point_mass_reduction_gap(0, 20) < 1e-12
+    real = sim_oracle.ua_topk_accuracy
+    monkeypatch.setattr(
+        sim_oracle, "ua_topk_accuracy", lambda s, pred, k: 1.0 - real(s, pred, k)
+    )
+    assert point_mass_reduction_gap(0, 20) > 1e-12
