@@ -496,6 +496,7 @@ def _compute_case(payload):
                     "case_id": record.case_id,
                     "model": config.model,
                     "reliability": reliability,
+                    "seed": seed,
                     "error": type(exc).__name__,
                     "message": str(exc),
                 }

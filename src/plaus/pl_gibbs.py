@@ -203,20 +203,26 @@ class GibbsSampler:
         """Order one tied block ``copies`` times from its shared subset table.
 
         At each step the next class s is drawn with probability proportional
-        to the subset value of the remaining set minus s. Returns (copies, n)
-        class ids.
+        to the subset value of the remaining set minus s: the candidates'
+        values are accumulated in ascending bit order and ``u`` times their
+        total is bisected, with one ``rng.random((copies, n - 1))`` call
+        supplying every ``u``. A copy reads only the n(n + 1)/2 - 1 entries
+        its path visits, and keeps its remaining bits as an ascending list,
+        so each step pops its pick instead of rescanning all n singles.
+        Entries are read one ``values.item`` each: a ``tolist()`` of all 2^n
+        of them costs more at wide ties. Returns (copies, n) class ids.
         """
         n = members.size
-        values = values.tolist()
+        read = values.item
         singles = [1 << i for i in range(n)]
         picks = []
         for draws in self.rng.random((copies, n - 1)).tolist():
             mask = (1 << n) - 1
+            bits = singles.copy()
             for u in draws:
-                bits = [bit for bit in singles if mask & bit]
-                cum = list(accumulate(values[mask ^ bit] for bit in bits))
+                cum = list(accumulate(read(mask ^ bit) for bit in bits))
                 # u * cum[-1] may round up to cum[-1]; then take the last.
-                bit = bits[min(bisect_right(cum, u * cum[-1]), len(bits) - 1)]
+                bit = bits.pop(min(bisect_right(cum, u * cum[-1]), len(bits) - 1))
                 picks.append(bit.bit_length() - 1)
                 mask ^= bit
             picks.append(mask.bit_length() - 1)

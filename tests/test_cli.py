@@ -16,6 +16,7 @@ from plaus.cli import (
     ParseError,
     RunConfig,
     UnknownClassNameError,
+    _case_seed,
     default_reliability_grid,
     ingest,
     main,
@@ -505,6 +506,9 @@ def test_evaluate_reports_an_oversized_tie_as_a_case_failure(tmp_path):
     (failure,) = read_report(str(out))["files"]["failures_pl.jsonl"]
     assert failure["case_id"] == "wide"
     assert failure["error"] == "BlockTooLargeError"
+    # the row alone reruns the unit
+    tag = reliability_tag(failure["reliability"])
+    assert failure["seed"] == _case_seed(0, "wide", "pl", tag)
 
 
 def test_evaluate_selects_top_classes_once_per_unit(small_dataset, tmp_path, monkeypatch):

@@ -1,11 +1,12 @@
-from itertools import permutations
+from bisect import bisect_right
+from itertools import accumulate, permutations
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from plaus.pl_gibbs import DEFAULT_REPETITION_GRID, GibbsConfig, GibbsSampler, gibbs_run
-from plaus.pl_likelihood import MAX_BLOCK_SIZE, BlockTooLargeError
+from plaus.pl_likelihood import MAX_BLOCK_SIZE, BlockTooLargeError, _table_values
 from plaus.rankings import ClassSpace, PartialRanking
 
 
@@ -177,6 +178,73 @@ def test_copies_order_a_large_tie_by_its_exact_first_pick_probabilities():
     freq = np.bincount(sigmas[:, 0], minlength=8) / 2000
     se = np.sqrt(p_first * (1 - p_first) / 2000)
     assert (np.abs(freq - p_first) < 4 * se).all()
+
+
+def _reference_block_orders(rng, values, members, copies):
+    # the walk over a tolist() of every entry, rescanning the remaining bits
+    # from all n singles at each step: the sampler must pick as it does
+    n = members.size
+    values = values.tolist()
+    singles = [1 << i for i in range(n)]
+    picks = []
+    for draws in rng.random((copies, n - 1)).tolist():
+        mask = (1 << n) - 1
+        for u in draws:
+            bits = [bit for bit in singles if mask & bit]
+            cum = list(accumulate(values[mask ^ bit] for bit in bits))
+            bit = bits[min(bisect_right(cum, u * cum[-1]), len(bits) - 1)]
+            picks.append(bit.bit_length() - 1)
+            mask ^= bit
+        picks.append(mask.bit_length() - 1)
+    return members[np.reshape(picks, (copies, n))]
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_block_walk_matches_the_reference_walk(n):
+    sampler = make_sampler([[[0, 1]]], k=3)
+    rng = np.random.default_rng(n)
+    members = rng.permutation(n + 3)[:n]
+    values, _ = _table_values(rng.uniform(0.1, 5.0, size=n), 1.5)
+    for copies in (1, 3, 21):
+        for seed in range(3):
+            sampler.rng = np.random.default_rng(seed)
+            got = sampler._draw_block_orders(values, members, copies)
+            expected = _reference_block_orders(
+                np.random.default_rng(seed), values, members, copies
+            )
+            assert_array_equal(got, expected)
+
+
+class _FixedDraws:
+    """Stands in for a Generator whose every uniform is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, shape):
+        return np.full(shape, self.u)
+
+
+def test_block_walk_takes_the_last_bit_when_the_draw_rounds_up():
+    # subnormal entries make u * total round up to the total, past every
+    # cumulative value; the walk must clamp to the last remaining bit
+    top = 1 - 2**-53
+    values = np.full(1 << 5, 5e-324)
+    assert top * (3 * 5e-324) == 3 * 5e-324
+    members = np.array([7, 3, 9, 1, 4])
+    sampler = make_sampler([[[0, 1]]], k=3)
+    sampler.rng = _FixedDraws(top)
+    got = sampler._draw_block_orders(values, members, 2)
+    assert_array_equal(got, [members[::-1]] * 2)
+    assert_array_equal(got, _reference_block_orders(_FixedDraws(top), values, members, 2))
+
+
+def test_block_walk_moves_a_draw_on_a_boundary_to_the_next_class():
+    # equal entries put 0.5 * total exactly on the first cumulative value;
+    # the draw lies in [cum[0], cum[1]), so the second class goes first
+    sampler = make_sampler([[[0, 1]]], k=3)
+    sampler.rng = _FixedDraws(0.5)
+    assert_array_equal(sampler._draw_block_orders(np.ones(4), np.array([5, 6]), 1), [[6, 5]])
 
 
 def test_oversized_ties_are_refused_at_construction():

@@ -9,6 +9,8 @@ from numpy.testing import assert_allclose
 
 from conftest import weighted_rankings
 from plaus.pl_likelihood import (
+    _RESCALE_HI,
+    _RESCALE_LO,
     MAX_BLOCK_SIZE,
     BlockTooLargeError,
     NonPositiveWeightError,
@@ -173,6 +175,64 @@ def test_subset_layout_lists_each_layer_and_its_one_bit_removals(n):
         for col, mask in enumerate(expected):
             bits = [1 << i for i in range(n) if mask >> i & 1]
             assert preds[:, col].tolist() == [mask ^ bit for bit in bits]
+
+
+def _in_order_rows(gathered):
+    numer = gathered[0]
+    for row in gathered[1:]:
+        numer += row
+    return numer
+
+
+def _reference_layered(w, zbar, layer_sum=_in_order_rows):
+    # the gather kernel over int32 layouts, each layer summed row by row in
+    # ascending bit order: the kernel must match it bit for bit
+    n = len(w)
+    denom = np.zeros(1 << n)
+    for i in range(n):
+        np.add(denom[: 1 << i], w[i], out=denom[1 << i : 2 << i])
+    denom += zbar
+    values = np.zeros(1 << n)
+    values[0] = 1.0
+    log_scale = 0.0
+    for masks, preds in _subset_layout(n):
+        numer = layer_sum(values[preds.astype(np.int32)])
+        numer /= denom[masks]
+        values[masks] = numer
+        peak = float(numer.max())
+        if peak != 0.0 and not (_RESCALE_LO < peak < _RESCALE_HI):
+            with np.errstate(over="ignore"):
+                values /= peak
+            log_scale += float(np.log(peak))
+    return values, log_scale
+
+
+@pytest.mark.parametrize("n", range(7, 17))
+def test_layered_table_is_bit_identical_to_a_row_by_row_sum(n):
+    w = np.random.default_rng(n).uniform(0.1, 5.0, size=n)
+    for zbar in (0.0, 2.5):
+        for scale in (1.0, 1e-140, 1e140):
+            values, log_scale = _table_values_layered(w * scale, zbar)
+            expected, expected_scale = _reference_layered(w * scale, zbar)
+            assert np.array_equal(values, expected)
+            assert log_scale == expected_scale
+
+
+def test_a_bare_sum_on_the_full_mask_layer_changes_the_table():
+    # numpy sums the one-column layer's contiguous run pairwise, not in order;
+    # at n = 16 and this seed that moves the last bits of the full-mask entry
+    w = np.random.default_rng(2).uniform(0.1, 5.0, size=16)
+    expected, _ = _reference_layered(w, 2.5)
+    bare, _ = _reference_layered(w, 2.5, layer_sum=lambda gathered: gathered.sum(axis=0))
+    assert not np.array_equal(bare, expected)
+    assert np.array_equal(bare[:-1], expected[:-1])
+    values, _ = _table_values_layered(w, 2.5)
+    assert np.array_equal(values, expected)
+
+
+@pytest.mark.parametrize("n, dtype", [(7, np.intp), (16, np.intp), (17, np.int32)])
+def test_subset_layout_indexes_with_intp_up_to_sixteen_classes(n, dtype):
+    assert all(preds.dtype == dtype for _, preds in _subset_layout(n))
 
 
 def test_block_size_cap():
