@@ -27,7 +27,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -120,10 +120,12 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.model not in MODELS:
             raise ConfigError(f"unknown model {self.model!r}; choose from {MODELS}")
-        grid = self.reliability_grid or default_reliability_grid(self.model)
+        grid = self.reliability_grid
+        # irn and gaussian-scores have no reliability dial; a grid given for
+        # them is ignored, as is an empty one for any model.
+        if not grid or self.model in ("irn", "gaussian-scores"):
+            grid = default_reliability_grid(self.model)
         object.__setattr__(self, "reliability_grid", tuple(grid))
-        if not self.reliability_grid:
-            raise ConfigError("reliability grid must be non-empty")
         if self.model == "pl" and any(
             not float(r).is_integer() or r < 1 for r in self.reliability_grid
         ):
@@ -430,7 +432,8 @@ def _case_metrics(record: CaseRecord, config: RunConfig, posterior: PosteriorSam
     Every kernel returns per-sample values: (M,), or (depth, M) for the
     overlap curve. A metric's value is their mean and its per-sample vector
     their mean over the leading axis. The top-k kernels all slice one
-    selection of each sample's top classes, made to the deepest k they need.
+    selection of each sample's top classes, made to the deepest k they need,
+    and the risk metrics all read one pooling of the samples by risk level.
     """
     space, pred = record.class_space, record.prediction
     top_j = min(3, space.size)
@@ -449,20 +452,19 @@ def _case_metrics(record: CaseRecord, config: RunConfig, posterior: PosteriorSam
         kernels.append((f"ua_set{k}_accuracy", metrics_mod.ua_set_hits, (pred, k), ranked))
     if depth:
         kernels.append(("ua_average_overlap", metrics_mod._overlap_curve, (pred, depth), ranked))
-    if space.risk is not None:
-        kernels.append(("risk_certainty", metrics_mod.risk_level_hits, (space,), {}))
-        kernels.append(("expected_risk_mean", metrics_mod.expected_risk, (space,), {}))
+    values = {name: kernel(posterior, *args, **kwargs) for name, kernel, args, kwargs in kernels}
 
     scalars: dict[str, float] = {}
-    vectors: dict[str, np.ndarray] = {}
-    for name, kernel, args, kwargs in kernels:
-        values = kernel(posterior, *args, **kwargs)
-        vectors[name] = values if values.ndim == 1 else values.mean(axis=0)
-        scalars[name] = float(values.mean())
     if space.risk is not None:
-        risk = metrics_mod.risk_metrics(posterior, space, pred)
-        extras = ("expected_risk_min", "expected_risk_max", "ua_risk_match")
-        scalars.update((name, risk[name]) for name in extras if name in risk)
+        levels, modal, expected = metrics_mod._risk_pass(posterior, space)
+        values["risk_certainty"] = (levels == modal).astype(float)
+        values["expected_risk_mean"] = expected
+        scalars["expected_risk_min"] = float(expected.min())
+        scalars["expected_risk_max"] = float(expected.max())
+        if pred is not None:
+            scalars["ua_risk_match"] = float(np.mean(levels == space.risk[pred.top(1)[0]]))
+    scalars.update((name, float(v.mean())) for name, v in values.items())
+    vectors = {name: v if v.ndim == 1 else v.mean(axis=0) for name, v in values.items()}
     return scalars, vectors
 
 
@@ -703,19 +705,11 @@ def run(
     return manifest
 
 
-def _run_models(models, records, out_dir, workers, args, include_aggregate=False) -> int:
-    manifests = []
-    for model in models:
-        config = _config_for(model, args)
-        manifests.append(
-            run(
-                config,
-                records,
-                out_dir,
-                workers=workers,
-                include_aggregate=include_aggregate,
-            )
-        )
+def _run_models(configs, records, out_dir, workers, include_aggregate=False) -> int:
+    manifests = [
+        run(config, records, out_dir, workers=workers, include_aggregate=include_aggregate)
+        for config in configs
+    ]
     _write_json(
         os.path.join(out_dir, "manifest.json"),
         {
@@ -758,6 +752,50 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _split_csv(text: str) -> list[str]:
+    return [part.strip() for part in text.split(",") if part.strip()]
+
+
+def _csv_of(convert, what: str):
+    """Flag type: a comma-separated list, each item passed through ``convert``."""
+
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(convert(token) for token in _split_csv(text))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad {what} {text!r}") from None
+
+    return parse
+
+
+def _int_or_float(token: str):
+    value = float(token)
+    return int(value) if value.is_integer() else value
+
+
+# Flags that set a RunConfig field: (flag, field, type, help). Defaults and
+# validation live on RunConfig alone, so an unset flag leaves the field out.
+_RUN_SETTING_FLAGS = (
+    (
+        "--reliability",
+        "reliability_grid",
+        _csv_of(_int_or_float, "reliability grid"),
+        "comma-separated reliability grid (default depends on the model)",
+    ),
+    ("--samples", "num_samples", int, "Monte Carlo samples M"),
+    ("--gibbs-burn-in", "gibbs_burn_in", int, None),
+    ("--gibbs-thinning", "gibbs_thinning", int, None),
+    ("--gibbs-alpha", "gibbs_alpha", float, None),
+    ("--gibbs-beta", "gibbs_beta", float, None),
+    ("--seed", "base_seed", int, "base seed"),
+    ("--k-grid", "k_grid", _csv_of(int, "k grid"), "comma-separated top-k cutoffs"),
+    ("--overlap-depth", "overlap_depth", int, None),
+    ("--bins", "histogram_bins", int, "histogram bins"),
+    ("--threshold", "threshold", float, "score threshold"),
+    ("--dirichlet-prior-alpha", "dirichlet_prior_alpha", float, "counts model prior"),
+)
+
+
 def _add_common(parser, with_predictions: bool) -> None:
     parser.add_argument("--cases", required=True, help="cases file (jsonl)")
     parser.add_argument("--annotations", required=True, help="annotations file (jsonl)")
@@ -765,71 +803,18 @@ def _add_common(parser, with_predictions: bool) -> None:
         parser.add_argument("--predictions", required=True, help="predictions file (jsonl)")
     parser.add_argument(
         "--model",
+        dest="models",
+        type=_split_csv,
         default="prirn,pl",
         help="comma-separated models: " + ", ".join(MODELS),
     )
-    parser.add_argument(
-        "--reliability",
-        default=None,
-        help="comma-separated reliability grid (default depends on the model)",
-    )
-    parser.add_argument("--samples", type=int, default=1000, help="Monte Carlo samples M")
-    parser.add_argument("--gibbs-burn-in", type=int, default=500)
-    parser.add_argument("--gibbs-thinning", type=int, default=1)
-    parser.add_argument("--gibbs-alpha", type=float, default=1.0)
-    parser.add_argument("--gibbs-beta", type=float, default=1.0)
-    parser.add_argument("--seed", type=int, default=0, help="base seed")
-    parser.add_argument("--k-grid", default="1,2,3", help="comma-separated top-k cutoffs")
-    parser.add_argument("--overlap-depth", type=int, default=3)
-    parser.add_argument("--bins", type=int, default=20, help="histogram bins")
-    parser.add_argument("--threshold", type=float, default=None, help="score threshold")
-    parser.add_argument(
-        "--dirichlet-prior-alpha", type=float, default=0.01, help="counts model prior"
-    )
+    for flag, dest, convert, text in _RUN_SETTING_FLAGS:
+        parser.add_argument(flag, dest=dest, type=convert, default=argparse.SUPPRESS, help=text)
     parser.add_argument("--workers", type=int, default=1, help="worker pool size")
     parser.add_argument(
         "--out-dir",
         default=None,
         help=f"output directory (default ${OUTPUT_DIR_ENV} or ./plaus_out)",
-    )
-
-
-def _split_csv(text: str) -> list[str]:
-    return [part.strip() for part in text.split(",") if part.strip()]
-
-
-def _parse_grid(text: str | None, model: str):
-    if text is None or model in ("irn", "gaussian-scores"):
-        return default_reliability_grid(model)
-    values = []
-    for token in _split_csv(text):
-        try:
-            value = float(token)
-        except ValueError:
-            raise ConfigError(f"bad reliability value {token!r}") from None
-        values.append(int(value) if value.is_integer() else value)
-    return tuple(values)
-
-
-def _config_for(model: str, args) -> RunConfig:
-    try:
-        k_grid = tuple(int(k) for k in _split_csv(args.k_grid))
-    except ValueError:
-        raise ConfigError(f"bad k grid {args.k_grid!r}") from None
-    return RunConfig(
-        model=model,
-        reliability_grid=_parse_grid(args.reliability, model),
-        num_samples=args.samples,
-        gibbs_burn_in=args.gibbs_burn_in,
-        gibbs_thinning=args.gibbs_thinning,
-        gibbs_alpha=args.gibbs_alpha,
-        gibbs_beta=args.gibbs_beta,
-        base_seed=args.seed,
-        k_grid=k_grid,
-        overlap_depth=args.overlap_depth,
-        histogram_bins=args.bins,
-        dirichlet_prior_alpha=args.dirichlet_prior_alpha,
-        threshold=args.threshold,
     )
 
 
@@ -881,22 +866,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_reports(args, with_predictions: bool, include_aggregate: bool) -> int:
-    models = _split_csv(args.model)
-    for model in models:
-        if model not in MODELS:
-            raise ConfigError(f"unknown model {model!r}; choose from {MODELS}")
-    records = ingest(
-        args.cases,
-        args.annotations,
-        getattr(args, "predictions", None) if with_predictions else None,
-    )
-    if with_predictions:
+def _cmd_reports(args) -> int:
+    # Every model's configuration is checked before any input is read.
+    settings = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
+    configs = [RunConfig(model=model, **settings) for model in args.models]
+    if not configs:
+        raise ConfigError("--model names no model")
+    predictions = getattr(args, "predictions", None)
+    records = ingest(args.cases, args.annotations, predictions)
+    if predictions is not None:
         missing = [r.case_id for r in records if r.prediction is None]
         if missing:
             raise DataError(f"no prediction for cases {missing}")
     return _run_models(
-        models, records, _out_dir(args), args.workers, args, include_aggregate
+        configs, records, _out_dir(args), args.workers, args.command == "aggregate"
     )
 
 
@@ -987,13 +970,7 @@ def main(argv=None) -> int:
             return EXIT_OK if all(ok for _, ok, _ in results) else EXIT_SELFCHECK
         if args.command == "simulate":
             return _cmd_simulate(args)
-        if args.command == "aggregate":
-            return _cmd_reports(args, with_predictions=False, include_aggregate=True)
-        if args.command == "certainty":
-            return _cmd_reports(args, with_predictions=False, include_aggregate=False)
-        if args.command == "evaluate":
-            return _cmd_reports(args, with_predictions=True, include_aggregate=False)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return _cmd_reports(args)  # aggregate, certainty or evaluate
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -278,18 +278,24 @@ def _risk_inputs(samples, class_space: ClassSpace):
     return arr, np.array([class_space.risk[c] for c in range(arr.shape[1])], dtype=float)
 
 
-def _top_risk_levels(samples, class_space: ClassSpace):
-    """Per-sample argmax of mass pooled by risk level (0 low, 1 medium, 2 high)
-    and its modal value; both argmaxes break ties to the lower level."""
+def _risk_pass(samples, class_space: ClassSpace):
+    """Per-sample top risk level (0 low, 1 medium, 2 high), its modal value
+    and the per-sample expected risk, from one check of the risk map.
+
+    A sample's top level is the argmax of its mass pooled by level; both
+    argmaxes break ties to the lower level. Each level's mass is a row sum
+    over that level's columns: a product with a one-hot level matrix rounds
+    differently and can break or flip an exact tie between pooled masses.
+    """
     arr, risk = _risk_inputs(samples, class_space)
     pooled = np.stack([arr[:, risk == lv].sum(axis=1) for lv in range(3)], axis=1)
     levels = pooled.argmax(axis=1)
-    return levels, int(np.bincount(levels, minlength=3).argmax())
+    return levels, int(np.bincount(levels, minlength=3).argmax()), arr @ risk
 
 
 def risk_level_hits(samples, class_space: ClassSpace) -> np.ndarray:
     """Per-sample indicator that the sample's top risk level is the modal one."""
-    levels, modal = _top_risk_levels(samples, class_space)
+    levels, modal, _ = _risk_pass(samples, class_space)
     return (levels == modal).astype(float)
 
 
@@ -315,8 +321,7 @@ def risk_metrics(
     Raises:
         MissingRiskMappingError: some class has no risk level.
     """
-    levels, modal = _top_risk_levels(samples, class_space)
-    expected = expected_risk(samples, class_space)
+    levels, modal, expected = _risk_pass(samples, class_space)
     out = {
         "risk_certainty": float(np.mean(levels == modal)),
         "top_risk_level": modal,

@@ -39,7 +39,7 @@ from itertools import accumulate
 import numpy as np
 
 from .pl_likelihood import _check_block_size, _table_values
-from .rankings import ClassSpace, PartialRanking
+from .rankings import ClassSpace
 from .samples import PosteriorSamples
 
 __all__ = [
@@ -106,25 +106,6 @@ class GibbsState:
     taus: np.ndarray
 
 
-class _AnnotationPrep:
-    """Per-annotation constants the sweep loop reuses."""
-
-    __slots__ = ("blocks", "final_block", "ranked_ids", "num_ranked")
-
-    def __init__(self, ranking: PartialRanking):
-        parts = ranking.partition()
-        for block in parts[:-1]:
-            _check_block_size(len(block))
-        # Non-trailing blocks carry likelihood; the trailing one is free.
-        self.blocks = [np.array(sorted(b), dtype=np.int64) for b in parts[:-1]]
-        self.final_block = np.array(sorted(parts[-1]), dtype=np.int64)
-        if self.blocks:
-            self.ranked_ids = np.concatenate(self.blocks)
-        else:
-            self.ranked_ids = np.empty(0, dtype=np.int64)
-        self.num_ranked = int(self.ranked_ids.size)
-
-
 class GibbsSampler:
     """Runs the three-conditional chain for one case.
 
@@ -134,6 +115,11 @@ class GibbsSampler:
             samples the prior.
         config: chain settings; reliability comes from ``config.repetitions``.
         class_space: required when ``rankings`` is empty.
+
+    Attributes:
+        num_rows: state rows, one per copy: annotations times repetitions.
+        num_ranked: (num_rows,) classes each row's annotation ranked in its
+            non-trailing blocks.
 
     Raises:
         BlockTooLargeError: some annotation ties more than
@@ -162,33 +148,40 @@ class GibbsSampler:
         # own latent ordering and arrival times. The copies of annotation g
         # are the contiguous rows g * reps ... (g + 1) * reps - 1.
         reps = self.config.repetitions
-        base = [_AnnotationPrep(r) for r in rankings]
-        self.preps = [p for p in base for _ in range(reps)]
+        self.num_rows = len(rankings) * reps
 
         k = self.num_classes
         counts = np.zeros(k)
+        num_ranked = np.zeros(len(rankings), dtype=np.int64)
         # Sort keys that put each annotation's ranked classes, in order, ahead
         # of every arrival time (tied blocks are redrawn after the sort).
-        head = np.zeros((len(base), k))
-        free = np.zeros((len(base), k), dtype=bool)
+        head = np.zeros((len(rankings), k))
+        free = np.zeros((len(rankings), k), dtype=bool)
         self._ties = []  # (rows, members, first position, classes ranked up to it)
-        for g, prep in enumerate(base):
-            counts[prep.ranked_ids] += reps
-            head[g, prep.ranked_ids] = np.arange(prep.num_ranked) - k
-            free[g, prep.final_block] = True
+        for g, ranking in enumerate(rankings):
+            parts = ranking.partition()
+            for block in parts[:-1]:
+                _check_block_size(len(block))
+            # Non-trailing blocks carry likelihood; the trailing one is free.
+            blocks = [np.array(sorted(b), dtype=np.int64) for b in parts[:-1]]
+            ranked_ids = np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
+            num_ranked[g] = ranked_ids.size
+            counts[ranked_ids] += reps
+            head[g, ranked_ids] = np.arange(ranked_ids.size) - k
+            free[g, list(parts[-1])] = True
             end = 0
-            for members in prep.blocks:
+            for members in blocks:
                 end += members.size
                 if members.size > 1:
                     rows = slice(g * reps, (g + 1) * reps)
-                    self._ties.append((rows, members, end - members.size, prep.ranked_ids[:end]))
+                    self._ties.append((rows, members, end - members.size, ranked_ids[:end]))
         self.ranked_counts = counts
+        self.num_ranked = np.repeat(num_ranked, reps)  # per row
         self._head_keys = np.repeat(head, reps, axis=0)
         self._free = np.repeat(free, reps, axis=0)
-        num_ranked = np.array([p.num_ranked for p in self.preps], dtype=np.int64)
-        self._rows = np.arange(len(self.preps))
-        self._last_ranked = num_ranked - 1
-        self._has_ranked = (num_ranked > 0).astype(float)
+        self._rows = np.arange(self.num_rows)
+        self._last_ranked = self.num_ranked - 1
+        self._has_ranked = (self.num_ranked > 0).astype(float)
         self._flat_offsets = self._rows[:, None] * k
 
         self.rng = np.random.default_rng(self.config.seed)
@@ -230,7 +223,7 @@ class GibbsSampler:
 
     def sample_sigma(self) -> None:
         """Redraw every annotation's compatible full ordering given lam."""
-        if not self.preps:
+        if not self.num_rows:
             return
         lam = self.state.lam
         # Ordering what trails is the model itself: run the race for every
@@ -256,9 +249,9 @@ class GibbsSampler:
         to the total weight of everything not yet ranked, so the first
         arrival has rate sum(lam) and arrivals are strictly increasing.
         """
-        if len(self.state.sigmas) != len(self.preps):
+        if len(self.state.sigmas) != self.num_rows:
             raise RuntimeError("orderings not sampled yet; call sample_sigma first")
-        if not self.preps:
+        if not self.num_rows:
             return
         sigmas = self.state.sigmas
         rates = self.state.lam[sigmas][:, ::-1].cumsum(1)[:, ::-1]
@@ -279,10 +272,9 @@ class GibbsSampler:
         to have arrived after that point; zero when nothing was ranked).
         """
         shape = self.config.alpha + self.ranked_counts
-        if not self.preps:
+        if not self.num_rows:
             return shape, np.full(self.num_classes, self.config.beta)
-        sigmas = np.asarray(self.state.sigmas)
-        taus = np.asarray(self.state.taus, dtype=float)
+        sigmas, taus = self.state.sigmas, self.state.taus
         last = sigmas[self._rows, self._last_ranked]
         horizon = taus[self._rows, last] * self._has_ranked
         rate = self.config.beta + np.minimum(taus, horizon[:, None]).sum(0)
@@ -290,7 +282,7 @@ class GibbsSampler:
 
     def sample_lambda(self) -> None:
         """Redraw every weight from its Gamma full conditional."""
-        if self.preps and len(self.state.taus) != len(self.preps):
+        if self.num_rows and len(self.state.taus) != self.num_rows:
             raise RuntimeError("arrival times not sampled yet; call sample_tau first")
         shape, rate = self._posterior_gamma_params()
         # Same draws as rng.gamma(shape, 1 / rate), without its broadcasting.

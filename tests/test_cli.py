@@ -202,6 +202,11 @@ def test_run_config_defaults_per_model():
     assert RunConfig(model="prirn").reliability_grid == (10.0, 20.0, 30.0, 50.0, 100.0)
     assert RunConfig(model="pl").reliability_grid == (1, 2, 3, 5, 10)
     assert RunConfig(model="irn").reliability_grid == (None,)
+    # irn and gaussian-scores have no reliability dial: a given grid is ignored
+    assert RunConfig(model="irn", reliability_grid=(1,)).reliability_grid == (None,)
+    assert RunConfig(
+        model="gaussian-scores", reliability_grid=(5,), threshold=0.0
+    ).reliability_grid == (None,)
     assert default_reliability_grid("dirichlet-counts") == (10.0, 20.0, 30.0, 50.0, 100.0)
 
 
@@ -543,9 +548,73 @@ def test_bad_config_exits_one(small_dataset, tmp_path):
     base = ["certainty", "--cases", cases, "--annotations", annotations,
             "--out-dir", str(tmp_path / "out")]
     assert run_main(base + ["--model", "bogus"]) == 1
+    assert run_main(base + ["--model", ","]) == 1
     assert run_main(base + ["--model", "gaussian-scores"]) == 1
     assert run_main(base + ["--model", "irn", "--k-grid", "zero"]) == 1
     assert run_main(base + ["--model", "irn", "--workers", "0"]) == 1
+
+
+def test_a_bad_config_for_any_model_exits_one_before_any_work(small_dataset, tmp_path):
+    cases, annotations, _ = small_dataset
+    out = tmp_path / "out"
+    # prirn is valid; gaussian-scores without --threshold is not
+    code = run_main(
+        ["certainty", "--cases", cases, "--annotations", annotations,
+         "--model", "prirn,gaussian-scores", "--samples", "20", "--out-dir", str(out)]
+    )
+    assert code == 1
+    assert not out.exists() or not any(out.iterdir())
+    # a bad flag is a config error even when an input file is missing
+    code = run_main(
+        ["certainty", "--cases", str(tmp_path / "missing.jsonl"), "--annotations", annotations,
+         "--model", "irn", "--k-grid", "zero", "--out-dir", str(out)]
+    )
+    assert code == 1
+
+
+def test_point_models_ignore_the_reliability_grid(small_dataset, tmp_path):
+    cases, annotations, _ = small_dataset
+    out = tmp_path / "out"
+    code = run_main(
+        ["certainty", "--cases", cases, "--annotations", annotations,
+         "--model", "irn,prirn", "--reliability", "10", "--samples", "20",
+         "--out-dir", str(out)]
+    )
+    assert code == 0
+    files = read_report(str(out))["files"]
+    assert {"metrics_irn_point.jsonl", "metrics_prirn_10.jsonl"} <= set(files)
+    assert {r["reliability"] for r in files["metrics_irn_point.jsonl"]} == {None}
+    assert {r["reliability"] for r in files["metrics_prirn_10.jsonl"]} == {10}
+
+
+def test_evaluate_pools_risk_levels_once_per_unit(tmp_path, monkeypatch):
+    # risk certainty, expected risk and risk match of a (case, reliability)
+    # unit come from one pooling of its samples by risk level
+    calls = []
+    real_risk_pass = metrics._risk_pass
+
+    def counting_risk_pass(samples, class_space):
+        calls.append(samples.samples.shape)
+        return real_risk_pass(samples, class_space)
+
+    monkeypatch.setattr(metrics, "_risk_pass", counting_risk_pass)
+    code = run_main(
+        [
+            "evaluate",
+            "--cases", str(DATA / "derm_cases.jsonl"),
+            "--annotations", str(DATA / "derm_annotations.jsonl"),
+            "--predictions", str(DATA / "derm_predictions_b.jsonl"),
+            "--model", "irn,prirn",
+            "--reliability", "10,20",
+            "--samples", "20",
+            "--out-dir", str(tmp_path / "out"),
+        ]
+    )
+    assert code == 0
+    assert calls == [(1, 8), (20, 8), (20, 8)]  # one derm case: irn, prirn x 2
+    rows = read_report(str(tmp_path / "out"))["files"]["metrics_prirn_10.jsonl"]
+    assert {"risk_certainty", "expected_risk_mean", "expected_risk_min",
+            "expected_risk_max", "ua_risk_match"} <= {r["metric"] for r in rows}
 
 
 def test_bad_data_exits_two(tmp_path):

@@ -314,6 +314,17 @@ def test_risk_metrics_frozen_case():
     assert expected.max() == out["expected_risk_max"]
 
 
+def test_exact_pooled_risk_ties_go_to_the_lower_level():
+    # sample 0 pools 0.375 on both low and high risk; sample 1 favours high.
+    # The top levels (0, 2) then tie for the mode, which goes to low as well.
+    samples = np.array([[0.375, 0.25, 0.125, 0.25], [0.5, 0.25, 0.125, 0.125]])
+    space = ClassSpace(size=4, risk={0: 2, 1: 0, 2: 0, 3: 1})
+    assert_array_equal(risk_level_hits(samples, space), [1.0, 0.0])
+    out = risk_metrics(samples, space, PredictionSet((0,)))
+    assert out["top_risk_level"] == 0
+    assert out["ua_risk_match"] == 0.5
+
+
 def test_pooled_risk_certainty_can_undercut_label_certainty():
     # pooling mass across levels before the argmax is a design choice with
     # a real consequence: the certainty of the top risk level may fall

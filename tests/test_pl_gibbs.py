@@ -40,8 +40,8 @@ def test_default_grid():
 def test_weight_update_for_a_ranked_class():
     # one annotator ranked class 0 first; its arrival of 1.0 is the horizon
     sampler = make_sampler([[[0]]], k=2, seed=0)
-    sampler.state.sigmas = [np.array([0, 1])]
-    sampler.state.taus = [np.array([1.0, 1.5])]
+    sampler.state.sigmas = np.array([[0, 1]])
+    sampler.state.taus = np.array([[1.0, 1.5]])
     shape, rate = sampler._posterior_gamma_params()
     assert_allclose(shape, [2.0, 1.0])
     assert_allclose(rate, [2.0, 2.0])
@@ -50,8 +50,8 @@ def test_weight_update_for_a_ranked_class():
 def test_weight_update_censors_the_unranked_class():
     # unranked class alive past the horizon 0.7 contributes Gamma(1, 1.7)
     sampler = make_sampler([[[0]]], k=2, seed=0)
-    sampler.state.sigmas = [np.array([0, 1])]
-    sampler.state.taus = [np.array([0.7, 0.9])]
+    sampler.state.sigmas = np.array([[0, 1]])
+    sampler.state.taus = np.array([[0.7, 0.9]])
     shape, rate = sampler._posterior_gamma_params()
     assert_allclose(shape, [2.0, 1.0])
     assert_allclose(rate, [1.7, 1.7])
@@ -59,8 +59,8 @@ def test_weight_update_censors_the_unranked_class():
 
 def test_weight_update_accumulates_over_annotations():
     sampler = make_sampler([[[0]], [[1], [0]]], k=3, seed=0)
-    sampler.state.sigmas = [np.array([0, 1, 2]), np.array([1, 0, 2])]
-    sampler.state.taus = [np.array([0.5, 0.8, 1.1]), np.array([0.6, 0.2, 0.9])]
+    sampler.state.sigmas = np.array([[0, 1, 2], [1, 0, 2]])
+    sampler.state.taus = np.array([[0.5, 0.8, 1.1], [0.6, 0.2, 0.9]])
     shape, rate = sampler._posterior_gamma_params()
     # class 0 ranked by both; class 1 ranked only by the second annotator
     assert_allclose(shape, [3.0, 2.0, 1.0])
@@ -80,9 +80,10 @@ def test_weight_update_matches_a_per_annotation_loop():
     sampler.sample_tau()
     _, rate = sampler._posterior_gamma_params()
     expected = np.full(4, 1.0)
-    for prep, sigma, tau in zip(sampler.preps, sampler.state.sigmas, sampler.state.taus):
-        if prep.num_ranked:
-            expected += np.minimum(tau, tau[sigma[prep.num_ranked - 1]])
+    assert sampler.num_ranked.tolist() == [3, 3, 3, 0, 0, 0, 1, 1, 1]
+    for ranked, sigma, tau in zip(sampler.num_ranked, sampler.state.sigmas, sampler.state.taus):
+        if ranked:
+            expected += np.minimum(tau, tau[sigma[ranked - 1]])
     assert_allclose(rate, expected, rtol=1e-12)
 
 
@@ -98,7 +99,7 @@ def test_shapes_untouched_for_never_ranked_classes():
 def test_repetitions_duplicate_annotations():
     base = make_sampler([[[0]], [[1]]], k=3, seed=0)
     doubled = make_sampler([[[0]], [[1]]], k=3, repetitions=2, seed=0)
-    assert len(doubled.preps) == 2 * len(base.preps)
+    assert (base.num_rows, doubled.num_rows) == (2, 4)
     assert_allclose(doubled.ranked_counts, 2 * base.ranked_counts)
 
 
