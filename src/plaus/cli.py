@@ -26,7 +26,6 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -573,6 +572,9 @@ def run(
     if workers == 1 or len(records) <= 1:
         results = [_compute_case(p) for p in payloads]
     else:
+        # A serial run need not load multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_compute_case, payloads))
     by_case = {case_id: (out, agg) for case_id, out, agg, _ in results}
@@ -872,6 +874,8 @@ def _cmd_reports(args) -> int:
     configs = [RunConfig(model=model, **settings) for model in args.models]
     if not configs:
         raise ConfigError("--model names no model")
+    if args.workers < 1:
+        raise ConfigError("workers must be >= 1")
     predictions = getattr(args, "predictions", None)
     records = ingest(args.cases, args.annotations, predictions)
     if predictions is not None:

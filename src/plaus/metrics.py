@@ -147,8 +147,12 @@ def annotation_certainty_hits(samples, j: int, *, order=None) -> np.ndarray:
     if not (1 <= j <= arr.shape[1]):
         raise ValueError(f"j must lie in [1, {arr.shape[1]}]")
     sets = np.sort(_top_columns(arr, j, order), axis=1)
-    uniq, counts = np.unique(sets, axis=0, return_counts=True)
-    return np.all(sets == uniq[counts.argmax()], axis=1).astype(float)
+    # Sort the sets lexicographically and count runs of equal ones; the first
+    # longest run is the lowest modal set.
+    ranked = sets[np.lexsort(sets.T[::-1])]
+    starts = np.flatnonzero(np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)])
+    counts = np.diff(np.r_[starts, len(ranked)])
+    return np.all(sets == ranked[starts[counts.argmax()]], axis=1).astype(float)
 
 
 def annotation_certainty_topj(samples, j: int) -> float:

@@ -53,6 +53,12 @@ __all__ = [
 # Reliability settings swept by default, loosest to tightest.
 DEFAULT_REPETITION_GRID = (1, 2, 3, 5, 10)
 
+# Largest class count whose weight update draws one scalar Gamma per class.
+# An array standard_gamma call costs about 8 us at any K up to 16, and K
+# scalar calls about 1 + 1.1 K us, so they break even near K = 8 (2-vCPU
+# x86 box, numpy 2.4; timings in CHANGES.md).
+_SCALAR_GAMMA_MAX_K = 8
+
 
 @dataclass(frozen=True)
 class GibbsConfig:
@@ -177,12 +183,18 @@ class GibbsSampler:
                     self._ties.append((rows, members, end - members.size, ranked_ids[:end]))
         self.ranked_counts = counts
         self.num_ranked = np.repeat(num_ranked, reps)  # per row
+        # Per-chain constants, so that each sweep makes only the calls its
+        # draws need.
+        self._shape = self.config.alpha + counts
+        self._shape_list = self._shape.tolist()
         self._head_keys = np.repeat(head, reps, axis=0)
-        self._free = np.repeat(free, reps, axis=0)
-        self._rows = np.arange(self.num_rows)
-        self._last_ranked = self.num_ranked - 1
+        self._fixed = ~np.repeat(free, reps, axis=0)
+        self._row_col = np.arange(self.num_rows)[:, None]
+        self._row_starts = np.arange(self.num_rows) * k
+        # A row that ranked nothing reads its last column, then weighs zero.
+        self._last_flat = self._row_starts + (self.num_ranked - 1) % k
         self._has_ranked = (self.num_ranked > 0).astype(float)
-        self._flat_offsets = self._rows[:, None] * k
+        self._all_ranked = bool(self.num_ranked.all())
 
         self.rng = np.random.default_rng(self.config.seed)
         lam0 = self.rng.gamma(self.config.alpha, 1.0 / self.config.beta, size=self.num_classes)
@@ -228,16 +240,18 @@ class GibbsSampler:
         lam = self.state.lam
         # Ordering what trails is the model itself: run the race for every
         # copy at once.
-        arrivals = self.rng.standard_exponential(self._free.shape)
-        arrivals /= lam
-        sigmas = np.where(self._free, arrivals, self._head_keys).argsort(1)
-        total = lam.sum()
-        for rows, members, start, above in self._ties:
-            # Copies share the partition, hence each block's zbar and table.
-            values, _ = _table_values(lam[members], float(total - lam[above].sum()))
-            sigmas[rows, start : start + members.size] = self._draw_block_orders(
-                values, members, rows.stop - rows.start
-            )
+        keys = self.rng.standard_exponential(self._fixed.shape)
+        keys /= lam
+        np.copyto(keys, self._head_keys, where=self._fixed)
+        sigmas = keys.argsort(1)
+        if self._ties:
+            total = lam.sum()
+            for rows, members, start, above in self._ties:
+                # Copies share the partition, hence each block's zbar and table.
+                values, _ = _table_values(lam[members], float(total - lam[above].sum()))
+                sigmas[rows, start : start + members.size] = self._draw_block_orders(
+                    values, members, rows.stop - rows.start
+                )
         self.state.sigmas = sigmas
 
     # -- conditional 2: arrival times --------------------------------------
@@ -254,11 +268,13 @@ class GibbsSampler:
         if not self.num_rows:
             return
         sigmas = self.state.sigmas
-        rates = self.state.lam[sigmas][:, ::-1].cumsum(1)[:, ::-1]
+        # Rates summed from the last position back, in place.
+        rates = self.state.lam[sigmas]
+        np.add.accumulate(rates[:, ::-1], axis=1, out=rates[:, ::-1])
         arrivals = self.rng.standard_exponential(sigmas.shape)
         arrivals /= rates
         taus = np.empty(sigmas.shape)
-        taus.flat[sigmas + self._flat_offsets] = arrivals.cumsum(1)
+        taus[self._row_col, sigmas] = np.add.accumulate(arrivals, axis=1, out=arrivals)
         self.state.taus = taus
 
     # -- conditional 3: weights --------------------------------------------
@@ -271,14 +287,14 @@ class GibbsSampler:
         arrival for classes it never ranked (an unranked class is only known
         to have arrived after that point; zero when nothing was ranked).
         """
-        shape = self.config.alpha + self.ranked_counts
         if not self.num_rows:
-            return shape, np.full(self.num_classes, self.config.beta)
-        sigmas, taus = self.state.sigmas, self.state.taus
-        last = sigmas[self._rows, self._last_ranked]
-        horizon = taus[self._rows, last] * self._has_ranked
+            return self._shape, np.full(self.num_classes, self.config.beta)
+        taus = self.state.taus
+        horizon = taus.take(self._row_starts + self.state.sigmas.take(self._last_flat))
+        if not self._all_ranked:
+            horizon *= self._has_ranked
         rate = self.config.beta + np.minimum(taus, horizon[:, None]).sum(0)
-        return shape, rate
+        return self._shape, rate
 
     def sample_lambda(self) -> None:
         """Redraw every weight from its Gamma full conditional."""
@@ -286,7 +302,14 @@ class GibbsSampler:
             raise RuntimeError("arrival times not sampled yet; call sample_tau first")
         shape, rate = self._posterior_gamma_params()
         # Same draws as rng.gamma(shape, 1 / rate), without its broadcasting.
-        self.state.lam = self.rng.standard_gamma(shape) * (1.0 / rate)
+        # numpy fills the array call one scalar draw at a time, in order, so
+        # below the crossover K scalar calls give the same stream for less.
+        if self.num_classes <= _SCALAR_GAMMA_MAX_K:
+            draw = self.rng.standard_gamma
+            gammas = np.array([draw(a) for a in self._shape_list])
+        else:
+            gammas = self.rng.standard_gamma(shape)
+        self.state.lam = gammas * (1.0 / rate)
 
     # -- driver -------------------------------------------------------------
 
@@ -300,9 +323,11 @@ class GibbsSampler:
             self.sample_tau()
             self.sample_lambda()
             if t > cfg.burn_in and (t - cfg.burn_in - 1) % cfg.thinning == 0:
-                lam = self.state.lam
-                kept[row] = lam / lam.sum()
+                kept[row] = self.state.lam
                 row += 1
+        # Each row sums in the order lam.sum() would, so this is the
+        # per-sweep normalization done once.
+        kept /= kept.sum(axis=1, keepdims=True)
         return PosteriorSamples(
             samples=kept,
             model="pl-gibbs",

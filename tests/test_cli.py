@@ -61,13 +61,15 @@ def small_dataset(tmp_path):
     return cases, annotations, predictions
 
 
-def test_importing_the_cli_leaves_scipy_unloaded():
-    # only the gaussian-scores model needs scipy; every CLI run pays its import
+def test_importing_the_cli_leaves_scipy_and_multiprocessing_unloaded():
+    # only the gaussian-scores model needs scipy and only a pool of two or
+    # more workers needs multiprocessing; every CLI run pays their import
     package_root = str(Path(plaus.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     probe = (
         "import sys, plaus.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(sorted(m for m in sys.modules"
+        " if m.split('.')[0] == 'scipy' or m == 'concurrent.futures.process'))"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe],
@@ -552,6 +554,9 @@ def test_bad_config_exits_one(small_dataset, tmp_path):
     assert run_main(base + ["--model", "gaussian-scores"]) == 1
     assert run_main(base + ["--model", "irn", "--k-grid", "zero"]) == 1
     assert run_main(base + ["--model", "irn", "--workers", "0"]) == 1
+    missing = ["certainty", "--cases", str(tmp_path / "missing.jsonl"),
+               "--annotations", annotations, "--out-dir", str(tmp_path / "out")]
+    assert run_main(missing + ["--model", "irn", "--workers", "0"]) == 1
 
 
 def test_a_bad_config_for_any_model_exits_one_before_any_work(small_dataset, tmp_path):

@@ -73,6 +73,41 @@ def test_topj_certainty_modal_set():
         assert per_sample.mean() == annotation_certainty_topj(samples, j)
 
 
+def _unique_modal_hits(samples, j):
+    # the modal top-j set through np.unique, which sorts sets lexicographically
+    sets = np.sort(np.argsort(-samples, axis=1, kind="stable")[:, :j], axis=1)
+    uniq, counts = np.unique(sets, axis=0, return_counts=True)
+    return np.all(sets == uniq[counts.argmax()], axis=1).astype(float)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("m", [1, 2, 7, 200])
+def test_modal_set_hits_match_the_unique_reference(seed, m):
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 13))
+    # a sparse Dirichlet makes repeated top sets, hence runs and near-ties
+    samples = rng.dirichlet(np.full(k, 0.2), size=m)
+    for j in range(1, min(k, 5) + 1):
+        assert_array_equal(annotation_certainty_hits(samples, j), _unique_modal_hits(samples, j))
+
+
+def test_modal_set_tie_goes_to_the_lowest_set():
+    # top-2 sets {1, 2} and {0, 3} twice each, {0, 1} once: {0, 3} is lower
+    samples = np.array(
+        [
+            [0.1, 0.4, 0.3, 0.2],
+            [0.4, 0.1, 0.2, 0.3],
+            [0.1, 0.3, 0.4, 0.2],
+            [0.3, 0.1, 0.2, 0.4],
+            [0.4, 0.3, 0.2, 0.1],
+        ]
+    )
+    expected = [0.0, 1.0, 0.0, 1.0, 0.0]
+    assert_array_equal(annotation_certainty_hits(samples, 2), expected)
+    assert_array_equal(annotation_certainty_hits(samples[::-1], 2), expected[::-1])
+    assert_array_equal(_unique_modal_hits(samples, 2), expected)
+
+
 @given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(1, _SELECT_MAX_DEPTH + 4))
 def test_top_indices_equal_the_stable_argsort_prefix(seed, m, k):
     # few distinct values make exact ties common; zero columns and one-hot

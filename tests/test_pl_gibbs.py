@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from plaus.pl_gibbs import DEFAULT_REPETITION_GRID, GibbsConfig, GibbsSampler, gibbs_run
 from plaus.pl_likelihood import MAX_BLOCK_SIZE, BlockTooLargeError, _table_values
 from plaus.rankings import ClassSpace, PartialRanking
+from plaus.sim_oracle import random_partial_ranking
 
 
 def make_sampler(blocks, k, **cfg):
@@ -318,3 +319,108 @@ def test_emitted_samples_are_normalized_with_provenance(derm_rankings):
     assert out.num_samples == cfg.num_retained
     assert_allclose(out.samples.sum(axis=1), 1.0, atol=1e-9)
     assert np.all(out.samples >= 0)
+
+
+class _ReferenceSampler(GibbsSampler):
+    """The three conditionals and the run loop as one plain array call each,
+    with per-sweep normalization: the sampler must draw as this does."""
+
+    def __init__(self, rankings, config, class_space=None):
+        super().__init__(rankings, config, class_space)
+        k, reps = self.num_classes, self.config.repetitions
+        free = np.zeros((len(rankings), k), dtype=bool)
+        for g, ranking in enumerate(rankings):
+            free[g, list(ranking.partition()[-1])] = True
+        self.ref_free = np.repeat(free, reps, axis=0)
+        self.ref_rows = np.arange(self.num_rows)
+
+    def sample_sigma(self):
+        if not self.num_rows:
+            return
+        lam = self.state.lam
+        arrivals = self.rng.standard_exponential(self.ref_free.shape)
+        arrivals /= lam
+        sigmas = np.where(self.ref_free, arrivals, self._head_keys).argsort(1)
+        total = lam.sum()
+        for rows, members, start, above in self._ties:
+            values, _ = _table_values(lam[members], float(total - lam[above].sum()))
+            sigmas[rows, start : start + members.size] = self._draw_block_orders(
+                values, members, rows.stop - rows.start
+            )
+        self.state.sigmas = sigmas
+
+    def sample_tau(self):
+        if not self.num_rows:
+            return
+        sigmas = self.state.sigmas
+        rates = self.state.lam[sigmas][:, ::-1].cumsum(1)[:, ::-1]
+        arrivals = self.rng.standard_exponential(sigmas.shape)
+        arrivals /= rates
+        taus = np.empty(sigmas.shape)
+        taus.flat[sigmas + self.ref_rows[:, None] * self.num_classes] = arrivals.cumsum(1)
+        self.state.taus = taus
+
+    def sample_lambda(self):
+        shape = self.config.alpha + self.ranked_counts
+        if self.num_rows:
+            sigmas, taus = self.state.sigmas, self.state.taus
+            last = sigmas[self.ref_rows, self.num_ranked - 1]
+            horizon = taus[self.ref_rows, last] * (self.num_ranked > 0)
+            rate = self.config.beta + np.minimum(taus, horizon[:, None]).sum(0)
+        else:
+            rate = np.full(self.num_classes, self.config.beta)
+        self.state.lam = self.rng.standard_gamma(shape) * (1.0 / rate)
+
+    def run(self):
+        cfg = self.config
+        kept = []
+        for t in range(1, cfg.iterations + 1):
+            self.sample_sigma()
+            self.sample_tau()
+            self.sample_lambda()
+            if t > cfg.burn_in and (t - cfg.burn_in - 1) % cfg.thinning == 0:
+                lam = self.state.lam
+                kept.append(lam / lam.sum())
+        return np.array(kept)
+
+
+def _panel(case, rng, k):
+    """0 to 3 annotations: every sixth case is empty, every fourth has one
+    that ranks nothing and one with a leading tie, the rest are random."""
+    space = ClassSpace(size=k)
+    if case % 6 == 0:
+        return [], space
+    rankings = [random_partial_ranking(rng, space, max_blocks=3, max_block=4)
+                for _ in range(int(rng.integers(0, 3)))]
+    if case % 4 == 1:
+        rankings.append(PartialRanking([], space))
+        rankings.append(PartialRanking([[0, 1], [k - 1]], space))
+    return rankings, space
+
+
+@pytest.mark.parametrize("case", range(30))
+def test_sampler_draws_as_the_reference_conditionals(case):
+    # K runs over 2..12, on both sides of the scalar-gamma crossover
+    rng = np.random.default_rng(1000 + case)
+    k = 2 + (7 * case) % 11
+    rankings, space = _panel(case, rng, k)
+    cfg = GibbsConfig(
+        alpha=(0.3, 1.0, 2.5)[case % 3],
+        iterations=12,
+        burn_in=case % 4,
+        thinning=1 + case % 2,
+        repetitions=DEFAULT_REPETITION_GRID[case % 5],
+        seed=case,
+    )
+    got = GibbsSampler(rankings, cfg, class_space=space)
+    ref = _ReferenceSampler(rankings, cfg, class_space=space)
+    for _ in range(4):
+        for name in ("sample_sigma", "sample_tau", "sample_lambda"):
+            getattr(got, name)()
+            getattr(ref, name)()
+            for field in ("lam", "sigmas", "taus"):
+                assert np.array_equal(getattr(got.state, field), getattr(ref.state, field))
+    assert np.array_equal(
+        gibbs_run(rankings, cfg, class_space=space).samples,
+        _ReferenceSampler(rankings, cfg, class_space=space).run(),
+    )
