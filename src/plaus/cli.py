@@ -574,9 +574,23 @@ def run(
     else:
         # A serial run need not load multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_compute_case, payloads))
+        results = []
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                for result in pool.map(_compute_case, payloads):
+                    results.append(result)
+        except BrokenProcessPool:
+            # A worker died (killed, or out of memory). Every case is a pure
+            # function of its payload, so the cases still missing are
+            # recomputed here, one after another.
+            print(
+                f"warning: a worker process died; computing {len(payloads) - len(results)} "
+                "remaining cases in this process",
+                file=sys.stderr,
+            )
+            results += [_compute_case(p) for p in payloads[len(results) :]]
     by_case = {case_id: (out, agg) for case_id, out, agg, _ in results}
     failures = [f for _, _, _, fails in results for f in fails]
 

@@ -15,7 +15,9 @@ with itself scores one.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -91,6 +93,8 @@ def _sample_matrix(samples) -> np.ndarray:
 # Deepest selection done by repeated argmax; deeper ones sort the whole row.
 _SELECT_MAX_DEPTH = 8
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 def _top_indices(arr: np.ndarray, k: int) -> np.ndarray:
     """Per-row indices of the k largest entries, ties to the lower id.
@@ -144,15 +148,26 @@ def annotation_certainty_hits(samples, j: int, *, order=None) -> np.ndarray:
     serves every kernel of a posterior; without it they select their own.
     """
     arr = _sample_matrix(samples)
-    if not (1 <= j <= arr.shape[1]):
-        raise ValueError(f"j must lie in [1, {arr.shape[1]}]")
-    sets = np.sort(_top_columns(arr, j, order), axis=1)
-    # Sort the sets lexicographically and count runs of equal ones; the first
-    # longest run is the lowest modal set.
-    ranked = sets[np.lexsort(sets.T[::-1])]
-    starts = np.flatnonzero(np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)])
-    counts = np.diff(np.r_[starts, len(ranked)])
-    return np.all(sets == ranked[starts[counts.argmax()]], axis=1).astype(float)
+    m, k = arr.shape
+    if not (1 <= j <= k):
+        raise ValueError(f"j must lie in [1, {k}]")
+    # Sort every sample's set in one flat sort; offsetting row r by r * k
+    # keeps the rows apart.
+    offsets = np.arange(0, m * k, k)[:, None]
+    sets = np.sort((_top_columns(arr, j, order) + offsets).ravel()).reshape(m, j) - offsets
+    # Base-k digits of the sorted set, so codes order as the sets do
+    # lexicographically. Before a digit could overflow int64, the codes are
+    # replaced by their dense ranks, which keeps that order.
+    code = np.zeros(m, dtype=np.int64)
+    bound = 1
+    for column in sets.T:
+        if bound > _INT64_MAX // k:
+            _, code = np.unique(code, return_inverse=True)
+            bound = m
+        code = code * k + column
+        bound *= k
+    codes, counts = np.unique(code, return_counts=True)
+    return (code == codes[counts.argmax()]).astype(float)
 
 
 def annotation_certainty_topj(samples, j: int) -> float:
@@ -164,9 +179,11 @@ def annotation_certainty_topj(samples, j: int) -> float:
 def ua_topk_hits(samples, prediction: PredictionSet, k: int, *, order=None) -> np.ndarray:
     """Per-sample indicator that the sample's best class is in the top-k set."""
     arr = _sample_matrix(samples)
-    candidate = np.asarray(prediction.top(k), dtype=np.int64)
     best = arr.argmax(axis=1) if order is None else order[:, 0]
-    return np.isin(best, candidate).astype(float)
+    hits = np.zeros(best.shape, dtype=bool)
+    for candidate in prediction.top(k):
+        hits |= best == candidate
+    return hits.astype(float)
 
 
 def ua_topk_accuracy(samples, prediction: PredictionSet, k: int) -> float:
@@ -198,13 +215,26 @@ def overlap(candidate, reference) -> float:
 def _overlap_curve(
     samples, prediction: PredictionSet, depth: int, *, order=None
 ) -> np.ndarray:
-    """(depth, M) per-sample overlaps of predicted and sampled top-k sets."""
+    """(depth, M) per-sample overlaps of predicted and sampled top-k sets.
+
+    Row k - 1 counts the sample's first k classes that the prediction ranks
+    among its first k, divided by k. A sample's class at position i counts
+    from cutoff max(i, its predicted position) + 1 on, so one count of those
+    cutoffs per sample, summed cumulatively, serves every k.
+    """
     arr = _sample_matrix(samples)
     order = _top_columns(arr, depth, order)
-    out = np.empty((depth, arr.shape[0]))
-    for k in range(1, depth + 1):
-        candidate = np.asarray(prediction.top(k), dtype=np.int64)
-        out[k - 1] = np.isin(order[:, :k], candidate).sum(axis=1) / k
+    m, k = arr.shape
+    predicted = np.asarray(prediction.top(depth), dtype=np.int64)
+    known = (predicted >= 0) & (predicted < k)
+    position = np.full(k, depth)
+    position[predicted[known]] = np.flatnonzero(known)
+    first = np.maximum(position[order], np.arange(depth))
+    first += np.arange(0, m * (depth + 1), depth + 1)[:, None]
+    counts = np.bincount(first.ravel(), minlength=m * (depth + 1)).reshape(m, depth + 1)
+    # Means over this array add in memory order, so it stays (depth, M) C-order.
+    out = np.empty((depth, m))
+    np.divide(counts.cumsum(axis=1)[:, :depth].T, np.arange(1, depth + 1)[:, None], out=out)
     return out
 
 
@@ -282,18 +312,70 @@ def _risk_inputs(samples, class_space: ClassSpace):
     return arr, np.array([class_space.risk[c] for c in range(arr.shape[1])], dtype=float)
 
 
+# Unit roundoff of float64.
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+
+def _ordered_level_sums(arr: np.ndarray, risk: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(len(rows), 3) per-level masses of the given rows, bit for bit as
+    ``arr[:, risk == level].sum(axis=1)`` computes them for all of ``arr``.
+
+    For two or more rows that boolean copy is F-ordered, so numpy adds each
+    row's columns one at a time in column order; ``accumulate`` keeps that
+    order for any subset of rows. A one-row matrix is contiguous, and numpy
+    sums it pairwise.
+    """
+    sub = arr[rows]
+    out = np.zeros((rows.size, 3))
+    for level in range(3):
+        cols = sub[:, risk == level]
+        if arr.shape[0] == 1:
+            out[:, level] = cols.sum(axis=1)
+        elif cols.shape[1]:
+            out[:, level] = np.add.accumulate(cols, axis=1)[:, -1]
+    return out
+
+
 def _risk_pass(samples, class_space: ClassSpace):
     """Per-sample top risk level (0 low, 1 medium, 2 high), its modal value
     and the per-sample expected risk, from one check of the risk map.
 
     A sample's top level is the argmax of its mass pooled by level; both
-    argmaxes break ties to the lower level. Each level's mass is a row sum
-    over that level's columns: a product with a one-hot level matrix rounds
-    differently and can break or flip an exact tie between pooled masses.
+    argmaxes break ties to the lower level, and a level's mass is defined
+    as the in-order sum over its columns (:func:`_ordered_level_sums`).
+
+    Each level is pooled here with a matrix-vector product against its
+    column mask, which adds the same terms in another order. Summed in any
+    order, K terms land within gamma_K A of their exact sum, where
+    gamma_K = K u / (1 - K u), u is the unit roundoff and A the sum of the
+    terms' absolute values. The gap between two levels can therefore differ
+    between the two orders by at most 2 gamma_K A, and where a row's two
+    largest products lie more than 4 gamma_K A apart (the factor two absorbs
+    the rounding of A itself), both orders pick the same level. Every other
+    row, including any row with a non-finite entry, is decided again from
+    the ordered sums. For :class:`PosteriorSamples`, whose entries are
+    finite and non-negative, A is the sum of the pooled masses; a raw matrix
+    pays one more pass for it.
     """
     arr, risk = _risk_inputs(samples, class_space)
-    pooled = np.stack([arr[:, risk == lv].sum(axis=1) for lv in range(3)], axis=1)
-    levels = pooled.argmax(axis=1)
+    m, k = arr.shape
+    pooled = np.empty((3, m))
+    # A non-finite entry times a zero of another level's mask is NaN; such
+    # rows fail the margin test below and are summed in order instead.
+    with np.errstate(invalid="ignore", over="ignore"):
+        for level in range(3):
+            np.matmul(arr, (risk == level).astype(float), out=pooled[level])
+        low, high = np.minimum(pooled[0], pooled[1]), np.maximum(pooled[0], pooled[1])
+        gap = np.maximum(high, pooled[2]) - np.maximum(low, np.minimum(high, pooled[2]))
+        if isinstance(samples, PosteriorSamples):
+            mass = pooled.sum(axis=0)
+        else:
+            mass = np.abs(arr).sum(axis=1)
+    gamma = k * _UNIT_ROUNDOFF / (1 - k * _UNIT_ROUNDOFF)
+    rows = np.flatnonzero(~((gap > 4 * gamma * mass) & (gap < np.inf)))
+    levels = pooled.argmax(axis=0)
+    if rows.size:
+        levels[rows] = _ordered_level_sums(arr, risk, rows).argmax(axis=1)
     return levels, int(np.bincount(levels, minlength=3).argmax()), arr @ risk
 
 
@@ -394,6 +476,22 @@ class MetricReport:
     provenance: dict
 
 
+@lru_cache(maxsize=None)
+def _histogram_edges(bins: int) -> np.ndarray:
+    """Read-only bin edges on [0, 1], as ``np.histogram`` makes them.
+
+    A value v in [0, 1] falls in bin i when edges[i] <= v < edges[i + 1],
+    and 1 falls in the last bin; ``np.histogram`` places values the same
+    way and drops the rest. The number of interior edges at or below v is
+    that i. Callers that hand the edges out copy them.
+    """
+    if bins < 1:
+        raise ValueError("bins must be >= 1")
+    edges = np.linspace(0.0, 1.0, bins + 1)
+    edges.flags.writeable = False
+    return edges
+
+
 def summarize_metric(
     metric: str,
     case_ids,
@@ -417,7 +515,10 @@ def summarize_metric(
         raise ValueError("per_sample_values must be (num_cases, num_samples)")
     per_case = values.mean(axis=1)
     dataset_per_sample = values.mean(axis=0)
-    counts, edges = np.histogram(dataset_per_sample, bins=bins, range=(0.0, 1.0))
+    edges = _histogram_edges(operator.index(bins))
+    inside = dataset_per_sample[(dataset_per_sample >= 0.0) & (dataset_per_sample <= 1.0)]
+    bin_of = np.searchsorted(edges[1:-1], inside, side="right")
+    counts = np.bincount(bin_of, minlength=edges.size - 1)
     return MetricReport(
         metric=metric,
         case_ids=case_ids,
@@ -425,6 +526,6 @@ def summarize_metric(
         mean=float(per_case.mean()),
         sample_sd=float(dataset_per_sample.std(ddof=0)),
         histogram_counts=counts,
-        histogram_edges=edges,
+        histogram_edges=edges.copy(),
         provenance=dict(provenance or {}),
     )

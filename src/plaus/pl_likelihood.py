@@ -141,75 +141,112 @@ def _table_values_small(w, zbar: float):
     return np.array(values), log_scale
 
 
+@dataclass(frozen=True, eq=False)
+class _SubsetLayout:
+    """Popcount-layer order of the 2^n subset masks of an n-class block.
+
+    Position p of a layer-ordered table holds mask ``order[p]``: the empty
+    mask first, then every one-bit mask, and so on up to the full mask, each
+    layer ascending, and ``position`` is the inverse permutation. Layer L
+    fills positions ``start:stop``, and row j of its (L, stop - start)
+    ``preds`` holds, for each of its masks, the position of that mask with
+    its j-th lowest set bit cleared.
+
+    Indices are intp up to n = 16, so a gather uses them as they are (numpy
+    would cast an int32 index array on every gather); above that they are
+    int32, which halves the largest layouts. All arrays are read-only
+    because every caller shares them.
+    """
+
+    order: np.ndarray
+    position: np.ndarray
+    layers: tuple[tuple[int, int, np.ndarray], ...]
+
+
 @lru_cache(maxsize=None)
-def _subset_layout(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Per popcount layer 1..n: its masks and their one-bit-removed masks.
+def _subset_layout(n: int) -> _SubsetLayout:
+    """The layer-ordered layout of an n-class block.
 
-    Each layer is ``(masks, preds)``: ``masks`` holds every n-bit mask with
-    that popcount L, ascending, and row j of the (L, C) ``preds`` is each
-    mask with its j-th lowest set bit cleared. The layout depends on n
-    alone, so it is built once per block size (n <= ``MAX_BLOCK_SIZE``
-    bounds the cache). The arrays are read-only because every caller
-    shares them.
-
-    ``preds`` is intp up to n = 16, so a gather indexes with it as is
-    (numpy would cast an int32 index array on every gather); above that it
-    is int32, which halves the largest layouts. Kept bytes: about 0.1 MB at
-    n = 11, 4.7 MB at n = 16 and 50 MB at n = 20 (92 MB if it were intp).
+    The layout depends on n alone, so it is built once per block size
+    (n <= ``MAX_BLOCK_SIZE`` bounds the cache). Kept bytes: about 0.12 MB
+    at n = 11, 5.2 MB at n = 16 and 50 MB at n = 20.
     """
     masks = np.arange(1 << n)
     # A bit loop, since np.bitwise_count needs numpy 2.
     popcounts = np.zeros(1 << n, dtype=np.int8)
     for i in range(n):
         popcounts += (masks >> i) & 1
-    pred_dtype = np.intp if n <= 16 else np.int32
+    index_dtype = np.intp if n <= 16 else np.int32
+    order = np.argsort(popcounts, kind="stable").astype(index_dtype)
+    position = np.empty(1 << n, dtype=index_dtype)
+    position[order] = np.arange(1 << n, dtype=index_dtype)
     layers = []
+    start = 1
     for layer in range(1, n + 1):
-        layer_masks = masks[popcounts == layer]
-        preds = np.empty((layer, layer_masks.size), dtype=pred_dtype)
+        stop = start + int(np.count_nonzero(popcounts == layer))
+        layer_masks = order[start:stop].astype(np.intp)
+        preds = np.empty((layer, stop - start), dtype=index_dtype)
         rest = layer_masks.copy()
         for j in range(layer):
             low = rest & -rest
-            preds[j] = layer_masks ^ low
+            preds[j] = position[layer_masks ^ low]
             rest ^= low
-        layer_masks.flags.writeable = False
         preds.flags.writeable = False
-        layers.append((layer_masks, preds))
-    return tuple(layers)
+        layers.append((start, stop, preds))
+        start = stop
+    order.flags.writeable = False
+    position.flags.writeable = False
+    return _SubsetLayout(order=order, position=position, layers=tuple(layers))
+
+
+# Weights inside these bounds can never trip a rescale: every table entry of
+# layer L lies in [(zbar + max w)^-L, (min w)^-L], and for L <= 20 that is
+# inside [1e-240, 1e240], well within the rescale thresholds.
+_UNCHECKED_MIN_WEIGHT = 1e-12
+_UNCHECKED_MAX_MASS = 1e12
 
 
 def _table_values_layered(w, zbar: float):
-    # Same recursion, a popcount layer at a time: one gather of every
-    # mask's one-bit-removed values, summed in ascending bit order. Summing
-    # a C-contiguous (L, C) array over axis 0 adds its rows in order when
-    # C >= 2, but the one-column full-mask layer is a contiguous run that
-    # numpy sums pairwise, which changes the last bits; accumulate keeps
-    # that layer in order.
+    # Same recursion, a popcount layer at a time, on a table kept in layer
+    # order: one gather of every mask's one-bit-removed values, summed in
+    # ascending bit order into the layer's own slice. Summing a C-contiguous
+    # (L, C) array over axis 0 adds its rows in order when C >= 2, but the
+    # one-column full-mask layer is a contiguous run that numpy sums
+    # pairwise, which changes the last bits; accumulate keeps that layer in
+    # order.
     n = len(w)
     size = 1 << n
-    # denom[mask] adds the weights in ascending bit order.
-    denom = np.zeros(size)
-    for i in range(n):
-        np.add(denom[: 1 << i], w[i], out=denom[1 << i : 2 << i])
+    layout = _subset_layout(n)
+    weights = w.tolist()
+    # denom[mask] adds the weights in ascending bit order, then zbar.
+    by_mask = np.empty(size)
+    by_mask[0] = 0.0
+    for i, weight in enumerate(weights):
+        np.add(by_mask[: 1 << i], weight, out=by_mask[1 << i : 2 << i])
+    denom = by_mask.take(layout.order)
     denom += zbar
+    checked = not (
+        min(weights) >= _UNCHECKED_MIN_WEIGHT and zbar + max(weights) <= _UNCHECKED_MAX_MASS
+    )
 
-    values = np.zeros(size)
+    values = np.empty(size)
     values[0] = 1.0
     log_scale = 0.0
-    for layer_masks, preds in _subset_layout(n):
-        if layer_masks.size > 1:
-            numer = values[preds].sum(axis=0)
+    for start, stop, preds in layout.layers:
+        numer = values[start:stop]
+        if stop - start > 1:
+            np.add.reduce(values.take(preds), axis=0, out=numer)
         else:
-            numer = np.add.accumulate(values[preds[:, 0]])[-1:]
-        numer /= denom[layer_masks]
-        values[layer_masks] = numer
-        peak = float(numer.max())
-        if peak != 0.0 and not (_RESCALE_LO < peak < _RESCALE_HI):
-            # Stale layers may saturate to inf; they are never read again.
-            with np.errstate(over="ignore"):
-                values /= peak
-            log_scale += float(np.log(peak))
-    return values, log_scale
+            numer[:] = np.add.accumulate(values.take(preds[:, 0]))[-1]
+        numer /= denom[start:stop]
+        if checked:
+            peak = float(numer.max())
+            if peak != 0.0 and not (_RESCALE_LO < peak < _RESCALE_HI):
+                # Earlier layers may saturate to inf; they are never read again.
+                with np.errstate(over="ignore"):
+                    values[:stop] /= peak
+                log_scale += float(np.log(peak))
+    return values.take(layout.position), log_scale
 
 
 def _table_values(w, zbar: float):

@@ -18,6 +18,19 @@ __all__ = ["PosteriorSamples"]
 _SIMPLEX_ATOL = 1e-9
 
 
+def _raise_invalid(arr: np.ndarray) -> None:
+    """Raise the first check that the (M, K) samples fail."""
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("samples must be finite")
+    if np.any(arr < 0):
+        raise ValueError("samples must be non-negative")
+    deviation = np.abs(arr.sum(axis=1) - 1.0)
+    if np.any(deviation > _SIMPLEX_ATOL):
+        raise ValueError(
+            f"sample rows must sum to 1 (worst deviation {float(deviation.max()):.3g})"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class PosteriorSamples:
     """(M, K) plausibility samples with provenance.
@@ -38,14 +51,11 @@ class PosteriorSamples:
         arr = np.ascontiguousarray(np.asarray(self.samples, dtype=float))
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"samples must be a non-empty (M, K) array, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("samples must be finite")
-        if np.any(arr < 0):
-            raise ValueError("samples must be non-negative")
-        sums = arr.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > _SIMPLEX_ATOL):
-            worst = float(np.max(np.abs(sums - 1.0)))
-            raise ValueError(f"sample rows must sum to 1 (worst deviation {worst:.3g})")
+        # Valid samples need two passes: a minimum of at least 0 rules out
+        # NaN, -inf and negative entries, and then rows summing to 1 rule
+        # out +inf. Invalid ones repeat the checks in order for the message.
+        if not (arr.min() >= 0 and np.all(np.abs(arr.sum(axis=1) - 1.0) <= _SIMPLEX_ATOL)):
+            _raise_invalid(arr)
         object.__setattr__(self, "samples", arr)
 
     @property

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -382,6 +383,38 @@ def test_worker_pool_output_matches_serial(small_dataset, tmp_path):
     config = RunConfig(model="prirn", reliability_grid=(10.0, 30.0), num_samples=100)
     cli.run(config, records, str(tmp_path / "serial"), workers=1)
     cli.run(config, records, str(tmp_path / "pooled"), workers=4)
+    serial = sorted((tmp_path / "serial").iterdir())
+    pooled = sorted((tmp_path / "pooled").iterdir())
+    assert [p.name for p in serial] == [p.name for p in pooled]
+    for a, b in zip(serial, pooled):
+        assert a.read_bytes() == b.read_bytes(), a.name
+
+
+_TEST_PID = os.getpid()
+_real_compute_case = cli._compute_case
+
+
+def _die_in_a_worker_on_case_b(payload):
+    # Module-level, so the pool pickles it by name; a forked worker finds it,
+    # and the patch on plaus.cli, in its copy of this process.
+    if payload[0].case_id == "b" and os.getpid() != _TEST_PID:
+        os._exit(1)
+    return _real_compute_case(payload)
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_context().get_start_method() != "fork",
+    reason="the patch reaches the workers only through fork",
+)
+def test_a_dead_worker_costs_no_case(small_dataset, tmp_path, monkeypatch, capsys):
+    cases, annotations, predictions = small_dataset
+    argv = ["evaluate", "--cases", cases, "--annotations", annotations,
+            "--predictions", predictions, "--model", "prirn,irn",
+            "--reliability", "10,30", "--samples", "50"]
+    assert run_main(argv + ["--workers", "1", "--out-dir", str(tmp_path / "serial")]) == 0
+    monkeypatch.setattr(cli, "_compute_case", _die_in_a_worker_on_case_b)
+    assert run_main(argv + ["--workers", "2", "--out-dir", str(tmp_path / "pooled")]) == 0
+    assert "worker process died" in capsys.readouterr().err
     serial = sorted((tmp_path / "serial").iterdir())
     pooled = sorted((tmp_path / "pooled").iterdir())
     assert [p.name for p in serial] == [p.name for p in pooled]

@@ -80,6 +80,16 @@ def _unique_modal_hits(samples, j):
     return np.all(sets == uniq[counts.argmax()], axis=1).astype(float)
 
 
+def _lexsort_modal_hits(samples, j, order):
+    # sort the sets lexicographically and count runs of equal ones; the first
+    # longest run is the lowest modal set
+    sets = np.sort(order[:, :j], axis=1)
+    ranked = sets[np.lexsort(sets.T[::-1])]
+    starts = np.flatnonzero(np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)])
+    counts = np.diff(np.r_[starts, len(ranked)])
+    return np.all(sets == ranked[starts[counts.argmax()]], axis=1).astype(float)
+
+
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("m", [1, 2, 7, 200])
 def test_modal_set_hits_match_the_unique_reference(seed, m):
@@ -87,8 +97,42 @@ def test_modal_set_hits_match_the_unique_reference(seed, m):
     k = int(rng.integers(2, 13))
     # a sparse Dirichlet makes repeated top sets, hence runs and near-ties
     samples = rng.dirichlet(np.full(k, 0.2), size=m)
-    for j in range(1, min(k, 5) + 1):
-        assert_array_equal(annotation_certainty_hits(samples, j), _unique_modal_hits(samples, j))
+    order = np.argsort(-samples, axis=1, kind="stable")
+    for j in range(1, min(k, 6) + 1):
+        hits = annotation_certainty_hits(samples, j)
+        assert_array_equal(hits, _unique_modal_hits(samples, j))
+        assert_array_equal(hits, _lexsort_modal_hits(samples, j, order))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_modal_set_codes_stay_ordered_past_int64(seed):
+    # with 2000 classes, five base-2000 digits fill int64, so deeper sets
+    # switch to dense ranks; mass on a few classes repeats sets, and the
+    # zero columns make exact ties that go to the lower id
+    rng = np.random.default_rng(seed)
+    m, k = 300, 2000
+    samples = np.zeros((m, k))
+    hot = rng.choice(k, size=9, replace=False)
+    samples[:, hot] = rng.dirichlet(np.full(9, 0.3), size=m)
+    order = _top_indices(samples, _SELECT_MAX_DEPTH)
+    for j in range(1, _SELECT_MAX_DEPTH + 1):
+        assert_array_equal(
+            annotation_certainty_hits(samples, j, order=order),
+            _lexsort_modal_hits(samples, j, order),
+        )
+    # two 7-sets, three samples each: the lexicographically lower one must
+    # win, which a code that wrapped around int64 would get wrong about half
+    # the time
+    weights = [0.3, 0.2, 0.15, 0.12, 0.1, 0.08, 0.05]
+    for _ in range(20):
+        sets = [rng.choice(k, size=7, replace=False) for _ in range(2)]
+        tied = np.zeros((6, k))
+        for row in range(6):
+            tied[row, sets[row % 2]] = weights
+        order = _top_indices(tied, 7)
+        assert_array_equal(
+            annotation_certainty_hits(tied, 7, order=order), _lexsort_modal_hits(tied, 7, order)
+        )
 
 
 def test_modal_set_tie_goes_to_the_lowest_set():
@@ -153,6 +197,24 @@ def test_posterior_samples_reject_non_finite_entries():
         PosteriorSamples(np.array([[np.inf, 0.0]]), model="test")
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([[np.nan, 0.5, 0.5]], "samples must be finite"),
+        ([[np.inf, 0.0, 0.0]], "samples must be finite"),
+        ([[0.5, 0.5, 0.0], [-np.inf, 1.0, 0.0]], "samples must be finite"),
+        ([[np.inf, -np.inf, 1.0]], "samples must be finite"),
+        ([[0.5, 0.5, 0.0], [1.5, -0.5, np.inf]], "samples must be finite"),
+        ([[0.5, 0.5, 0.0], [1.1, -0.1, 0.0]], "samples must be non-negative"),
+        ([[-0.0, 0.5, 0.5], [0.2, 0.2, 0.2]], r"sample rows must sum to 1 \(worst deviation 0.4\)"),
+    ],
+)
+def test_posterior_samples_name_the_first_check_that_fails(rows, message):
+    # checks run in order: finite, non-negative, on the simplex
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        PosteriorSamples(np.array(rows), model="test")
+
+
 def test_posterior_samples_hold_rows_to_the_simplex():
     rows = np.array([[0.2, 0.3, 0.5], [0.6, 0.3, 0.1]])
     with pytest.raises(ValueError, match="sum to 1"):
@@ -169,6 +231,9 @@ def test_ua_topk_against_hand_counts():
     pred = PredictionSet((0, 1))
     assert_array_equal(ua_topk_hits(samples, pred, 1), [1.0, 0.0, 0.0])
     assert_allclose(ua_topk_accuracy(samples, pred, 2), 2 / 3)
+    # an empty top-0 set holds no sample's best class
+    assert_array_equal(ua_topk_hits(samples, pred, 0), [0.0, 0.0, 0.0])
+    assert ua_topk_accuracy(samples, pred, 0) == 0.0
 
 
 def test_ua_set_matches_unordered_sets():
@@ -197,6 +262,32 @@ def test_topk_accuracy_is_monotone_in_k(seed):
     accs = [ua_topk_accuracy(samples, pred, k) for k in range(1, 6)]
     assert all(a <= b + 1e-12 for a, b in zip(accs, accs[1:]))
     assert accs[-1] == 1.0
+
+
+def _isin_overlap_curve(samples, prediction, depth):
+    order = np.argsort(-samples, axis=1, kind="stable")
+    out = np.empty((depth, samples.shape[0]))
+    for k in range(1, depth + 1):
+        candidate = np.asarray(prediction.top(k), dtype=np.int64)
+        out[k - 1] = np.isin(order[:, :k], candidate).sum(axis=1) / k
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_overlap_curve_matches_the_per_cutoff_isin_loop(seed):
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(3, 12))
+    samples = rng.dirichlet(np.full(k, 0.3), size=60)
+    samples[:5] = np.eye(k)[rng.integers(0, k, size=5)]  # ties among zeros
+    ranked = rng.permutation(k)
+    # a prediction may name ids outside the class space; they never match
+    cases = [PredictionSet(tuple(ranked[:length])) for length in range(1, k + 1)]
+    cases.append(PredictionSet((k + 2, *ranked[:2], -1)))
+    for prediction in cases:
+        for depth in range(1, len(prediction.ranked_classes) + 1):
+            curve = _overlap_curve(samples, prediction, depth)
+            assert curve.flags.c_contiguous
+            assert_array_equal(curve, _isin_overlap_curve(samples, prediction, depth))
 
 
 def test_overlap_basics():
@@ -360,6 +451,63 @@ def test_exact_pooled_risk_ties_go_to_the_lower_level():
     assert out["ua_risk_match"] == 0.5
 
 
+def _ordered_risk_levels(arr, risk):
+    # the definition: a level's mass is the sum over its columns as numpy
+    # sums a boolean column copy (in column order for two or more rows,
+    # pairwise for one), ties to the lower level
+    pooled = np.stack([arr[:, risk == level].sum(axis=1) for level in range(3)], axis=1)
+    return pooled.argmax(axis=1)
+
+
+def _planted_risk_rows(rng, m, n=12):
+    # levels 0 and 1 hold the same n values, level 1 in reverse column
+    # order, so their in-order sums tie exactly or sit an ulp or so apart;
+    # a bumped last value moves level 1 up by about an ulp more; level 2
+    # holds small filler
+    values = rng.random((m, n)) * rng.choice([1.0, 1e-3], size=(m, n))
+    arr = np.concatenate([values, values[:, ::-1], rng.random((m, 8)) * 1e-3], axis=1)
+    bumped = rng.random(m) < 0.3
+    arr[bumped, 2 * n - 1] = np.nextafter(arr[bumped, 2 * n - 1], 1.0)
+    risk = np.array([0] * n + [1] * n + [2] * 8)
+    space = ClassSpace(size=arr.shape[1], risk={c: int(r) for c, r in enumerate(risk)})
+    return arr, risk, space
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_risk_pass_levels_equal_the_ordered_sums(seed):
+    from plaus.metrics import _risk_pass
+
+    rng = np.random.default_rng(seed)
+    arr, risk, space = _planted_risk_rows(rng, 400)
+    normalized = arr / arr.sum(axis=1, keepdims=True)
+    pooled = np.stack([normalized[:, risk == lv].sum(axis=1) for lv in range(3)], axis=1)
+    gaps = np.abs(pooled[:, 0] - pooled[:, 1])
+    assert (gaps == 0).any() and ((gaps > 0) & (gaps <= 2 * np.spacing(pooled[:, 0]))).any()
+
+    raw = arr * 1e3
+    raw[:, -8:] *= -1.0  # a raw matrix may hold negative entries
+    raw[0, 0], raw[1, 30], raw[2, 0], raw[3, [1, 13]] = np.nan, np.inf, -np.inf, (np.inf, -np.inf)
+    clear = np.zeros((5, arr.shape[1]))
+    clear[:, -1] = 1.0
+    for matrix, wrap in ((normalized, lambda a: PosteriorSamples(a, model="t")), (raw, np.asarray)):
+        expected = _ordered_risk_levels(matrix, risk)
+        # the expected risk of a row holding inf is NaN, with numpy's warning
+        with np.errstate(invalid="ignore"):
+            levels, modal, expected_risk = _risk_pass(wrap(matrix), space)
+            assert_array_equal(expected_risk, matrix @ risk.astype(float))
+            assert_array_equal(levels, expected)
+            assert modal == np.bincount(expected, minlength=3).argmax()
+            # one sample alone, and one planted sample among clear ones, where
+            # numpy sums a lone row pairwise but several rows in column order
+            for row in range(40):
+                alone = matrix[row : row + 1]
+                among = np.concatenate([clear, alone, clear])
+                for block in (alone, among):
+                    assert_array_equal(
+                        _risk_pass(wrap(block), space)[0], _ordered_risk_levels(block, risk)
+                    )
+
+
 def test_pooled_risk_certainty_can_undercut_label_certainty():
     # pooling mass across levels before the argmax is a design choice with
     # a real consequence: the certainty of the top risk level may fall
@@ -440,6 +588,27 @@ def test_summarize_metric_shapes_and_moments():
     assert_allclose(report.sample_sd, np.std([0.5, 0.0, 1.0, 1.0]))
     assert report.histogram_counts.sum() == 4
     assert_allclose(report.histogram_edges, [0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+@pytest.mark.parametrize("bins", [1, 3, 7, 20, 50])
+def test_summarize_metric_histogram_matches_numpy(bins):
+    # 0, 1, every edge and its neighbours either side, and values outside
+    # [0, 1], which the histogram drops
+    edges = np.linspace(0.0, 1.0, bins + 1)
+    probes = np.concatenate(
+        [edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0), [-0.5, 1.5, 2.0, -0.0]]
+    )
+    rng = np.random.default_rng(bins)
+    values = np.concatenate([probes, rng.random(200)])[None, :]
+    report = summarize_metric("m", ["a"], values, bins=bins)
+    counts, np_edges = np.histogram(values[0], bins=bins, range=(0.0, 1.0))
+    assert_array_equal(report.histogram_counts, counts)
+    assert report.histogram_counts.dtype == counts.dtype
+    assert_array_equal(report.histogram_edges, np_edges)
+    # each report owns writable edges, as np.histogram hands them out
+    other = summarize_metric("m", ["a"], values, bins=bins)
+    report.histogram_edges[:] *= 100.0
+    assert_array_equal(other.histogram_edges, np_edges)
 
 
 def test_summarize_metric_constant_values_have_zero_sd():

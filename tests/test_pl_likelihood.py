@@ -14,8 +14,8 @@ from plaus.pl_likelihood import (
     MAX_BLOCK_SIZE,
     BlockTooLargeError,
     NonPositiveWeightError,
-    _table_values_layered,
     _subset_layout,
+    _table_values_layered,
     _table_values_small,
     pl_full_ranking_log_prob,
     pl_log_likelihood,
@@ -167,14 +167,22 @@ def test_small_and_layered_tables_agree(n):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_subset_layout_lists_each_layer_and_its_one_bit_removals(n):
     layout = _subset_layout(n)
-    assert len(layout) == n
-    for layer, (masks, preds) in enumerate(layout, start=1):
+    assert len(layout.layers) == n
+    # positions run through the masks by popcount, each layer ascending
+    expected_order = sorted(range(1 << n), key=lambda m: (m.bit_count(), m))
+    assert layout.order.tolist() == expected_order
+    assert layout.order[layout.position].tolist() == list(range(1 << n))
+    next_start = 1
+    for layer, (start, stop, preds) in enumerate(layout.layers, start=1):
         expected = [m for m in range(1 << n) if m.bit_count() == layer]
-        assert masks.tolist() == expected
+        assert (start, stop) == (next_start, next_start + len(expected))
+        assert layout.order[start:stop].tolist() == expected
         assert preds.shape == (layer, len(expected))
         for col, mask in enumerate(expected):
             bits = [1 << i for i in range(n) if mask >> i & 1]
-            assert preds[:, col].tolist() == [mask ^ bit for bit in bits]
+            assert layout.order[preds[:, col]].tolist() == [mask ^ bit for bit in bits]
+        next_start = stop
+    assert next_start == 1 << n
 
 
 def _in_order_rows(gathered):
@@ -184,9 +192,28 @@ def _in_order_rows(gathered):
     return numer
 
 
+def _mask_layers(n):
+    # per popcount layer: its masks ascending, and the (L, C) int32 array of
+    # their one-bit removals in ascending bit order, as masks
+    all_masks = np.arange(1 << n)
+    popcounts = sum((all_masks >> i) & 1 for i in range(n))
+    layers = []
+    for layer in range(1, n + 1):
+        masks = all_masks[popcounts == layer]
+        rest = masks.copy()
+        preds = np.empty((layer, masks.size), dtype=np.int32)
+        for j in range(layer):
+            low = rest & -rest
+            preds[j] = masks ^ low
+            rest ^= low
+        layers.append((masks, preds))
+    return layers
+
+
 def _reference_layered(w, zbar, layer_sum=_in_order_rows):
-    # the gather kernel over int32 layouts, each layer summed row by row in
-    # ascending bit order: the kernel must match it bit for bit
+    # the recursion in mask order, a layer at a time, each layer summed row
+    # by row in ascending bit order and always checked against the rescale
+    # range: the kernel must match it bit for bit
     n = len(w)
     denom = np.zeros(1 << n)
     for i in range(n):
@@ -195,8 +222,8 @@ def _reference_layered(w, zbar, layer_sum=_in_order_rows):
     values = np.zeros(1 << n)
     values[0] = 1.0
     log_scale = 0.0
-    for masks, preds in _subset_layout(n):
-        numer = layer_sum(values[preds.astype(np.int32)])
+    for masks, preds in _mask_layers(n):
+        numer = layer_sum(values[preds])
         numer /= denom[masks]
         values[masks] = numer
         peak = float(numer.max())
@@ -232,7 +259,30 @@ def test_a_bare_sum_on_the_full_mask_layer_changes_the_table():
 
 @pytest.mark.parametrize("n, dtype", [(7, np.intp), (16, np.intp), (17, np.int32)])
 def test_subset_layout_indexes_with_intp_up_to_sixteen_classes(n, dtype):
-    assert all(preds.dtype == dtype for _, preds in _subset_layout(n))
+    layout = _subset_layout(n)
+    assert all(preds.dtype == dtype for _, _, preds in layout.layers)
+    assert layout.order.dtype == dtype and layout.position.dtype == dtype
+
+
+@pytest.mark.parametrize("n", [7, 12, 20])
+def test_range_guard_boundaries_match_the_checked_kernel(n):
+    # inside the guard (min w >= 1e-12 and zbar + max w <= 1e12) the kernel
+    # skips the per-layer peak check, and at its boundary must still equal
+    # the always-checked reference bit for bit; a tenfold step outside it,
+    # where the check runs, the reference rescales at n = 20
+    w = np.random.default_rng(n).uniform(1.0, 2.0, size=n)
+    low = w / w.min() * 1e-12
+    zbar = 0.5e12
+    high = w / w.max() * (1e12 - zbar)
+    assert low.min() == 1e-12 and zbar + high.max() == 1e12
+    for weights, below in ((low, 0.0), (high, zbar), (low / 10, 0.0), (high * 10, zbar)):
+        values, log_scale = _table_values_layered(weights, below)
+        expected, expected_scale = _reference_layered(weights, below)
+        assert np.array_equal(values, expected)
+        assert log_scale == expected_scale
+    if n == 20:
+        assert _reference_layered(low / 10, 0.0)[1] != 0.0
+        assert _reference_layered(high * 10, zbar)[1] != 0.0
 
 
 def test_block_size_cap():
