@@ -128,6 +128,16 @@ def _top_columns(arr: np.ndarray, k: int, order: np.ndarray | None) -> np.ndarra
     return order[:, :k]
 
 
+def _sorted_sets(top: np.ndarray, k: int) -> np.ndarray:
+    """``np.sort(top, axis=1)`` for class ids below k, in one flat sort:
+    offsetting row r by r * k keeps the rows apart. Rows of one id are
+    returned as they are."""
+    if top.shape[1] < 2:
+        return top
+    offsets = np.arange(0, top.shape[0] * k, k)[:, None]
+    return np.sort((top + offsets).ravel()).reshape(top.shape) - offsets
+
+
 def certainty_label(samples, label: int) -> float:
     """Fraction of samples whose most plausible class is ``label``."""
     arr = _sample_matrix(samples)
@@ -151,10 +161,7 @@ def annotation_certainty_hits(samples, j: int, *, order=None) -> np.ndarray:
     m, k = arr.shape
     if not (1 <= j <= k):
         raise ValueError(f"j must lie in [1, {k}]")
-    # Sort every sample's set in one flat sort; offsetting row r by r * k
-    # keeps the rows apart.
-    offsets = np.arange(0, m * k, k)[:, None]
-    sets = np.sort((_top_columns(arr, j, order) + offsets).ravel()).reshape(m, j) - offsets
+    sets = _sorted_sets(_top_columns(arr, j, order), k)
     # Base-k digits of the sorted set, so codes order as the sets do
     # lexicographically. Before a digit could overflow int64, the codes are
     # replaced by their dense ranks, which keeps that order.
@@ -195,7 +202,7 @@ def ua_set_hits(samples, prediction: PredictionSet, k: int, *, order=None) -> np
     """Per-sample indicator that the sample's top-k set equals the predicted one."""
     arr = _sample_matrix(samples)
     target = np.sort(np.asarray(prediction.top(k), dtype=np.int64))
-    sets = np.sort(_top_columns(arr, k, order), axis=1)
+    sets = _sorted_sets(_top_columns(arr, k, order), arr.shape[1])
     return np.all(sets == target, axis=1).astype(float)
 
 
@@ -302,14 +309,14 @@ def mean_average_overlap(
 def _risk_inputs(samples, class_space: ClassSpace):
     """The (M, K) sample matrix and the (K,) risk level vector."""
     arr = _sample_matrix(samples)
-    if class_space.risk is None:
+    if class_space.risk_levels is None:
         raise MissingRiskMappingError("class space carries no risk levels")
-    missing = [c for c in range(class_space.size) if c not in class_space.risk]
+    risk, missing = class_space.risk_levels
     if missing:
-        raise MissingRiskMappingError(f"no risk level for classes {missing}")
+        raise MissingRiskMappingError(f"no risk level for classes {list(missing)}")
     if arr.shape[1] != class_space.size:
         raise ValueError("sample width does not match the class space")
-    return arr, np.array([class_space.risk[c] for c in range(arr.shape[1])], dtype=float)
+    return arr, risk
 
 
 # Unit roundoff of float64.

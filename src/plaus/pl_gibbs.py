@@ -25,6 +25,19 @@ so, at a given lambda, every tied block's zbar: each sweep builds one subset
 table per tied block of an annotation and draws all of its copies' orderings
 from it.
 
+A chain with no tied block draws its random stream ahead, in chunks of
+sweeps. Every draw of its sweep is a standard Gamma of a shape fixed for the
+chain: 1 for the race keys and the interarrival times, which numpy draws as
+the same ziggurat exponentials that ``standard_exponential`` draws, and
+alpha plus the ranked count for each weight. numpy fills an array
+``standard_gamma`` call one entry after another, so one call over that
+pattern, stacked for a chunk of sweeps, draws bit for bit the stream of the
+per-sweep calls and leaves the generator in the same state. A tied chain
+draws sweep by sweep, since its block walk's uniforms come between the race
+keys and the arrival times; so does a chain of more than
+``_CHUNK_MAX_SWEEP_DRAWS`` draws a sweep, where numpy's slower per-entry
+Gamma fill outweighs the calls saved.
+
 Weights stay unnormalized inside the chain; emitted samples are projected
 onto the simplex. With no annotations the chain reproduces the prior, whose
 normalized draws are Dirichlet(alpha, ..., alpha).
@@ -56,8 +69,20 @@ DEFAULT_REPETITION_GRID = (1, 2, 3, 5, 10)
 # Largest class count whose weight update draws one scalar Gamma per class.
 # An array standard_gamma call costs about 8 us at any K up to 16, and K
 # scalar calls about 1 + 1.1 K us, so they break even near K = 8 (2-vCPU
-# x86 box, numpy 2.4; timings in CHANGES.md).
+# x86 box, numpy 2.4; timings in CHANGES.md). Only tied chains, chains above
+# _CHUNK_MAX_SWEEP_DRAWS and standalone sample_lambda calls draw this way;
+# other chains take the weights' draws from their chunked stream.
 _SCALAR_GAMMA_MAX_K = 8
+
+# Largest count of draws a sweep, (2 num_rows + 1) K, at which an untied
+# chain draws its stream in chunks. numpy fills an array standard_gamma
+# call at about 18 ns an entry against 9 ns for standard_exponential, so the
+# calls saved stop paying near 1,500 draws: whole sweeps ran 1.34x faster
+# chunked at 20 draws, 1.07x at 972 and 1,200, 1.01x at 1,464 and 0.92x at
+# 2,440 (2-vCPU x86 box, numpy 2.4; table in CHANGES.md).
+_CHUNK_MAX_SWEEP_DRAWS = 1200
+# Draws per chunk: at most 64 KiB of them at once.
+_CHUNK_DRAWS = 8192
 
 
 @dataclass(frozen=True)
@@ -233,15 +258,22 @@ class GibbsSampler:
             picks.append(mask.bit_length() - 1)
         return members[np.reshape(picks, (copies, n))]
 
-    def sample_sigma(self) -> None:
-        """Redraw every annotation's compatible full ordering given lam."""
+    def sample_sigma(self, draws: np.ndarray | None = None) -> None:
+        """Redraw every annotation's compatible full ordering given lam.
+
+        ``draws``, if given, are the race's (num_rows, K) standard
+        exponentials, used in place of drawing them.
+        """
         if not self.num_rows:
             return
         lam = self.state.lam
         # Ordering what trails is the model itself: run the race for every
         # copy at once.
-        keys = self.rng.standard_exponential(self._fixed.shape)
-        keys /= lam
+        if draws is None:
+            keys = self.rng.standard_exponential(self._fixed.shape)
+            keys /= lam
+        else:
+            keys = draws / lam
         np.copyto(keys, self._head_keys, where=self._fixed)
         sigmas = keys.argsort(1)
         if self._ties:
@@ -256,12 +288,14 @@ class GibbsSampler:
 
     # -- conditional 2: arrival times --------------------------------------
 
-    def sample_tau(self) -> None:
+    def sample_tau(self, draws: np.ndarray | None = None) -> None:
         """Redraw arrival times given lam and the current orderings.
 
         The interarrival time into position k is exponential with rate equal
         to the total weight of everything not yet ranked, so the first
         arrival has rate sum(lam) and arrivals are strictly increasing.
+        ``draws``, if given, are the (num_rows, K) standard exponentials of
+        the interarrival times, used in place of drawing them.
         """
         if len(self.state.sigmas) != self.num_rows:
             raise RuntimeError("orderings not sampled yet; call sample_sigma first")
@@ -271,8 +305,11 @@ class GibbsSampler:
         # Rates summed from the last position back, in place.
         rates = self.state.lam[sigmas]
         np.add.accumulate(rates[:, ::-1], axis=1, out=rates[:, ::-1])
-        arrivals = self.rng.standard_exponential(sigmas.shape)
-        arrivals /= rates
+        if draws is None:
+            arrivals = self.rng.standard_exponential(sigmas.shape)
+            arrivals /= rates
+        else:
+            arrivals = draws / rates
         taus = np.empty(sigmas.shape)
         taus[self._row_col, sigmas] = np.add.accumulate(arrivals, axis=1, out=arrivals)
         self.state.taus = taus
@@ -293,18 +330,25 @@ class GibbsSampler:
         horizon = taus.take(self._row_starts + self.state.sigmas.take(self._last_flat))
         if not self._all_ranked:
             horizon *= self._has_ranked
-        rate = self.config.beta + np.minimum(taus, horizon[:, None]).sum(0)
+        # np.add.reduce is what sum(0) calls, without the method's wrapper.
+        rate = self.config.beta + np.add.reduce(np.minimum(taus, horizon[:, None]), axis=0)
         return self._shape, rate
 
-    def sample_lambda(self) -> None:
-        """Redraw every weight from its Gamma full conditional."""
+    def sample_lambda(self, draws: np.ndarray | None = None) -> None:
+        """Redraw every weight from its Gamma full conditional.
+
+        ``draws``, if given, are (K,) standard Gammas of the conditional's
+        shapes, used in place of drawing them.
+        """
         if self.num_rows and len(self.state.taus) != self.num_rows:
             raise RuntimeError("arrival times not sampled yet; call sample_tau first")
         shape, rate = self._posterior_gamma_params()
         # Same draws as rng.gamma(shape, 1 / rate), without its broadcasting.
         # numpy fills the array call one scalar draw at a time, in order, so
         # below the crossover K scalar calls give the same stream for less.
-        if self.num_classes <= _SCALAR_GAMMA_MAX_K:
+        if draws is not None:
+            gammas = draws
+        elif self.num_classes <= _SCALAR_GAMMA_MAX_K:
             draw = self.rng.standard_gamma
             gammas = np.array([draw(a) for a in self._shape_list])
         else:
@@ -313,15 +357,40 @@ class GibbsSampler:
 
     # -- driver -------------------------------------------------------------
 
+    def _sweep_draws(self, sweeps: int):
+        """Yield each sweep's draws as one (2 num_rows + 1, K) array: the
+        race keys, the interarrival times, then the weights' standard Gammas.
+
+        They come from one ``standard_gamma`` call per chunk of sweeps, which
+        draws the stream of the per-sweep calls (see the module docstring).
+        """
+        k = self.num_classes
+        a = self.num_rows
+        per_chunk = max(1, _CHUNK_DRAWS // ((2 * a + 1) * k))
+        pattern = np.ones((min(per_chunk, sweeps), 2 * a + 1, k))
+        pattern[:, -1] = self._shape
+        for start in range(0, sweeps, per_chunk):
+            yield from self.rng.standard_gamma(pattern[: sweeps - start])
+
     def run(self) -> PosteriorSamples:
         """Sweep the chain and emit retained, normalized samples."""
         cfg = self.config
         kept = np.empty((cfg.num_retained, self.num_classes))
         row = 0
-        for t in range(1, cfg.iterations + 1):
-            self.sample_sigma()
-            self.sample_tau()
-            self.sample_lambda()
+        a = self.num_rows
+        if self._ties or (2 * a + 1) * self.num_classes > _CHUNK_MAX_SWEEP_DRAWS:
+            sweeps = [None] * cfg.iterations
+        else:
+            sweeps = self._sweep_draws(cfg.iterations)
+        for t, draws in enumerate(sweeps, 1):
+            if draws is None:
+                self.sample_sigma()
+                self.sample_tau()
+                self.sample_lambda()
+            else:
+                self.sample_sigma(draws[:a])
+                self.sample_tau(draws[a:-1])
+                self.sample_lambda(draws[-1])
             if t > cfg.burn_in and (t - cfg.burn_in - 1) % cfg.thinning == 0:
                 kept[row] = self.state.lam
                 row += 1

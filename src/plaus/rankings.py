@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -89,6 +90,17 @@ class ClassSpace:
                     raise ClassIdOutOfRangeError(f"risk map references class {cid}")
                 if level not in (0, 1, 2):
                     raise ValueError(f"risk level for class {cid} must be 0, 1 or 2")
+
+    @cached_property
+    def risk_levels(self) -> tuple[np.ndarray, tuple[int, ...]] | None:
+        """The risk map as a read-only (K,) float vector, 0 for the classes
+        it misses, and those class ids; None without a map. Built once per
+        space, so the map must not change after construction."""
+        if self.risk is None:
+            return None
+        levels = np.array([self.risk.get(c, 0) for c in range(self.size)], dtype=float)
+        levels.setflags(write=False)
+        return levels, tuple(c for c in range(self.size) if c not in self.risk)
 
     def name_of(self, class_id: int) -> str:
         if self.names is None:

@@ -128,7 +128,11 @@ def run_matrix() -> dict[str, dict]:
 
 
 def versions() -> dict[str, str]:
-    return {"python": platform.python_version(), "numpy": np.__version__}
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "machine": f"{platform.machine()}, {os.cpu_count()} cpus",
+    }
 
 
 def main(argv=None) -> int:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,6 +11,7 @@ from plaus.metrics import (
     _SELECT_MAX_DEPTH,
     MissingRiskMappingError,
     _overlap_curve,
+    _risk_inputs,
     _top_indices,
     PredictionSet,
     annotation_certainty_hits,
@@ -241,6 +244,22 @@ def test_ua_set_matches_unordered_sets():
     pred = PredictionSet((1, 0))
     assert_array_equal(ua_set_hits(samples, pred, 2), [1.0, 1.0, 0.0])
     assert_allclose(ua_set_accuracy(samples, pred, 2), 2 / 3)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_ua_set_hits_match_the_row_sort(seed):
+    rng = np.random.default_rng(seed)
+    m, k = int(rng.integers(1, 60)), int(rng.integers(1, 12))
+    # Coarse weights, so rows hold ties.
+    samples = rng.integers(1, 4, size=(m, k)).astype(float)
+    samples /= samples.sum(axis=1, keepdims=True)
+    pred = PredictionSet(tuple(rng.permutation(k)))
+    order = np.argsort(-samples, axis=1, kind="stable")
+    for depth in range(k + 1):
+        target = np.sort(pred.top(depth))
+        expected = np.all(np.sort(order[:, :depth], axis=1) == target, axis=1).astype(float)
+        assert_array_equal(ua_set_hits(samples, pred, depth), expected)
+        assert_array_equal(ua_set_hits(samples, pred, depth, order=order), expected)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -544,6 +563,25 @@ def test_risk_metrics_require_full_coverage():
         risk_metrics(samples, ClassSpace(size=2, risk={0: 1}))
     with pytest.raises(MissingRiskMappingError):
         risk_metrics(samples, ClassSpace(size=2))
+
+
+def test_risk_inputs_match_the_per_class_loop():
+    samples = np.full((2, 5), 0.2)
+    full = ClassSpace(size=5, risk={4: 2, 0: 1, 2: 0, 1: 2, 3: 0})
+    arr, risk = _risk_inputs(samples, full)
+    assert arr is samples
+    assert_array_equal(risk, np.array([full.risk[c] for c in range(5)], dtype=float))
+    assert risk.dtype == float and not risk.flags.writeable
+    assert full.risk_levels is full.risk_levels  # built once per space
+    partial = ClassSpace(size=5, risk={3: 1, 0: 2})
+    missing = [c for c in range(5) if c not in partial.risk]
+    message = f"no risk level for classes {missing}"
+    with pytest.raises(MissingRiskMappingError, match=f"^{re.escape(message)}$"):
+        _risk_inputs(samples, partial)
+    with pytest.raises(MissingRiskMappingError, match="^class space carries no risk levels$"):
+        _risk_inputs(samples, ClassSpace(size=5))
+    with pytest.raises(ValueError, match="sample width"):
+        _risk_inputs(samples, ClassSpace(size=4, risk=dict.fromkeys(range(4), 0)))
 
 
 def test_loo_agreement_hand_case():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from plaus import pl_gibbs
 from plaus.pl_gibbs import DEFAULT_REPETITION_GRID, GibbsConfig, GibbsSampler, gibbs_run
 from plaus.pl_likelihood import MAX_BLOCK_SIZE, BlockTooLargeError, _table_values
 from plaus.rankings import ClassSpace, PartialRanking
@@ -386,20 +387,52 @@ class _ReferenceSampler(GibbsSampler):
 
 def _panel(case, rng, k):
     """0 to 3 annotations: every sixth case is empty, every fourth has one
-    that ranks nothing and one with a leading tie, the rest are random."""
+    that ranks nothing and (every eighth) one with a leading tie, every
+    third ranks no ties, the rest are random."""
     space = ClassSpace(size=k)
     if case % 6 == 0:
         return [], space
-    rankings = [random_partial_ranking(rng, space, max_blocks=3, max_block=4)
+    max_block = 1 if case % 3 == 0 else 4
+    rankings = [random_partial_ranking(rng, space, max_blocks=3, max_block=max_block)
                 for _ in range(int(rng.integers(0, 3)))]
     if case % 4 == 1:
         rankings.append(PartialRanking([], space))
-        rankings.append(PartialRanking([[0, 1], [k - 1]], space))
+        if case % 8 == 1:
+            rankings.append(PartialRanking([[0, 1], [k - 1]], space))
     return rankings, space
 
 
+class _CountingGenerator:
+    """Forwards to a numpy Generator, counting the draw calls made."""
+
+    def __init__(self, rng):
+        self.bit_generator = rng.bit_generator
+        self.calls = 0
+        self._rng = rng
+
+    def __getattr__(self, name):
+        draw = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return draw(*args, **kwargs)
+
+        return counted
+
+
+def _assert_runs_as_the_reference(rankings, cfg, space):
+    """run() emits the reference loop's samples and leaves the generator in
+    its state; returns the draw calls run() made."""
+    got = GibbsSampler(rankings, cfg, class_space=space)
+    got.rng = _CountingGenerator(got.rng)
+    ref = _ReferenceSampler(rankings, cfg, class_space=space)
+    assert np.array_equal(got.run().samples, ref.run())
+    assert got.rng.bit_generator.state == ref.rng.bit_generator.state
+    return got.rng.calls
+
+
 @pytest.mark.parametrize("case", range(30))
-def test_sampler_draws_as_the_reference_conditionals(case):
+def test_sampler_draws_as_the_reference_conditionals(case, monkeypatch):
     # K runs over 2..12, on both sides of the scalar-gamma crossover
     rng = np.random.default_rng(1000 + case)
     k = 2 + (7 * case) % 11
@@ -424,3 +457,81 @@ def test_sampler_draws_as_the_reference_conditionals(case):
         gibbs_run(rankings, cfg, class_space=space).samples,
         _ReferenceSampler(rankings, cfg, class_space=space).run(),
     )
+    # Chunks of 1 to 5 sweeps, so most chains end on a partial chunk.
+    sweep_draws = (2 * len(rankings) * cfg.repetitions + 1) * k
+    monkeypatch.setattr(pl_gibbs, "_CHUNK_DRAWS", sweep_draws * (1 + case % 5))
+    _assert_runs_as_the_reference(rankings, cfg, space)
+
+
+def _untied(k, annotations):
+    space = ClassSpace(size=k)
+    return [PartialRanking([[i % k], [(i + 1) % k]], space) for i in range(annotations)], space
+
+
+# (rankings, space, whether run() draws the chain's stream in chunks)
+_CHAINS = {
+    "untied-K4": (*_untied(4, 2), True),
+    "untied-K12": (*_untied(12, 3), True),
+    "ranked-nothing": (
+        [PartialRanking([[3], [1]], ClassSpace(size=10)), PartialRanking([], ClassSpace(size=10))],
+        ClassSpace(size=10),
+        True,
+    ),
+    "no-annotations": ([], ClassSpace(size=9), True),
+    "tied": (
+        [PartialRanking([[0, 2], [1]], ClassSpace(size=5)), PartialRanking([[4]], ClassSpace(size=5))],
+        ClassSpace(size=5),
+        False,
+    ),
+    # 6 annotations x 10 repetitions: (2 * 60 + 1) * 12 = 1452 draws a sweep.
+    "above-threshold": (*_untied(12, 6), False),
+}
+
+
+@pytest.mark.parametrize("chunk_sweeps", [1, 4, None])
+@pytest.mark.parametrize("thinning", [1, 2])
+@pytest.mark.parametrize("chain", sorted(_CHAINS))
+def test_run_draws_as_the_reference_loop(chain, thinning, chunk_sweeps, monkeypatch):
+    rankings, space, chunked = _CHAINS[chain]
+    reps_grid = (10,) if chain == "above-threshold" else DEFAULT_REPETITION_GRID
+    for reps in reps_grid:
+        sweep_draws = (2 * len(rankings) * reps + 1) * space.size
+        if chunk_sweeps is not None:
+            monkeypatch.setattr(pl_gibbs, "_CHUNK_DRAWS", sweep_draws * chunk_sweeps)
+        cfg = GibbsConfig(
+            alpha=0.7, iterations=13, burn_in=3, thinning=thinning, repetitions=reps, seed=reps
+        )
+        calls = _assert_runs_as_the_reference(rankings, cfg, space)
+        if chunked:
+            per_chunk = max(1, pl_gibbs._CHUNK_DRAWS // sweep_draws)
+            assert calls == -(-cfg.iterations // per_chunk)
+        else:
+            assert calls > cfg.iterations
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_numpy_draws_a_shape_one_gamma_as_its_exponential(seed):
+    # The chunked stream of GibbsSampler.run relies on this numpy rule: an
+    # array standard_gamma call whose shapes are 1.0 then the weights' shapes
+    # draws, in order, what standard_exponential calls followed by scalar
+    # standard_gamma calls draw, and leaves the generator in the same state.
+    rng = np.random.default_rng(seed)
+    rows, k, sweeps = int(rng.integers(1, 8)), int(rng.integers(2, 13)), 7
+    # Shapes below, at and above 1 take numpy's three Gamma branches.
+    shape = (0.3, 1.0, 2.5)[seed % 3] + rng.integers(0, 3, size=k)
+    pattern = np.ones((sweeps, 2 * rows + 1, k))
+    pattern[:, -1] = shape
+    ref = np.random.default_rng(seed)
+    expected = []
+    for _ in range(sweeps):
+        expected.append(ref.standard_exponential((rows, k)))
+        expected.append(ref.standard_exponential((rows, k)))
+        expected.append([[ref.standard_gamma(a) for a in shape]])
+    expected = np.concatenate(expected).reshape(pattern.shape)
+    for chunk in (sweeps, 1, 2, 3):
+        got = np.random.default_rng(seed)
+        draws = np.concatenate(
+            [got.standard_gamma(pattern[s : s + chunk]) for s in range(0, sweeps, chunk)]
+        )
+        assert np.array_equal(draws, expected)
+        assert got.bit_generator.state == ref.bit_generator.state
