@@ -3,9 +3,10 @@
 Each entry runs ``plaus.cli.main`` in-process on fixed inputs and records
 the sha256 of every report file, the exit code and stderr. The inputs are
 the dermatology fixture in ``tests/data`` and shrunken, seeded inputs of
-the benchmark's workloads (``bench/workloads.py``). The matrix covers the
-tied and the untied Gibbs chain, the iid samplers, the point-mass model and
-a worker pool. ``test_report_digests.py`` regenerates it and compares it
+the benchmark's workloads (``bench/workloads.py``), plus two tiny inputs
+written here. The matrix covers the tied and the untied Gibbs chain, the
+iid samplers, the point-mass model, the score model, a worker pool, cases
+that fail, and cutoffs deeper than a prediction. ``test_report_digests.py`` regenerates it and compares it
 with ``tests/data/report_digests.json``, so a change that must leave report
 bytes alone is checked by Tier-1.
 
@@ -51,16 +52,16 @@ SMALL = {
 WORKLOAD_SEEDS = (5, 11)
 
 
-def _fixture_argv(command: str, out_dir: str) -> list[str]:
+def _fixture_argv(command: str, out_dir: str, inputs: str = DATA, models=FIXTURE_MODELS) -> list[str]:
     argv = [
         command,
-        "--cases", os.path.join(DATA, "derm_cases.jsonl"),
-        "--annotations", os.path.join(DATA, "derm_annotations.jsonl"),
+        "--cases", os.path.join(inputs, "derm_cases.jsonl"),
+        "--annotations", os.path.join(inputs, "derm_annotations.jsonl"),
     ]
     if command == "evaluate":
-        argv += ["--predictions", os.path.join(DATA, "derm_predictions_b.jsonl")]
+        argv += ["--predictions", os.path.join(inputs, "derm_predictions_b.jsonl")]
     return argv + [
-        "--model", FIXTURE_MODELS,
+        "--model", models,
         "--samples", "60",
         "--gibbs-burn-in", "20",
         "--seed", "7",
@@ -73,6 +74,15 @@ def _workers(argv: list[str], workers: int) -> list[str]:
     argv = list(argv)
     argv[argv.index("--workers") + 1] = str(workers)
     return argv
+
+
+def _write_inputs(directory: str, cases: list, annotations: list) -> str:
+    """Write cases and annotations under the fixture's file names."""
+    os.makedirs(directory)
+    for name, rows in (("derm_cases.jsonl", cases), ("derm_annotations.jsonl", annotations)):
+        with open(os.path.join(directory, name), "w", encoding="utf-8") as handle:
+            handle.writelines(json.dumps(row) + "\n" for row in rows)
+    return directory
 
 
 def _entries(work: str):
@@ -97,6 +107,34 @@ def _entries(work: str):
     inputs = os.path.join(work, "derm-mc-pl-inputs")
     workload.write_inputs(inputs, WORKLOAD_SEEDS[0])
     yield "derm-mc-pl", workload.argv(inputs, os.path.join(work, "derm-mc-pl"), WORKLOAD_SEEDS[0])
+    # Cutoffs deeper than the fixture's three-class prediction are left out.
+    argv = _fixture_argv("evaluate", os.path.join(work, "fixture-deep-cutoffs"))
+    yield "fixture-deep-cutoffs", argv + ["--k-grid", "1,2,5", "--overlap-depth", "4"]
+    # The score model; one annotation lacks its score, so that case fails.
+    scored = [("s-1", 0.8, 0.4), ("s-2", 0.3, None), ("s-3", 0.9, 0.7)]
+    inputs = _write_inputs(
+        os.path.join(work, "scores-inputs"),
+        [{"case_id": case, "num_classes": 3} for case, _, _ in scored],
+        [
+            {"case_id": case, "annotator_id": f"a{a}", "blocks": [[a]], **({} if s is None else {"score": s})}
+            for case, *scores in scored
+            for a, s in enumerate(scores)
+        ],
+    )
+    argv = _fixture_argv("certainty", os.path.join(work, "scores"), inputs, "gaussian-scores")
+    yield "scores", argv + ["--threshold", "0.5"]
+    # A case whose annotators ranked nothing fails under every sampler.
+    inputs = _write_inputs(
+        os.path.join(work, "unranked-inputs"),
+        [{"case_id": case, "num_classes": 4} for case in ("u-1", "u-2")],
+        [
+            {"case_id": "u-1", "annotator_id": "a0", "blocks": [[2], [0, 1]]},
+            {"case_id": "u-1", "annotator_id": "a1", "blocks": [[1]]},
+            {"case_id": "u-2", "annotator_id": "a0", "blocks": []},
+            {"case_id": "u-2", "annotator_id": "a1", "blocks": []},
+        ],
+    )
+    yield "unranked", _fixture_argv("certainty", os.path.join(work, "unranked"), inputs)
     # A setting refused before any input is read: exit code and message.
     yield "fixture-bad-workers", _workers(_fixture_argv("evaluate", os.path.join(work, "bad")), 0)
 
