@@ -32,7 +32,7 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from .irn import AllZeroMassError, irn_aggregate
-from .metrics import MissingRiskMappingError, PredictionSet, summarize_metric
+from .metrics import MissingRiskMappingError, PredictionSet, case_metrics, summarize_metric
 from .pl_gibbs import DEFAULT_REPETITION_GRID, GibbsConfig, gibbs_run
 from .pl_likelihood import BlockTooLargeError
 from .prirn import DEFAULT_GAMMA_GRID, PrIrnModel
@@ -125,6 +125,9 @@ class RunConfig:
         if not grid or self.model in ("irn", "gaussian-scores"):
             grid = default_reliability_grid(self.model)
         object.__setattr__(self, "reliability_grid", tuple(grid))
+        tags = [reliability_tag(r) for r in self.reliability_grid]
+        if len(set(tags)) < len(tags):
+            raise ConfigError(f"reliability grid repeats a value: {list(self.reliability_grid)}")
         if self.model == "pl" and any(
             not float(r).is_integer() or r < 1 for r in self.reliability_grid
         ):
@@ -141,6 +144,8 @@ class RunConfig:
             raise ConfigError("gibbs alpha and beta must be positive")
         if not self.k_grid or any(k < 1 for k in self.k_grid):
             raise ConfigError("k grid must be non-empty positive integers")
+        if len(set(self.k_grid)) < len(self.k_grid):
+            raise ConfigError(f"k grid repeats a value: {list(self.k_grid)}")
         if self.overlap_depth < 1:
             raise ConfigError("overlap depth must be >= 1")
         if self.histogram_bins < 1:
@@ -233,7 +238,8 @@ def _parse_class_space(record: dict, where: str) -> ClassSpace:
         size = len(names)
     elif "num_classes" in record:
         size = record["num_classes"]
-        if not isinstance(size, int) or size < 1:
+        # type(), not isinstance(), here and below: JSON true and false load as bool.
+        if type(size) is not int or size < 1:
             raise ParseError(f"{where}: 'num_classes' must be a positive integer")
     else:
         raise ParseError(f"{where}: need 'classes' or 'num_classes'")
@@ -251,8 +257,8 @@ def _parse_class_space(record: dict, where: str) -> ClassSpace:
             raise ParseError(f"{where}: 'risk' must be a list or object")
         for key, level in items:
             cid = _resolve_class(key, names, size, where)
-            if level not in (0, 1, 2):
-                raise ParseError(f"{where}: risk level must be 0, 1 or 2")
+            if type(level) is not int or level not in (0, 1, 2):
+                raise ParseError(f"{where}: risk level must be the integer 0, 1 or 2")
             risk[cid] = level
     try:
         return ClassSpace(size=size, names=tuple(names) if names else None, risk=risk)
@@ -329,7 +335,7 @@ def ingest(
         except RankingError as exc:
             raise ParseError(f"{where}: {exc}") from None
         score = record.get("score")
-        if score is not None and not isinstance(score, (int, float)):
+        if score is not None and type(score) not in (int, float):
             raise ParseError(f"{where}: 'score' must be a number")
         annotations[case_id].append(
             (annotator, ranking, float(score) if score is not None else None)
@@ -396,21 +402,20 @@ def _posterior_for(record: CaseRecord, config: RunConfig, reliability, seed: int
             seed=seed,
         )
         return gibbs_run(record.rankings, gibbs)
-    if config.model == "dirichlet-counts":
-        if record.class_space.size < 2:
-            raise DataError("dirichlet-counts needs at least two classes")
-        counts = np.zeros(record.class_space.size)
-        for ranking in record.rankings:
-            if ranking.blocks:
-                counts[sorted(ranking.blocks[0])] += 1.0
-        return dirichlet_from_counts(
-            counts,
-            gamma=reliability,
-            prior_alpha=config.dirichlet_prior_alpha,
-            num_samples=config.num_samples,
-            seed=seed,
-        )
-    raise ConfigError(f"model {config.model!r} does not produce plausibility samples")
+    # dirichlet-counts; gaussian-scores has no posterior and never gets here
+    if record.class_space.size < 2:
+        raise DataError("dirichlet-counts needs at least two classes")
+    counts = np.zeros(record.class_space.size)
+    for ranking in record.rankings:
+        if ranking.blocks:
+            counts[sorted(ranking.blocks[0])] += 1.0
+    return dirichlet_from_counts(
+        counts,
+        gamma=reliability,
+        prior_alpha=config.dirichlet_prior_alpha,
+        num_samples=config.num_samples,
+        seed=seed,
+    )
 
 
 def _score_metrics(record: CaseRecord, config: RunConfig, seed: int) -> dict:
@@ -425,52 +430,14 @@ def _score_metrics(record: CaseRecord, config: RunConfig, seed: int) -> dict:
     }
 
 
-def _case_metrics(record: CaseRecord, config: RunConfig, posterior: PosteriorSamples):
-    """All metric values and per-sample vectors for one (case, reliability).
-
-    Every kernel returns per-sample values: (M,), or (depth, M) for the
-    overlap curve. A metric's value is their mean and its per-sample vector
-    their mean over the leading axis. The top-k kernels all slice one
-    selection of each sample's top classes, made to the deepest k they need,
-    and the risk metrics all read one pooling of the samples by risk level.
-    """
-    space, pred = record.class_space, record.prediction
-    top_j = min(3, space.size)
-    usable = min(len(pred.ranked_classes), space.size) if pred is not None else 0
-    k_grid = [k for k in config.k_grid if k <= usable]
-    depth = config.overlap_depth if config.overlap_depth <= usable else 0
-    order = metrics_mod._top_indices(posterior.samples, max(top_j, depth, *k_grid))
-    ranked = {"order": order}
-
-    kernels = [
-        (f"annotation_certainty_top{j}", metrics_mod.annotation_certainty_hits, (j,), ranked)
-        for j in range(1, top_j + 1)
-    ]
-    for k in k_grid:
-        kernels.append((f"ua_top{k}_accuracy", metrics_mod.ua_topk_hits, (pred, k), ranked))
-        kernels.append((f"ua_set{k}_accuracy", metrics_mod.ua_set_hits, (pred, k), ranked))
-    if depth:
-        kernels.append(("ua_average_overlap", metrics_mod._overlap_curve, (pred, depth), ranked))
-    values = {name: kernel(posterior, *args, **kwargs) for name, kernel, args, kwargs in kernels}
-
-    scalars: dict[str, float] = {}
-    if space.risk is not None:
-        levels, modal, expected = metrics_mod._risk_pass(posterior, space)
-        values["risk_certainty"] = (levels == modal).astype(float)
-        values["expected_risk_mean"] = expected
-        scalars["expected_risk_min"] = float(expected.min())
-        scalars["expected_risk_max"] = float(expected.max())
-        if pred is not None:
-            scalars["ua_risk_match"] = float(np.mean(levels == space.risk[pred.top(1)[0]]))
-    scalars.update((name, float(v.mean())) for name, v in values.items())
-    vectors = {name: v if v.ndim == 1 else v.mean(axis=0) for name, v in values.items()}
-    return scalars, vectors
-
-
 def _compute_case(payload):
+    """One entry per reliability of a case, and the case's failure rows.
+
+    An entry is ``(case_id, seed, scalars, vectors, aggregate)``, or None
+    where the unit failed; ``aggregate`` is None unless asked for.
+    """
     record, config, include_aggregate = payload
-    out = {}
-    aggregates = {}
+    entries = []
     failures = []
     for reliability in config.reliability_grid:
         tag = reliability_tag(reliability)
@@ -478,20 +445,26 @@ def _compute_case(payload):
         # Only errors in a case's own data become failure rows; a bug aborts the run.
         try:
             if config.model == "gaussian-scores":
-                out[tag] = (_score_metrics(record, config, seed), {}, seed)
+                scalars = _score_metrics(record, config, seed)
+                entries.append((record.case_id, seed, scalars, {}, None))
                 continue
             posterior = _posterior_for(record, config, reliability, seed)
-            scalars, vectors = _case_metrics(record, config, posterior)
-            out[tag] = (scalars, vectors, seed)
+            scalars, vectors = case_metrics(
+                posterior, record.class_space, record.prediction,
+                config.k_grid, config.overlap_depth,
+            )
+            aggregate = None
             if include_aggregate:
                 mean = posterior.samples.mean(axis=0)
-                aggregates[tag] = {
+                aggregate = {
                     "mean": mean,
                     "sd": posterior.samples.std(axis=0, ddof=0),
                     "seed": seed,
                     "top_classes": np.argsort(-mean, kind="stable")[:5],
                 }
+            entries.append((record.case_id, seed, scalars, vectors, aggregate))
         except (DataError, AllZeroMassError, BlockTooLargeError, MissingRiskMappingError) as exc:
+            entries.append(None)
             failures.append(
                 {
                     "case_id": record.case_id,
@@ -502,7 +475,7 @@ def _compute_case(payload):
                     "message": str(exc),
                 }
             )
-    return record.case_id, out, aggregates, failures
+    return entries, failures
 
 
 # --------------------------------------------------------------------------
@@ -591,12 +564,16 @@ def run(
                 file=sys.stderr,
             )
             results += [_compute_case(p) for p in payloads[len(results) :]]
-    by_case = {case_id: (out, agg) for case_id, out, agg, _ in results}
-    failures = [f for _, _, _, fails in results for f in fails]
+    failures = [f for _, fails in results for f in fails]
 
     summary_rows = []
     written_files = []
-    for reliability in config.reliability_grid:
+
+    def write(name: str, rows: list) -> None:
+        _write_rows(os.path.join(out_dir, name), rows)
+        written_files.append(name)
+
+    for index, reliability in enumerate(config.reliability_grid):
         tag = reliability_tag(reliability)
         provenance = {
             "model": config.model,
@@ -604,20 +581,16 @@ def run(
             "M": 1 if config.model == "irn" else config.num_samples,
             "schema_version": SCHEMA_VERSION,
         }
+        units = [entries[index] for entries, _ in results if entries[index] is not None]
         case_rows = []
-        vector_stacks: dict[str, list] = {}
         scalar_stacks: dict[str, list] = {}
-        vector_case_ids: dict[str, list] = {}
-        for record in records:
-            out, _ = by_case[record.case_id]
-            if tag not in out:
-                continue
-            scalars, vectors, seed = out[tag]
+        vector_stacks: dict[str, list] = {}  # (case id, per-sample vector) pairs
+        for case_id, seed, scalars, vectors, _ in units:
             for metric in sorted(scalars):
                 case_rows.append(
                     {
                         **provenance,
-                        "case_id": record.case_id,
+                        "case_id": case_id,
                         "metric": metric,
                         "value": scalars[metric],
                         "seed": seed,
@@ -625,20 +598,17 @@ def run(
                 )
                 scalar_stacks.setdefault(metric, []).append(scalars[metric])
             for metric, vec in vectors.items():
-                vector_stacks.setdefault(metric, []).append(vec)
-                vector_case_ids.setdefault(metric, []).append(record.case_id)
-        metrics_path = os.path.join(out_dir, f"metrics_{config.model}_{tag}.jsonl")
-        _write_rows(metrics_path, case_rows)
-        written_files.append(os.path.basename(metrics_path))
+                vector_stacks.setdefault(metric, []).append((case_id, vec))
+        write(f"metrics_{config.model}_{tag}.jsonl", case_rows)
         if include_aggregate:
-            rows = []
-            for record in records:
-                _, agg = by_case[record.case_id]
-                if tag in agg:
-                    rows.append({**provenance, "case_id": record.case_id, **agg[tag]})
-            path = os.path.join(out_dir, f"aggregate_{config.model}_{tag}.jsonl")
-            _write_rows(path, rows)
-            written_files.append(os.path.basename(path))
+            write(
+                f"aggregate_{config.model}_{tag}.jsonl",
+                [
+                    {**provenance, "case_id": case_id, **aggregate}
+                    for case_id, _, _, _, aggregate in units
+                    if aggregate is not None
+                ],
+            )
 
         for metric in sorted(scalar_stacks):
             row = {
@@ -649,11 +619,11 @@ def run(
                 "num_cases": len(scalar_stacks[metric]),
                 "seed": config.base_seed,
             }
-            stacks = vector_stacks.get(metric)
-            if stacks is not None and len({v.size for v in stacks}) == 1:
+            if metric in vector_stacks:
+                case_ids, stacks = zip(*vector_stacks[metric])
                 report = summarize_metric(
                     metric,
-                    vector_case_ids[metric],
+                    case_ids,
                     np.vstack(stacks),
                     bins=config.histogram_bins,
                     provenance=provenance,
@@ -677,9 +647,7 @@ def run(
                 "num_annotators": len(record.rankings),
             }
         )
-    loo_path = os.path.join(out_dir, "loo.jsonl")
-    _write_rows(loo_path, loo_rows)
-    written_files.append("loo.jsonl")
+    write("loo.jsonl", loo_rows)
     loo_values = [r["value"] for r in loo_rows if r["value"] is not None]
     if loo_values:
         summary_rows.append(
@@ -696,14 +664,9 @@ def run(
             }
         )
 
-    summary_path = os.path.join(out_dir, f"summary_{config.model}.jsonl")
-    _write_rows(summary_path, summary_rows)
-    written_files.append(os.path.basename(summary_path))
-
+    write(f"summary_{config.model}.jsonl", summary_rows)
     if failures:
-        failures_path = os.path.join(out_dir, f"failures_{config.model}.jsonl")
-        _write_rows(failures_path, failures)
-        written_files.append(os.path.basename(failures_path))
+        write(f"failures_{config.model}.jsonl", failures)
 
     manifest = {
         "schema_version": SCHEMA_VERSION,
@@ -716,7 +679,7 @@ def run(
         "histogram_bins": config.histogram_bins,
         "num_cases": len(records),
         "num_failures": len(failures),
-        "files": sorted(set(written_files)),
+        "files": sorted(written_files),
     }
     return manifest
 

@@ -39,9 +39,8 @@ __all__ = [
     "ua_average_overlap",
     "average_overlap",
     "mean_average_overlap",
-    "risk_level_hits",
-    "expected_risk",
     "risk_metrics",
+    "case_metrics",
     "loo_agreement",
     "MetricReport",
     "summarize_metric",
@@ -386,16 +385,18 @@ def _risk_pass(samples, class_space: ClassSpace):
     return levels, int(np.bincount(levels, minlength=3).argmax()), arr @ risk
 
 
-def risk_level_hits(samples, class_space: ClassSpace) -> np.ndarray:
-    """Per-sample indicator that the sample's top risk level is the modal one."""
-    levels, modal, _ = _risk_pass(samples, class_space)
-    return (levels == modal).astype(float)
-
-
-def expected_risk(samples, class_space: ClassSpace) -> np.ndarray:
-    """Per-sample expected risk level under the sample's plausibilities."""
-    arr, risk = _risk_inputs(samples, class_space)
-    return arr @ risk
+def _risk_values(samples, class_space: ClassSpace, prediction: PredictionSet | None):
+    """The modal top risk level, the per-sample ``risk_certainty`` hits and
+    expected risk (``expected_risk_mean``), and every risk summary as a
+    scalar, all from one :func:`_risk_pass`."""
+    levels, modal, expected = _risk_pass(samples, class_space)
+    vectors = {"risk_certainty": (levels == modal).astype(float), "expected_risk_mean": expected}
+    scalars = {name: float(v.mean()) for name, v in vectors.items()}
+    scalars["expected_risk_min"] = float(expected.min())
+    scalars["expected_risk_max"] = float(expected.max())
+    if prediction is not None:
+        scalars["ua_risk_match"] = float(np.mean(levels == class_space.risk[prediction.top(1)[0]]))
+    return modal, vectors, scalars
 
 
 def risk_metrics(
@@ -405,28 +406,64 @@ def risk_metrics(
 ) -> dict:
     """Risk-level summaries of a posterior.
 
-    Reported are the certainty of the top risk level (the mean of
-    :func:`risk_level_hits`) and the mean, minimum and maximum of
-    :func:`expected_risk` across samples. When a prediction is given,
-    ``ua_risk_match`` adds how often the sample's top risk level equals the
-    risk level of the predicted top class.
+    Reported are the certainty of the top risk level (how often a sample's
+    top level is the modal ``top_risk_level``) and the mean, minimum and
+    maximum across samples of the expected risk level. When a prediction is
+    given, ``ua_risk_match`` adds how often the sample's top risk level
+    equals ``predicted_risk_level``, that of the predicted top class.
 
     Raises:
         MissingRiskMappingError: some class has no risk level.
     """
-    levels, modal, expected = _risk_pass(samples, class_space)
-    out = {
-        "risk_certainty": float(np.mean(levels == modal)),
-        "top_risk_level": modal,
-        "expected_risk_mean": float(expected.mean()),
-        "expected_risk_min": float(expected.min()),
-        "expected_risk_max": float(expected.max()),
-    }
+    modal, _, out = _risk_values(samples, class_space, prediction)
+    out["top_risk_level"] = modal
     if prediction is not None:
-        predicted_level = int(class_space.risk[prediction.top(1)[0]])
-        out["predicted_risk_level"] = predicted_level
-        out["ua_risk_match"] = float(np.mean(levels == predicted_level))
+        out["predicted_risk_level"] = int(class_space.risk[prediction.top(1)[0]])
     return out
+
+
+def case_metrics(
+    samples, class_space: ClassSpace, prediction: PredictionSet | None, k_grid, overlap_depth: int
+) -> tuple[dict, dict]:
+    """Every metric of one posterior, as (scalars, per-sample vectors) by name.
+
+    The command line reports these for each case and reliability: the
+    certainty of the modal top-j set for j up to 3; given a prediction, the
+    top-k and set accuracy for each k of ``k_grid`` and the average overlap
+    to ``overlap_depth``, leaving out cutoffs deeper than the prediction or
+    the class space; and given risk levels, the summaries of
+    :func:`risk_metrics` but its two levels.
+
+    Every kernel returns per-sample values: (M,), or (depth, M) for the
+    overlap curve. A metric's value is their mean and its per-sample vector
+    their mean over the leading axis. The top-k kernels all slice one
+    selection of each sample's top classes, made to the deepest k they need,
+    and the risk metrics all read one pooling of the samples by risk level.
+    """
+    top_j = min(3, class_space.size)
+    usable = min(len(prediction.ranked_classes), class_space.size) if prediction is not None else 0
+    k_grid = [k for k in k_grid if k <= usable]
+    depth = overlap_depth if overlap_depth <= usable else 0
+    order = _top_indices(_sample_matrix(samples), max(top_j, depth, *k_grid))
+
+    kernels = [
+        (f"annotation_certainty_top{j}", annotation_certainty_hits, (j,))
+        for j in range(1, top_j + 1)
+    ]
+    for k in k_grid:
+        kernels.append((f"ua_top{k}_accuracy", ua_topk_hits, (prediction, k)))
+        kernels.append((f"ua_set{k}_accuracy", ua_set_hits, (prediction, k)))
+    if depth:
+        kernels.append(("ua_average_overlap", _overlap_curve, (prediction, depth)))
+    values = {name: kernel(samples, *args, order=order) for name, kernel, args in kernels}
+
+    scalars = {name: float(v.mean()) for name, v in values.items()}
+    vectors = {name: v if v.ndim == 1 else v.mean(axis=0) for name, v in values.items()}
+    if class_space.risk is not None:
+        _, risk_vectors, risk_scalars = _risk_values(samples, class_space, prediction)
+        scalars.update(risk_scalars)
+        vectors.update(risk_vectors)
+    return scalars, vectors
 
 
 def loo_agreement(rankings) -> float:

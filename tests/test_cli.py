@@ -198,6 +198,36 @@ def test_ingest_rejects_risk_without_full_list(tmp_path):
         ingest(cases, cases)
 
 
+@pytest.mark.parametrize(
+    "case, annotation",
+    [
+        ({"num_classes": True}, {}),
+        ({"num_classes": 2}, {"score": True}),
+        ({"num_classes": 2}, {"score": False}),
+        ({"num_classes": 3, "risk": [0, True, 2]}, {}),
+        ({"num_classes": 3, "risk": [0, 1.0, 2]}, {}),
+    ],
+    ids=["num_classes-true", "score-true", "score-false", "risk-true", "risk-float"],
+)
+def test_ingest_refuses_booleans_and_non_integer_risk_levels(tmp_path, capsys, case, annotation):
+    # JSON true and false load as bool, a subclass of int
+    cases = write_lines(
+        tmp_path / "c.jsonl", [{"case_id": "a", "num_classes": 2}, {"case_id": "b", **case}]
+    )
+    annotations = write_lines(
+        tmp_path / "a.jsonl",
+        [{"case_id": "b", "annotator_id": "r", "blocks": [[0]], **annotation}],
+    )
+    where = "a.jsonl:1" if annotation else "c.jsonl:2"
+    with pytest.raises(ParseError, match=where):
+        ingest(cases, annotations)
+    out = tmp_path / "out"
+    argv = ["certainty", "--cases", cases, "--annotations", annotations, "--out-dir", str(out)]
+    assert run_main(argv + ["--model", "irn,gaussian-scores", "--threshold", "0.5"]) == 2
+    assert where in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- configuration ----------------------------------------------------------
 
 
@@ -229,6 +259,33 @@ def test_run_config_validation():
     with pytest.raises(ConfigError):
         RunConfig(model="dirichlet-counts", dirichlet_prior_alpha=0.0)
     assert RunConfig(model="gaussian-scores", threshold=1.0).threshold == 1.0
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [
+        dict(model="prirn", reliability_grid=(10, 10)),
+        dict(model="prirn", reliability_grid=(10, 10.0)),
+        dict(model="pl", reliability_grid=(1, 3, 1)),
+        dict(model="irn", k_grid=(2, 2)),
+    ],
+)
+def test_run_config_refuses_repeated_grid_values(settings):
+    # a repeated reliability would sample each unit twice and write its
+    # metrics file twice; a repeated k would run each top-k kernel twice
+    with pytest.raises(ConfigError, match="repeats a value"):
+        RunConfig(**settings)
+
+
+def test_repeated_grid_values_exit_one_before_ingest(tmp_path, capsys):
+    out = tmp_path / "out"
+    base = ["certainty", "--cases", str(tmp_path / "missing.jsonl"),
+            "--annotations", str(tmp_path / "missing.jsonl"), "--out-dir", str(out)]
+    assert run_main(base + ["--model", "prirn", "--reliability", "10,10"]) == 1
+    assert "reliability grid repeats a value: [10, 10]" in capsys.readouterr().err
+    assert run_main(base + ["--model", "irn", "--k-grid", "2,2"]) == 1
+    assert "k grid repeats a value: [2, 2]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_gibbs_iteration_budget_retains_exactly_m():

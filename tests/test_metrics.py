@@ -17,12 +17,11 @@ from plaus.metrics import (
     annotation_certainty_hits,
     annotation_certainty_topj,
     average_overlap,
+    case_metrics,
     certainty_label,
-    expected_risk,
     loo_agreement,
     mean_average_overlap,
     overlap,
-    risk_level_hits,
     risk_metrics,
     summarize_metric,
     ua_average_overlap,
@@ -190,6 +189,58 @@ def test_kernels_slice_a_shared_order():
         assert_array_equal(kernel(samples, *args, order=order), kernel(samples, *args))
     with pytest.raises(ValueError):
         ua_set_hits(samples, pred, 3, order=order[:, :2])
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("depth", [4, _SELECT_MAX_DEPTH, _SELECT_MAX_DEPTH + 2])
+def test_case_metrics_equal_each_kernel_called_alone(seed, depth):
+    # three distinct values over twelve classes make exact ties in every
+    # row; the deepest cutoff selects past _SELECT_MAX_DEPTH on one side
+    rng = np.random.default_rng(seed)
+    k = _SELECT_MAX_DEPTH + 4
+    raw = rng.choice([0.1, 0.25, 0.5], size=(60, k))
+    samples = PosteriorSamples(raw / raw.sum(axis=1, keepdims=True), model="t")
+    pred = PredictionSet(tuple(rng.permutation(k)[:depth].tolist()))
+    space = ClassSpace(size=k, risk={c: int(rng.integers(0, 3)) for c in range(k)})
+    k_grid = (1, 3, depth)
+    scalars, vectors = case_metrics(samples, space, pred, k_grid, depth)
+
+    alone = {
+        f"annotation_certainty_top{j}": annotation_certainty_hits(samples, j) for j in (1, 2, 3)
+    }
+    for cutoff in k_grid:
+        alone[f"ua_top{cutoff}_accuracy"] = ua_topk_hits(samples, pred, cutoff)
+        alone[f"ua_set{cutoff}_accuracy"] = ua_set_hits(samples, pred, cutoff)
+    alone["ua_average_overlap"] = _overlap_curve(samples, pred, depth)
+    risk = risk_metrics(samples, space, pred)
+    del risk["top_risk_level"], risk["predicted_risk_level"]
+    assert sorted(vectors) == sorted([*alone, "risk_certainty", "expected_risk_mean"])
+    assert sorted(scalars) == sorted([*alone, *risk])
+    for name, values in alone.items():
+        assert_array_equal(vectors[name], values if values.ndim == 1 else values.mean(axis=0))
+        assert scalars[name] == float(values.mean())
+    for name, value in risk.items():
+        assert scalars[name] == value
+    assert vectors["risk_certainty"].mean() == risk["risk_certainty"]
+    assert_array_equal(vectors["expected_risk_mean"], samples.samples @ space.risk_levels[0])
+
+
+def test_case_metrics_leave_out_cutoffs_deeper_than_the_prediction_or_space():
+    samples = np.array([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]])
+    space = ClassSpace(size=3)
+    certainty = [f"annotation_certainty_top{j}" for j in (1, 2, 3)]
+    top = ["ua_set1_accuracy", "ua_set2_accuracy", "ua_top1_accuracy", "ua_top2_accuracy"]
+    # a two-class prediction: k = 5 and the overlap to depth 4 are left out
+    scalars, vectors = case_metrics(samples, space, PredictionSet((2, 0)), (1, 2, 5), 4)
+    assert sorted(scalars) == sorted(vectors) == certainty + top
+    scalars, _ = case_metrics(samples, space, PredictionSet((2, 0, 1)), (2,), 3)
+    assert sorted(scalars) == [*certainty, "ua_average_overlap", *top[1::2]]
+    # a two-class space: top-j certainty stops at j = 2, and so does a
+    # longer prediction, so k = 3 is left out
+    pair = ClassSpace(size=2)
+    scalars, _ = case_metrics(samples[:, :2], pair, PredictionSet((1, 0, 2)), (1, 3), 2)
+    assert sorted(scalars) == [*certainty[:2], "ua_average_overlap", *top[::2]]
+    assert sorted(case_metrics(samples, space, None, (1,), 1)[0]) == certainty
 
 
 def test_posterior_samples_reject_non_finite_entries():
@@ -449,10 +500,11 @@ def test_risk_metrics_frozen_case():
     assert_allclose(out["expected_risk_mean"], 0.96)
     assert_allclose(out["expected_risk_min"], 0.8)
     assert_allclose(out["expected_risk_max"], 1.2)
-    hits = risk_level_hits(samples, space)
+    _, vectors = case_metrics(samples, space, None, (), 1)
+    hits = vectors["risk_certainty"]
     assert_array_equal(hits, [1.0, 1.0, 1.0, 0.0, 0.0])
     assert hits.mean() == out["risk_certainty"]
-    expected = expected_risk(samples, space)
+    expected = vectors["expected_risk_mean"]
     assert_allclose(expected, [0.8, 0.8, 0.8, 1.2, 1.2])
     assert expected.mean() == out["expected_risk_mean"]
     assert expected.min() == out["expected_risk_min"]
@@ -464,7 +516,7 @@ def test_exact_pooled_risk_ties_go_to_the_lower_level():
     # The top levels (0, 2) then tie for the mode, which goes to low as well.
     samples = np.array([[0.375, 0.25, 0.125, 0.25], [0.5, 0.25, 0.125, 0.125]])
     space = ClassSpace(size=4, risk={0: 2, 1: 0, 2: 0, 3: 1})
-    assert_array_equal(risk_level_hits(samples, space), [1.0, 0.0])
+    assert_array_equal(case_metrics(samples, space, None, (), 1)[1]["risk_certainty"], [1.0, 0.0])
     out = risk_metrics(samples, space, PredictionSet((0,)))
     assert out["top_risk_level"] == 0
     assert out["ua_risk_match"] == 0.5
