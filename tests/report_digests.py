@@ -3,7 +3,7 @@
 Each entry runs ``plaus.cli.main`` in-process on fixed inputs and records
 the sha256 of every report file, the exit code and stderr. The inputs are
 the dermatology fixture in ``tests/data`` and shrunken, seeded inputs of
-the benchmark's workloads (``bench/workloads.py``), plus two tiny inputs
+the benchmark's workloads (``bench/workloads.py``), plus three tiny inputs
 written here. The matrix covers the tied and the untied Gibbs chain, the
 iid samplers, the point-mass model, the score model, a worker pool, cases
 that fail, and cutoffs deeper than a prediction. ``test_report_digests.py`` regenerates it and compares it
@@ -135,6 +135,24 @@ def _entries(work: str):
         ],
     )
     yield "unranked", _fixture_argv("certainty", os.path.join(work, "unranked"), inputs)
+    # Tied block walks of 2, 5, 6 and 9 classes at the top, on both sides of
+    # the subset kernels' cut, and two tied blocks below a ranked class,
+    # whose zbar leaves out the classes above them, over 80 sweeps.
+    tied = {
+        "t-1": ([[0, 1], [2], [3]], [[5, 6, 7, 8, 9]], [[3], [7, 1, 9]]),
+        "t-2": ([[0, 1, 2, 3, 4, 5]], [[11, 10, 9, 8, 7, 6, 5, 4, 3]], [[2], [6, 7, 8, 0, 10, 1]]),
+    }
+    inputs = _write_inputs(
+        os.path.join(work, "tied-walks-inputs"),
+        [{"case_id": case, "num_classes": 12} for case in tied],
+        [
+            {"case_id": case, "annotator_id": f"a{a}", "blocks": blocks}
+            for case, annotations in tied.items()
+            for a, blocks in enumerate(annotations)
+        ],
+    )
+    argv = _fixture_argv("certainty", os.path.join(work, "tied-walks"), inputs, "pl")
+    yield "tied-walks", argv + ["--reliability", "1,3"]
     # A setting refused before any input is read: exit code and message.
     yield "fixture-bad-workers", _workers(_fixture_argv("evaluate", os.path.join(work, "bad")), 0)
 
