@@ -531,7 +531,8 @@ def run(
     reliability with per-case metric rows, ``loo.jsonl``, a
     ``summary_<model>.jsonl`` of dataset rows (mean, across-sample sd,
     histogram), optionally ``aggregate_<model>_<rel>.jsonl`` posterior
-    summaries, and a ``failures_<model>.jsonl`` when cases failed.
+    summaries (not for gaussian-scores, which has no posterior to summarize),
+    and a ``failures_<model>.jsonl`` when cases failed.
     ``manifest.json`` is written by ``_run_models`` from the returned
     manifests of every model.
 
@@ -540,6 +541,7 @@ def run(
     """
     if workers < 1:
         raise ConfigError("workers must be >= 1")
+    include_aggregate = include_aggregate and config.model != "gaussian-scores"
     os.makedirs(out_dir, exist_ok=True)
     payloads = [(record, config, include_aggregate) for record in records]
     if workers == 1 or len(records) <= 1:

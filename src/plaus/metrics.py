@@ -80,6 +80,14 @@ class PredictionSet:
         return self.ranked_classes[:k]
 
 
+def _check_prediction(prediction: PredictionSet, num_classes: int) -> None:
+    """Refuse a prediction naming a class outside ``[0, num_classes)``,
+    which no sample could match."""
+    ids = prediction.ranked_classes
+    if min(ids) < 0 or max(ids) >= num_classes:
+        raise ValueError(f"prediction class ids {ids} must lie in [0, {num_classes})")
+
+
 def _sample_matrix(samples) -> np.ndarray:
     if isinstance(samples, PosteriorSamples):
         return samples.samples
@@ -183,8 +191,13 @@ def annotation_certainty_topj(samples, j: int) -> float:
 
 
 def ua_topk_hits(samples, prediction: PredictionSet, k: int, *, order=None) -> np.ndarray:
-    """Per-sample indicator that the sample's best class is in the top-k set."""
+    """Per-sample indicator that the sample's best class is in the top-k set.
+
+    This and the other ``ua_*`` functions refuse, with ValueError, a
+    prediction naming a class outside the samples' class space.
+    """
     arr = _sample_matrix(samples)
+    _check_prediction(prediction, arr.shape[1])
     best = arr.argmax(axis=1) if order is None else order[:, 0]
     hits = np.zeros(best.shape, dtype=bool)
     for candidate in prediction.top(k):
@@ -200,6 +213,7 @@ def ua_topk_accuracy(samples, prediction: PredictionSet, k: int) -> float:
 def ua_set_hits(samples, prediction: PredictionSet, k: int, *, order=None) -> np.ndarray:
     """Per-sample indicator that the sample's top-k set equals the predicted one."""
     arr = _sample_matrix(samples)
+    _check_prediction(prediction, arr.shape[1])
     target = np.sort(np.asarray(prediction.top(k), dtype=np.int64))
     sets = _sorted_sets(_top_columns(arr, k, order), arr.shape[1])
     return np.all(sets == target, axis=1).astype(float)
@@ -226,15 +240,14 @@ def _overlap_curve(
     Row k - 1 counts the sample's first k classes that the prediction ranks
     among its first k, divided by k. A sample's class at position i counts
     from cutoff max(i, its predicted position) + 1 on, so one count of those
-    cutoffs per sample, summed cumulatively, serves every k.
+    cutoffs per sample, summed cumulatively, serves every k. Its callers
+    have checked that the prediction's ids lie in the class space.
     """
     arr = _sample_matrix(samples)
     order = _top_columns(arr, depth, order)
     m, k = arr.shape
-    predicted = np.asarray(prediction.top(depth), dtype=np.int64)
-    known = (predicted >= 0) & (predicted < k)
     position = np.full(k, depth)
-    position[predicted[known]] = np.flatnonzero(known)
+    position[list(prediction.top(depth))] = np.arange(depth)
     first = np.maximum(position[order], np.arange(depth))
     first += np.arange(0, m * (depth + 1), depth + 1)[:, None]
     counts = np.bincount(first.ravel(), minlength=m * (depth + 1)).reshape(m, depth + 1)
@@ -253,7 +266,9 @@ def ua_average_overlap(samples, prediction: PredictionSet, depth: int) -> float:
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    return float(np.mean(_overlap_curve(samples, prediction, depth)))
+    arr = _sample_matrix(samples)
+    _check_prediction(prediction, arr.shape[1])
+    return float(np.mean(_overlap_curve(arr, prediction, depth)))
 
 
 def average_overlap(sigma, sigma_prime, depth: int) -> float:
@@ -439,9 +454,13 @@ def case_metrics(
     their mean over the leading axis. The top-k kernels all slice one
     selection of each sample's top classes, made to the deepest k they need,
     and the risk metrics all read one pooling of the samples by risk level.
+    A prediction naming a class outside ``class_space`` raises ValueError.
     """
     top_j = min(3, class_space.size)
-    usable = min(len(prediction.ranked_classes), class_space.size) if prediction is not None else 0
+    usable = 0
+    if prediction is not None:
+        _check_prediction(prediction, class_space.size)
+        usable = len(prediction.ranked_classes)
     k_grid = [k for k in k_grid if k <= usable]
     depth = overlap_depth if overlap_depth <= usable else 0
     order = _top_indices(_sample_matrix(samples), max(top_j, depth, *k_grid))

@@ -102,13 +102,14 @@ class SubsetTable:
 
 def _table_values_small(w, zbar: float):
     # Plain-float subset walk; its per-mask Python work beats the gather
-    # kernel's per-layer numpy calls only up to about six tied classes.
+    # kernel's per-layer numpy calls only up to about five tied classes.
     # Proceeds a popcount layer at a time: a mask only reads one-bit-removed
     # masks, so rescaling by the layer peak keeps every read on one scale.
     n = len(w)
     size = 1 << n
     values = [0.0] * size
     values[0] = 1.0
+    totals = [0.0] * size
     subset_sum = [0.0] * size
     log_scale = 0.0
     by_layer: list[list[int]] = [[] for _ in range(n + 1)]
@@ -125,6 +126,7 @@ def _table_values_small(w, zbar: float):
                 bit = rest & -rest
                 acc += values[mask ^ bit]
                 rest ^= bit
+            totals[mask] = acc
             v = acc / (zbar + subset_sum[mask])
             values[mask] = v
             if v > peak:
@@ -132,13 +134,14 @@ def _table_values_small(w, zbar: float):
         if peak != 0.0 and not (_RESCALE_LO < peak < _RESCALE_HI):
             # Entries many layers back can exceed float range relative to the
             # new scale; saturate them, they are never read past this point.
-            for j in range(size):
-                try:
-                    values[j] /= peak
-                except OverflowError:
-                    values[j] = float("inf")
+            for table in (values, totals):
+                for j in range(size):
+                    try:
+                        table[j] /= peak
+                    except OverflowError:
+                        table[j] = float("inf")
             log_scale += float(np.log(peak))
-    return np.array(values), log_scale
+    return np.array(values), np.array(totals), log_scale
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,13 +210,14 @@ _UNCHECKED_MAX_MASS = 1e12
 
 
 def _table_values_layered(w, zbar: float):
-    # Same recursion, a popcount layer at a time, on a table kept in layer
+    # Same recursion, a popcount layer at a time, on tables kept in layer
     # order: one gather of every mask's one-bit-removed values, summed in
-    # ascending bit order into the layer's own slice. Summing a C-contiguous
-    # (L, C) array over axis 0 adds its rows in order when C >= 2, but the
-    # one-column full-mask layer is a contiguous run that numpy sums
-    # pairwise, which changes the last bits; accumulate keeps that layer in
-    # order.
+    # ascending bit order into the layer's slice of the totals, then divided
+    # into its slice of the values. Summing a C-contiguous (L, C) array over
+    # axis 0 adds its rows in order when C >= 2, but the one-column full-mask
+    # layer is a contiguous run that numpy sums pairwise, which changes the
+    # last bits; accumulate keeps that layer in order. A one-class subset's
+    # only predecessor is the empty set, of value 1, so its total is 1.
     n = len(w)
     size = 1 << n
     layout = _subset_layout(n)
@@ -231,27 +235,44 @@ def _table_values_layered(w, zbar: float):
 
     values = np.empty(size)
     values[0] = 1.0
+    totals = np.empty(size)
+    totals[0] = 0.0
     log_scale = 0.0
     for start, stop, preds in layout.layers:
-        numer = values[start:stop]
-        if stop - start > 1:
-            np.add.reduce(values.take(preds), axis=0, out=numer)
+        total = totals[start:stop]
+        if start == 1:
+            total.fill(1.0)
+        elif stop - start > 1:
+            np.add.reduce(values.take(preds), axis=0, out=total)
         else:
-            numer[:] = np.add.accumulate(values.take(preds[:, 0]))[-1]
-        numer /= denom[start:stop]
+            total[:] = np.add.accumulate(values.take(preds[:, 0]))[-1]
+        layer = np.divide(total, denom[start:stop], out=values[start:stop])
         if checked:
-            peak = float(numer.max())
+            peak = float(layer.max())
             if peak != 0.0 and not (_RESCALE_LO < peak < _RESCALE_HI):
                 # Earlier layers may saturate to inf; they are never read again.
                 with np.errstate(over="ignore"):
                     values[:stop] /= peak
+                    totals[:stop] /= peak
                 log_scale += float(np.log(peak))
-    return values.take(layout.position), log_scale
+    return values.take(layout.position), totals.take(layout.position), log_scale
 
 
 def _table_values(w, zbar: float):
-    """Subset values and shared log scale for one block's weights."""
-    if len(w) <= 6:
+    """Subset values, their totals and the shared log scale of one block.
+
+    Returns ``(values, totals, log_scale)``, each table indexed by bitmask
+    over ``w``. ``values`` holds R as in :class:`SubsetTable`. ``totals``
+    keeps, for every subset S, the sum the recursion divides by
+    ``zbar + w(S)``: S's one-bit-removed values, added in ascending bit
+    order, so that a block walk reads each step's total instead of adding it
+    again (``totals[0]`` is 0). On an unscaled table (``log_scale`` 0) each
+    total is that in-order sum bit for bit. A rescaled table divides its
+    totals by the same peaks as its values, so there a total may differ from
+    a walk's running sum over the rescaled values by rounding; the weights
+    of the benchmark's workloads and of the report digests never rescale.
+    """
+    if len(w) <= 5:
         return _table_values_small([float(x) for x in w], zbar)
     return _table_values_layered(np.asarray(w, dtype=float), zbar)
 
@@ -279,7 +300,7 @@ def subset_recursion(members, zbar: float, lam) -> SubsetTable:
     _check_block_size(n)
     if zbar < 0:
         raise ValueError("zbar must be non-negative")
-    values, log_scale = _table_values(lam[list(members)], float(zbar))
+    values, _, log_scale = _table_values(lam[list(members)], float(zbar))
     return SubsetTable(members=members, zbar=float(zbar), values=values, log_scale=log_scale)
 
 

@@ -543,6 +543,28 @@ def test_aggregate_writes_posterior_summaries(small_dataset, tmp_path):
         np.testing.assert_allclose(sum(row["mean"]), 1.0, atol=1e-6)
 
 
+def test_aggregate_writes_no_file_for_the_score_model(tmp_path):
+    # gaussian-scores has no posterior: aggregate writes its metrics but no
+    # empty aggregate file, and the manifest lists none
+    cases = write_lines(tmp_path / "c.jsonl", [{"case_id": "a", "num_classes": 2}])
+    annotations = write_lines(
+        tmp_path / "a.jsonl",
+        [{"case_id": "a", "annotator_id": "r", "blocks": [[0]], "score": 0.8},
+         {"case_id": "a", "annotator_id": "s", "blocks": [[1]], "score": 0.3}],
+    )
+    out = tmp_path / "out"
+    argv = ["aggregate", "--cases", cases, "--annotations", annotations,
+            "--model", "prirn,gaussian-scores", "--reliability", "20", "--threshold", "0.5",
+            "--samples", "50", "--out-dir", str(out)]
+    assert run_main(argv) == 0
+    listed = {name for m in read_report(str(out))["manifest"]["models"] for name in m["files"]}
+    written = set(os.listdir(out)) - {"manifest.json"}
+    assert listed == written
+    assert "aggregate_prirn_20.jsonl" in written
+    assert "metrics_gaussian-scores_point.jsonl" in written
+    assert not [name for name in written if name.startswith("aggregate_gaussian-scores")]
+
+
 def test_aggregate_samples_each_unit_once(small_dataset, tmp_path, monkeypatch):
     # metrics and the posterior summary of a (case, reliability) unit come
     # from one posterior draw

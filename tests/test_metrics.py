@@ -235,10 +235,10 @@ def test_case_metrics_leave_out_cutoffs_deeper_than_the_prediction_or_space():
     assert sorted(scalars) == sorted(vectors) == certainty + top
     scalars, _ = case_metrics(samples, space, PredictionSet((2, 0, 1)), (2,), 3)
     assert sorted(scalars) == [*certainty, "ua_average_overlap", *top[1::2]]
-    # a two-class space: top-j certainty stops at j = 2, and so does a
-    # longer prediction, so k = 3 is left out
+    # a two-class space: top-j certainty stops at j = 2, and so does any
+    # prediction on it, so k = 3 is left out
     pair = ClassSpace(size=2)
-    scalars, _ = case_metrics(samples[:, :2], pair, PredictionSet((1, 0, 2)), (1, 3), 2)
+    scalars, _ = case_metrics(samples[:, :2], pair, PredictionSet((1, 0)), (1, 3), 2)
     assert sorted(scalars) == [*certainty[:2], "ua_average_overlap", *top[::2]]
     assert sorted(case_metrics(samples, space, None, (1,), 1)[0]) == certainty
 
@@ -350,14 +350,37 @@ def test_overlap_curve_matches_the_per_cutoff_isin_loop(seed):
     samples = rng.dirichlet(np.full(k, 0.3), size=60)
     samples[:5] = np.eye(k)[rng.integers(0, k, size=5)]  # ties among zeros
     ranked = rng.permutation(k)
-    # a prediction may name ids outside the class space; they never match
     cases = [PredictionSet(tuple(ranked[:length])) for length in range(1, k + 1)]
-    cases.append(PredictionSet((k + 2, *ranked[:2], -1)))
     for prediction in cases:
         for depth in range(1, len(prediction.ranked_classes) + 1):
             curve = _overlap_curve(samples, prediction, depth)
             assert curve.flags.c_contiguous
             assert_array_equal(curve, _isin_overlap_curve(samples, prediction, depth))
+
+
+_SCORERS = {
+    "case_metrics": lambda samples, prediction: case_metrics(
+        samples, ClassSpace(size=samples.shape[1]), prediction, (1, 2), 2
+    ),
+    "ua_topk_hits": lambda samples, prediction: ua_topk_hits(samples, prediction, 1),
+    "ua_topk_accuracy": lambda samples, prediction: ua_topk_accuracy(samples, prediction, 1),
+    "ua_set_hits": lambda samples, prediction: ua_set_hits(samples, prediction, 1),
+    "ua_set_accuracy": lambda samples, prediction: ua_set_accuracy(samples, prediction, 1),
+    "ua_average_overlap": lambda samples, prediction: ua_average_overlap(samples, prediction, 2),
+}
+
+
+@pytest.mark.parametrize("scorer", sorted(_SCORERS))
+def test_a_prediction_outside_the_class_space_is_refused(scorer):
+    # no sample can rank class 2 or -1 of a two-class space, so scoring such
+    # a prediction would only deflate the metric; ids past the cutoffs the
+    # kernel reads are refused too
+    samples = np.array([[0.7, 0.3], [0.4, 0.6]])
+    score = _SCORERS[scorer]
+    for ids in ((1, 0, 2), (2,), (0, -1), (1, 0, 5)):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 2\)"):
+            score(samples, PredictionSet(ids))
+    score(samples, PredictionSet((1, 0)))
 
 
 def test_overlap_basics():

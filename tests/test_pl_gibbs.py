@@ -202,20 +202,34 @@ def _reference_block_orders(rng, values, members, copies):
     return members[np.reshape(picks, (copies, n))]
 
 
-@pytest.mark.parametrize("n", range(2, 13))
+def _in_order_totals(values):
+    # each mask's one-bit-removed values added in ascending bit order, as the
+    # subset kernels keep them
+    n = (values.size - 1).bit_length()
+    return np.array(
+        [
+            sum(values[mask ^ (1 << i)] for i in range(n) if mask >> i & 1)
+            for mask in range(values.size)
+        ]
+    )
+
+
+@pytest.mark.parametrize("n", range(2, 14))
 def test_block_walk_matches_the_reference_walk(n):
+    # n <= 5 takes the plain-float table, wider blocks the layered one
     sampler = make_sampler([[[0, 1]]], k=3)
     rng = np.random.default_rng(n)
     members = rng.permutation(n + 3)[:n]
-    values, _ = _table_values(rng.uniform(0.1, 5.0, size=n), 1.5)
-    for copies in (1, 3, 21):
-        for seed in range(3):
-            sampler.rng = np.random.default_rng(seed)
-            got = sampler._draw_block_orders(values, members, copies)
-            expected = _reference_block_orders(
-                np.random.default_rng(seed), values, members, copies
-            )
-            assert_array_equal(got, expected)
+    w = rng.uniform(0.1, 5.0, size=n)
+    for zbar in (0.0, 1.5):
+        values, totals, _ = _table_values(w, zbar)
+        for copies in (1, 3, 21):
+            for seed in range(3):
+                sampler.rng = np.random.default_rng(seed)
+                got = sampler._draw_block_orders(values, totals, members, copies)
+                ref = np.random.default_rng(seed)
+                assert_array_equal(got, _reference_block_orders(ref, values, members, copies))
+                assert sampler.rng.bit_generator.state == ref.bit_generator.state
 
 
 class _FixedDraws:
@@ -237,7 +251,7 @@ def test_block_walk_takes_the_last_bit_when_the_draw_rounds_up():
     members = np.array([7, 3, 9, 1, 4])
     sampler = make_sampler([[[0, 1]]], k=3)
     sampler.rng = _FixedDraws(top)
-    got = sampler._draw_block_orders(values, members, 2)
+    got = sampler._draw_block_orders(values, _in_order_totals(values), members, 2)
     assert_array_equal(got, [members[::-1]] * 2)
     assert_array_equal(got, _reference_block_orders(_FixedDraws(top), values, members, 2))
 
@@ -247,7 +261,9 @@ def test_block_walk_moves_a_draw_on_a_boundary_to_the_next_class():
     # the draw lies in [cum[0], cum[1]), so the second class goes first
     sampler = make_sampler([[[0, 1]]], k=3)
     sampler.rng = _FixedDraws(0.5)
-    assert_array_equal(sampler._draw_block_orders(np.ones(4), np.array([5, 6]), 1), [[6, 5]])
+    values = np.ones(4)
+    got = sampler._draw_block_orders(values, _in_order_totals(values), np.array([5, 6]), 1)
+    assert_array_equal(got, [[6, 5]])
 
 
 def test_oversized_ties_are_refused_at_construction():
@@ -324,7 +340,8 @@ def test_emitted_samples_are_normalized_with_provenance(derm_rankings):
 
 class _ReferenceSampler(GibbsSampler):
     """The three conditionals and the run loop as one plain array call each,
-    with per-sweep normalization: the sampler must draw as this does."""
+    with per-sweep normalization and the reference block walk: the sampler
+    must draw as this does."""
 
     def __init__(self, rankings, config, class_space=None):
         super().__init__(rankings, config, class_space)
@@ -344,9 +361,9 @@ class _ReferenceSampler(GibbsSampler):
         sigmas = np.where(self.ref_free, arrivals, self._head_keys).argsort(1)
         total = lam.sum()
         for rows, members, start, above in self._ties:
-            values, _ = _table_values(lam[members], float(total - lam[above].sum()))
-            sigmas[rows, start : start + members.size] = self._draw_block_orders(
-                values, members, rows.stop - rows.start
+            values, _, _ = _table_values(lam[members], float(total - lam[above].sum()))
+            sigmas[rows, start : start + members.size] = _reference_block_orders(
+                self.rng, values, members, rows.stop - rows.start
             )
         self.state.sigmas = sigmas
 
@@ -483,6 +500,11 @@ _CHAINS = {
         ClassSpace(size=5),
         False,
     ),
+    "ends-tied": (
+        [PartialRanking([[1], [0, 2]], ClassSpace(size=5)), PartialRanking([[4]], ClassSpace(size=5))],
+        ClassSpace(size=5),
+        False,
+    ),
     # 6 annotations x 10 repetitions: (2 * 60 + 1) * 12 = 1452 draws a sweep.
     "above-threshold": (*_untied(12, 6), False),
 }
@@ -507,6 +529,26 @@ def test_run_draws_as_the_reference_loop(chain, thinning, chunk_sweeps, monkeypa
             assert calls == -(-cfg.iterations // per_chunk)
         else:
             assert calls > cfg.iterations
+
+
+@pytest.mark.parametrize("chain", sorted(_CHAINS))
+def test_horizon_reads_a_fixed_cell_only_where_every_row_ends_on_one_class(chain):
+    # a row that ranked nothing, or whose last ranked block is tied, has no
+    # fixed horizon class; the runs above check both reads against the
+    # reference's read through the orderings
+    rankings, space, _ = _CHAINS[chain]
+    sampler = GibbsSampler(rankings, GibbsConfig(repetitions=3, seed=0), class_space=space)
+    fixed = chain not in ("ranked-nothing", "ends-tied")
+    assert (sampler._horizon_flat is not None) == fixed
+    if fixed:
+        for _ in range(3):
+            sampler.sample_sigma()
+            sampler.sample_tau()
+            rows = np.arange(sampler.num_rows)
+            last = sampler.state.sigmas[rows, sampler.num_ranked - 1]
+            taus = sampler.state.taus
+            assert_array_equal(taus.take(sampler._horizon_flat), taus[rows, last])
+            sampler.sample_lambda()
 
 
 @pytest.mark.parametrize("seed", range(8))

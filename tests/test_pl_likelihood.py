@@ -144,24 +144,44 @@ def test_extreme_scales_survive_both_paths():
     )
 
 
-@pytest.mark.parametrize("n", [3, 7, 10, 11, 13])
+@pytest.mark.parametrize("n", [3, 6, 7, 10, 11, 13])
 def test_small_and_layered_tables_agree(n):
-    # the plain-float walk serves n <= 6 and the gather kernel n > 6; on the
-    # same weights both must tabulate the same recursion
+    # the plain-float walk serves n <= 5 and the gather kernel n > 5; on the
+    # same weights both must tabulate the same recursion and totals
     rng = np.random.default_rng(n)
     w = rng.uniform(0.1, 5.0, size=n)
     for zbar in (0.0, 2.5):
-        small, small_scale = _table_values_small([float(x) for x in w], zbar)
-        layered, layered_scale = _table_values_layered(w, zbar)
+        small, small_totals, small_scale = _table_values_small([float(x) for x in w], zbar)
+        layered, layered_totals, layered_scale = _table_values_layered(w, zbar)
         assert_allclose(layered, small, rtol=1e-12)
+        assert_allclose(layered_totals, small_totals, rtol=1e-12)
         assert layered_scale == small_scale
     # weights this small push every layer below the rescale threshold
     tiny = w * 1e-140
-    small, small_scale = _table_values_small([float(x) for x in tiny], 0.0)
-    layered, layered_scale = _table_values_layered(tiny, 0.0)
+    small, small_totals, small_scale = _table_values_small([float(x) for x in tiny], 0.0)
+    layered, layered_totals, layered_scale = _table_values_layered(tiny, 0.0)
     assert small_scale != 0.0
     assert_allclose(layered, small, rtol=1e-12)
+    assert_allclose(layered_totals, small_totals, rtol=1e-12)
     assert layered_scale == small_scale
+
+
+@pytest.mark.parametrize("n", range(1, 14))
+def test_each_total_is_the_in_order_sum_of_its_one_bit_removals(n):
+    # the block walk reads a step's total from the table in place of adding
+    # the candidates up itself, so on an unscaled table every total must be
+    # their sum in ascending bit order, bit for bit, from either kernel
+    w = np.random.default_rng(n).uniform(0.1, 5.0, size=n)
+    kernels = [_table_values_layered]
+    if n <= 8:
+        kernels.append(lambda w, zbar: _table_values_small([float(x) for x in w], zbar))
+    for kernel in kernels:
+        for zbar in (0.0, 2.5):
+            values, totals, log_scale = kernel(w, zbar)
+            assert log_scale == 0.0 and totals[0] == 0.0
+            for mask in range(1, 1 << n):
+                bits = [1 << i for i in range(n) if mask >> i & 1]
+                assert totals[mask] == sum(values[mask ^ bit] for bit in bits)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -221,17 +241,20 @@ def _reference_layered(w, zbar, layer_sum=_in_order_rows):
     denom += zbar
     values = np.zeros(1 << n)
     values[0] = 1.0
+    totals = np.zeros(1 << n)
     log_scale = 0.0
     for masks, preds in _mask_layers(n):
         numer = layer_sum(values[preds])
+        totals[masks] = numer
         numer /= denom[masks]
         values[masks] = numer
         peak = float(numer.max())
         if peak != 0.0 and not (_RESCALE_LO < peak < _RESCALE_HI):
             with np.errstate(over="ignore"):
                 values /= peak
+                totals /= peak
             log_scale += float(np.log(peak))
-    return values, log_scale
+    return values, totals, log_scale
 
 
 @pytest.mark.parametrize("n", range(7, 17))
@@ -239,9 +262,10 @@ def test_layered_table_is_bit_identical_to_a_row_by_row_sum(n):
     w = np.random.default_rng(n).uniform(0.1, 5.0, size=n)
     for zbar in (0.0, 2.5):
         for scale in (1.0, 1e-140, 1e140):
-            values, log_scale = _table_values_layered(w * scale, zbar)
-            expected, expected_scale = _reference_layered(w * scale, zbar)
+            values, totals, log_scale = _table_values_layered(w * scale, zbar)
+            expected, expected_totals, expected_scale = _reference_layered(w * scale, zbar)
             assert np.array_equal(values, expected)
+            assert np.array_equal(totals, expected_totals)
             assert log_scale == expected_scale
 
 
@@ -249,12 +273,13 @@ def test_a_bare_sum_on_the_full_mask_layer_changes_the_table():
     # numpy sums the one-column layer's contiguous run pairwise, not in order;
     # at n = 16 and this seed that moves the last bits of the full-mask entry
     w = np.random.default_rng(2).uniform(0.1, 5.0, size=16)
-    expected, _ = _reference_layered(w, 2.5)
-    bare, _ = _reference_layered(w, 2.5, layer_sum=lambda gathered: gathered.sum(axis=0))
+    expected, expected_totals, _ = _reference_layered(w, 2.5)
+    bare, _, _ = _reference_layered(w, 2.5, layer_sum=lambda gathered: gathered.sum(axis=0))
     assert not np.array_equal(bare, expected)
     assert np.array_equal(bare[:-1], expected[:-1])
-    values, _ = _table_values_layered(w, 2.5)
+    values, totals, _ = _table_values_layered(w, 2.5)
     assert np.array_equal(values, expected)
+    assert np.array_equal(totals, expected_totals)
 
 
 @pytest.mark.parametrize("n, dtype", [(7, np.intp), (16, np.intp), (17, np.int32)])
@@ -276,13 +301,14 @@ def test_range_guard_boundaries_match_the_checked_kernel(n):
     high = w / w.max() * (1e12 - zbar)
     assert low.min() == 1e-12 and zbar + high.max() == 1e12
     for weights, below in ((low, 0.0), (high, zbar), (low / 10, 0.0), (high * 10, zbar)):
-        values, log_scale = _table_values_layered(weights, below)
-        expected, expected_scale = _reference_layered(weights, below)
+        values, totals, log_scale = _table_values_layered(weights, below)
+        expected, expected_totals, expected_scale = _reference_layered(weights, below)
         assert np.array_equal(values, expected)
+        assert np.array_equal(totals, expected_totals)
         assert log_scale == expected_scale
     if n == 20:
-        assert _reference_layered(low / 10, 0.0)[1] != 0.0
-        assert _reference_layered(high * 10, zbar)[1] != 0.0
+        assert _reference_layered(low / 10, 0.0)[2] != 0.0
+        assert _reference_layered(high * 10, zbar)[2] != 0.0
 
 
 def test_block_size_cap():
