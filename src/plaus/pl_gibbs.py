@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pl_likelihood import _check_block_size, _table_values
+from .pl_likelihood import _check_block_size, _table_values, _TableBuffers
 from .rankings import ClassSpace
 from .samples import PosteriorSamples
 
@@ -210,6 +210,8 @@ class GibbsSampler:
                     rows = slice(g * reps, (g + 1) * reps)
                     self._ties.append((rows, members, end - members.size, ranked_ids[:end]))
         self.ranked_counts = counts
+        # The subset tables' working arrays, one set per tied block size.
+        self._table_buffers = {m.size: _TableBuffers(m.size) for _, m, _, _ in self._ties}
         self.num_ranked = np.repeat(num_ranked, reps)  # per row
         # Per-chain constants, so that each sweep makes only the calls its
         # draws need.
@@ -311,7 +313,7 @@ class GibbsSampler:
                 # Only the block itself is ranked down to a block at the top.
                 w = lam[members]
                 zbar = float(total - (w.sum() if start == 0 else lam[above].sum()))
-                values, totals, _ = _table_values(w, zbar)
+                values, totals, _ = _table_values(w, zbar, self._table_buffers[members.size])
                 sigmas[rows, start : start + members.size] = self._draw_block_orders(
                     values, totals, members, rows.stop - rows.start
                 )

@@ -100,9 +100,23 @@ class SubsetTable:
         return float(np.log(self.values[mask])) + self.log_scale
 
 
+@lru_cache(maxsize=None)
+def _plain_layout(n: int) -> tuple:
+    """Per popcount layer of an n-class block, ascending: for each mask, the
+    mask without its lowest bit, that bit's index and the mask's
+    one-bit-removed masks in ascending bit order."""
+    layers: list[list] = [[] for _ in range(n)]
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        removed = tuple(mask ^ (1 << i) for i in range(n) if mask >> i & 1)
+        layers[mask.bit_count() - 1].append((mask, mask ^ low, low.bit_length() - 1, removed))
+    return tuple(tuple(layer) for layer in layers)
+
+
 def _table_values_small(w, zbar: float):
     # Plain-float subset walk; its per-mask Python work beats the gather
-    # kernel's per-layer numpy calls only up to about five tied classes.
+    # kernel's per-layer numpy calls up to five tied classes and about ties
+    # with them at six.
     # Proceeds a popcount layer at a time: a mask only reads one-bit-removed
     # masks, so rescaling by the layer peak keeps every read on one scale.
     n = len(w)
@@ -112,22 +126,16 @@ def _table_values_small(w, zbar: float):
     totals = [0.0] * size
     subset_sum = [0.0] * size
     log_scale = 0.0
-    by_layer: list[list[int]] = [[] for _ in range(n + 1)]
-    for mask in range(1, size):
-        by_layer[mask.bit_count()].append(mask)
-    for layer_masks in by_layer[1:]:
+    for layer in _plain_layout(n):
         peak = 0.0
-        for mask in layer_masks:
-            low = mask & -mask
-            subset_sum[mask] = subset_sum[mask ^ low] + w[low.bit_length() - 1]
+        for mask, rest, low, removed in layer:
+            mass = subset_sum[rest] + w[low]
+            subset_sum[mask] = mass
             acc = 0.0
-            rest = mask
-            while rest:
-                bit = rest & -rest
-                acc += values[mask ^ bit]
-                rest ^= bit
+            for other in removed:
+                acc += values[other]
             totals[mask] = acc
-            v = acc / (zbar + subset_sum[mask])
+            v = acc / (zbar + mass)
             values[mask] = v
             if v > peak:
                 peak = v
@@ -209,7 +217,33 @@ _UNCHECKED_MIN_WEIGHT = 1e-12
 _UNCHECKED_MAX_MASS = 1e12
 
 
-def _table_values_layered(w, zbar: float):
+class _TableBuffers:
+    """Working arrays of the layered kernel for one block size, kept from
+    call to call: the layer-order denominators, values and totals, and the
+    view of them that each doubling step and each layer reads or writes.
+
+    Making a view costs about as much as the arithmetic of a small layer,
+    and an n-class table needs 2n + 3n of them. The kernel returns fresh
+    arrays, so their owner may pass the same buffers to every call for
+    blocks of that size; they must not serve two calls at once.
+    """
+
+    def __init__(self, n: int):
+        size = 1 << n
+        self.layout = _subset_layout(n)
+        self.by_mask = np.zeros(size)
+        self.doubling = [(self.by_mask[: 1 << i], self.by_mask[1 << i : 2 << i]) for i in range(n)]
+        self.denom = np.empty(size)
+        self.values = np.empty(size)
+        self.totals = np.zeros(size)
+        self.layers = [
+            (start, stop, preds, self.totals[start:stop], self.denom[start:stop],
+             self.values[start:stop])
+            for start, stop, preds in self.layout.layers
+        ]
+
+
+def _table_values_layered(w, zbar: float, buffers: _TableBuffers | None = None):
     # Same recursion, a popcount layer at a time, on tables kept in layer
     # order: one gather of every mask's one-bit-removed values, summed in
     # ascending bit order into the layer's slice of the totals, then divided
@@ -218,35 +252,28 @@ def _table_values_layered(w, zbar: float):
     # layer is a contiguous run that numpy sums pairwise, which changes the
     # last bits; accumulate keeps that layer in order. A one-class subset's
     # only predecessor is the empty set, of value 1, so its total is 1.
-    n = len(w)
-    size = 1 << n
-    layout = _subset_layout(n)
+    space = _TableBuffers(len(w)) if buffers is None else buffers
     weights = w.tolist()
     # denom[mask] adds the weights in ascending bit order, then zbar.
-    by_mask = np.empty(size)
-    by_mask[0] = 0.0
-    for i, weight in enumerate(weights):
-        np.add(by_mask[: 1 << i], weight, out=by_mask[1 << i : 2 << i])
-    denom = by_mask.take(layout.order)
+    for (lower, upper), weight in zip(space.doubling, weights):
+        np.add(lower, weight, out=upper)
+    denom = space.by_mask.take(space.layout.order, out=space.denom)
     denom += zbar
     checked = not (
         min(weights) >= _UNCHECKED_MIN_WEIGHT and zbar + max(weights) <= _UNCHECKED_MAX_MASS
     )
 
-    values = np.empty(size)
-    values[0] = 1.0
-    totals = np.empty(size)
-    totals[0] = 0.0
+    values, totals = space.values, space.totals
+    values[0] = 1.0  # an earlier call's rescale may have moved it
     log_scale = 0.0
-    for start, stop, preds in layout.layers:
-        total = totals[start:stop]
+    for start, stop, preds, total, layer_denom, layer in space.layers:
         if start == 1:
             total.fill(1.0)
         elif stop - start > 1:
             np.add.reduce(values.take(preds), axis=0, out=total)
         else:
             total[:] = np.add.accumulate(values.take(preds[:, 0]))[-1]
-        layer = np.divide(total, denom[start:stop], out=values[start:stop])
+        np.divide(total, layer_denom, out=layer)
         if checked:
             peak = float(layer.max())
             if peak != 0.0 and not (_RESCALE_LO < peak < _RESCALE_HI):
@@ -255,10 +282,11 @@ def _table_values_layered(w, zbar: float):
                     values[:stop] /= peak
                     totals[:stop] /= peak
                 log_scale += float(np.log(peak))
-    return values.take(layout.position), totals.take(layout.position), log_scale
+    position = space.layout.position
+    return values.take(position), totals.take(position), log_scale
 
 
-def _table_values(w, zbar: float):
+def _table_values(w, zbar: float, buffers: _TableBuffers | None = None):
     """Subset values, their totals and the shared log scale of one block.
 
     Returns ``(values, totals, log_scale)``, each table indexed by bitmask
@@ -271,10 +299,14 @@ def _table_values(w, zbar: float):
     totals by the same peaks as its values, so there a total may differ from
     a walk's running sum over the rescaled values by rounding; the weights
     of the benchmark's workloads and of the report digests never rescale.
+
+    ``buffers``, if given, are the :class:`_TableBuffers` of ``len(w)``
+    that a caller building many tables of that size reuses; blocks of up to
+    five classes take the plain-float kernel and leave them unused.
     """
     if len(w) <= 5:
         return _table_values_small([float(x) for x in w], zbar)
-    return _table_values_layered(np.asarray(w, dtype=float), zbar)
+    return _table_values_layered(np.asarray(w, dtype=float), zbar, buffers)
 
 
 def subset_recursion(members, zbar: float, lam) -> SubsetTable:

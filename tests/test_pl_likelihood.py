@@ -15,6 +15,7 @@ from plaus.pl_likelihood import (
     BlockTooLargeError,
     NonPositiveWeightError,
     _subset_layout,
+    _TableBuffers,
     _table_values_layered,
     _table_values_small,
     pl_full_ranking_log_prob,
@@ -267,6 +268,21 @@ def test_layered_table_is_bit_identical_to_a_row_by_row_sum(n):
             assert np.array_equal(values, expected)
             assert np.array_equal(totals, expected_totals)
             assert log_scale == expected_scale
+
+
+def test_reused_buffers_give_the_tables_of_fresh_ones():
+    # one set of buffers serves every call of its block size, also after a
+    # call that rescaled its layers, the empty set's entry among them
+    buffers = _TableBuffers(9)
+    rng = np.random.default_rng(9)
+    for scale in (1.0, 1e-140, 1.0, 1e140, 1.0):
+        w = rng.uniform(0.1, 5.0, size=9) * scale
+        values, totals, log_scale = _table_values_layered(w, 0.0, buffers)
+        expected, expected_totals, expected_scale = _table_values_layered(w, 0.0)
+        assert np.array_equal(values, expected)
+        assert np.array_equal(totals, expected_totals)
+        assert log_scale == expected_scale
+        assert (log_scale != 0.0) == (scale != 1.0)
 
 
 def test_a_bare_sum_on_the_full_mask_layer_changes_the_table():
