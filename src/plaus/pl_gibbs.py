@@ -310,7 +310,7 @@ class GibbsSampler:
             total = lam.sum()
             for rows, members, start, above in self._ties:
                 # Copies share the partition, hence each block's zbar and table.
-                # Only the block itself is ranked down to a block at the top.
+                # Down to a block at the top, only its own members are ranked.
                 w = lam[members]
                 zbar = float(total - (w.sum() if start == 0 else lam[above].sum()))
                 values, totals, _ = _table_values(w, zbar, self._table_buffers[members.size])
