@@ -25,18 +25,23 @@ so, at a given lambda, every tied block's zbar: each sweep builds one subset
 table per tied block of an annotation and draws all of its copies' orderings
 from it.
 
-A chain with no tied block draws its random stream ahead, in chunks of
-sweeps. Every draw of its sweep is a standard Gamma of a shape fixed for the
-chain: 1 for the race keys and the interarrival times, which numpy draws as
-the same ziggurat exponentials that ``standard_exponential`` draws, and
-alpha plus the ranked count for each weight. numpy fills an array
-``standard_gamma`` call one entry after another, so one call over that
-pattern, stacked for a chunk of sweeps, draws bit for bit the stream of the
-per-sweep calls and leaves the generator in the same state. A tied chain
-draws sweep by sweep, since its block walk's uniforms come between the race
-keys and the arrival times; so does a chain of more than
-``_CHUNK_MAX_SWEEP_DRAWS`` draws a sweep, where numpy's slower per-entry
-Gamma fill outweighs the calls saved.
+The conditionals draw nothing themselves: each is a function of the chain
+state and the draws it is given, and ``GibbsSampler._sweep_draws`` is the
+one reader of the generator after the initial weights. A sweep's draws are,
+in stream order, the race keys, every tied block's walk uniforms, the
+interarrival times and the weights' standard Gammas. A chain with no tied
+block draws them ahead, in chunks of sweeps. Every draw of its sweep is a
+standard Gamma of a shape fixed for the chain: 1 for the race keys and the
+interarrival times, which numpy draws as the same ziggurat exponentials that
+``standard_exponential`` draws, and alpha plus the ranked count for each
+weight. numpy fills an array ``standard_gamma`` call one entry after another,
+so one call over that pattern, stacked for a chunk of sweeps, draws bit for
+bit the stream of the per-sweep calls and leaves the generator in the same
+state. A tied chain draws sweep by sweep, in four calls, since its walk
+uniforms are not Gammas; numpy fills ``random`` one entry after another too,
+so one call for all of its blocks draws what one call per block would. So
+does a chain of more than ``_CHUNK_MAX_SWEEP_DRAWS`` draws a sweep, in
+three, where numpy's slower per-entry Gamma fill outweighs the calls saved.
 
 Weights stay unnormalized inside the chain; emitted samples are projected
 onto the simplex. With no annotations the chain reproduces the prior, whose
@@ -63,14 +68,6 @@ __all__ = [
 
 # Reliability settings swept by default, loosest to tightest.
 DEFAULT_REPETITION_GRID = (1, 2, 3, 5, 10)
-
-# Largest class count whose weight update draws one scalar Gamma per class.
-# An array standard_gamma call costs about 8 us at any K up to 16, and K
-# scalar calls about 1 + 1.1 K us, so they break even near K = 8 (2-vCPU
-# x86 box, numpy 2.4; timings in CHANGES.md). Only tied chains, chains above
-# _CHUNK_MAX_SWEEP_DRAWS and standalone sample_lambda calls draw this way;
-# other chains take the weights' draws from their chunked stream.
-_SCALAR_GAMMA_MAX_K = 8
 
 # Largest count of draws a sweep, (2 num_rows + 1) K, at which an untied
 # chain draws its stream in chunks. numpy fills an array standard_gamma
@@ -133,6 +130,55 @@ class GibbsState:
     lam: np.ndarray
     sigmas: np.ndarray
     taus: np.ndarray
+
+
+def _block_orders(
+    values: np.ndarray, totals: np.ndarray, members: np.ndarray, uniforms: np.ndarray
+):
+    """Order one tied block once per row of ``uniforms`` from its subset table.
+
+    At each step the next class s is drawn with probability proportional
+    to the subset value of the remaining set minus s, by the inverse
+    transform over the candidates in ascending bit order: the first whose
+    running sum exceeds ``u`` times their total is picked, and the last
+    when none does (``u`` times the total may round up to it). A row of the
+    (copies, n - 1) ``uniforms`` holds one copy's ``u``s. The total of the
+    remaining set is read from ``totals``, where the table kept the sum of
+    these same values in this same order, so a step does not add every
+    candidate up first: with j candidates left it reads the total, then
+    values only until its pick, (j + 3)/2 entries on average for an even
+    pick against the j of a full sum. Over a whole path that is
+    n^2/4 + 7n/4 - 2 of the n(n + 1)/2 - 1 entries: 0.70 of them at n = 11
+    and 0.80 at n = 8 on the benchmark's tied chains, and no fewer at n = 4.
+    A copy keeps its remaining bits as an ascending list and removes each
+    pick from it. Entries are read one ``.item`` each: a ``tolist()`` of all
+    2^n of them costs more at wide ties. Returns (copies, n) class ids.
+    """
+    n = members.size
+    read = values.item
+    total = totals.item
+    singles = [1 << i for i in range(n)]
+    ids = members.tolist()
+    orders = []
+    for draws in uniforms.tolist():
+        mask = (1 << n) - 1
+        bits = singles.copy()
+        order = []
+        for u in draws:
+            target = u * total(mask)
+            acc = 0.0
+            for bit in bits:
+                acc += read(mask ^ bit)
+                if acc > target:
+                    break
+            # Past the last candidate without a pick, the loop leaves ``bit``
+            # on it.
+            bits.remove(bit)
+            mask ^= bit
+            order.append(ids[bit.bit_length() - 1])
+        order.append(ids[mask.bit_length() - 1])
+        orders.append(order)
+    return np.array(orders)
 
 
 class GibbsSampler:
@@ -216,7 +262,6 @@ class GibbsSampler:
         # Per-chain constants, so that each sweep makes only the calls its
         # draws need.
         self._shape = self.config.alpha + counts
-        self._shape_list = self._shape.tolist()
         self._head_keys = np.repeat(head, reps, axis=0)
         self._fixed = ~np.repeat(free, reps, axis=0)
         self._row_col = np.arange(self.num_rows)[:, None]
@@ -239,96 +284,47 @@ class GibbsSampler:
 
     # -- conditional 1: orderings ------------------------------------------
 
-    def _draw_block_orders(
-        self, values: np.ndarray, totals: np.ndarray, members: np.ndarray, copies: int
-    ):
-        """Order one tied block ``copies`` times from its shared subset table.
-
-        At each step the next class s is drawn with probability proportional
-        to the subset value of the remaining set minus s, by the inverse
-        transform over the candidates in ascending bit order: the first whose
-        running sum exceeds ``u`` times their total is picked, and the last
-        when none does (``u`` times the total may round up to it). One
-        ``rng.random((copies, n - 1))`` call supplies every ``u``. The total
-        of the remaining set is read from ``totals``, where the table kept the
-        sum of these same values in this same order, so a step does not add
-        every candidate up first: with j candidates left it reads the total,
-        then values only until its pick, (j + 3)/2 entries on average for an
-        even pick against the j of a full sum. Over a whole path that is
-        n^2/4 + 7n/4 - 2 of the n(n + 1)/2 - 1 entries: 0.70 of them at
-        n = 11 and 0.80 at n = 8 on the benchmark's tied chains, and no fewer
-        at n = 4. A copy keeps its remaining bits as an ascending list and
-        removes each pick from it. Entries are read one ``.item`` each: a
-        ``tolist()`` of all 2^n of them costs more at wide ties. Returns
-        (copies, n) class ids.
-        """
-        n = members.size
-        read = values.item
-        total = totals.item
-        singles = [1 << i for i in range(n)]
-        ids = members.tolist()
-        orders = []
-        for draws in self.rng.random((copies, n - 1)).tolist():
-            mask = (1 << n) - 1
-            bits = singles.copy()
-            order = []
-            for u in draws:
-                target = u * total(mask)
-                acc = 0.0
-                for bit in bits:
-                    acc += read(mask ^ bit)
-                    if acc > target:
-                        break
-                # Past the last candidate without a pick, the loop leaves
-                # ``bit`` on it.
-                bits.remove(bit)
-                mask ^= bit
-                order.append(ids[bit.bit_length() - 1])
-            order.append(ids[mask.bit_length() - 1])
-            orders.append(order)
-        return np.array(orders)
-
-    def sample_sigma(self, draws: np.ndarray | None = None) -> None:
+    def sample_sigma(self, keys: np.ndarray, uniforms: np.ndarray | None) -> None:
         """Redraw every annotation's compatible full ordering given lam.
 
-        ``draws``, if given, are the race's (num_rows, K) standard
-        exponentials, used in place of drawing them.
+        ``keys`` are the race's (num_rows, K) standard exponentials and
+        ``uniforms`` the tied blocks' walk uniforms, each block's
+        (copies, n - 1) in turn, flattened; None without a tied block.
         """
         if not self.num_rows:
             return
         lam = self.state.lam
         # Ordering what trails is the model itself: run the race for every
         # copy at once.
-        if draws is None:
-            keys = self.rng.standard_exponential(self._fixed.shape)
-            keys /= lam
-        else:
-            keys = draws / lam
+        keys = keys / lam
         np.copyto(keys, self._head_keys, where=self._fixed)
         sigmas = keys.argsort(1)
         if self._ties:
             total = lam.sum()
+            end = 0
             for rows, members, start, above in self._ties:
                 # Copies share the partition, hence each block's zbar and table.
                 # Down to a block at the top, only its own members are ranked.
                 w = lam[members]
                 zbar = float(total - (w.sum() if start == 0 else lam[above].sum()))
                 values, totals, _ = _table_values(w, zbar, self._table_buffers[members.size])
-                sigmas[rows, start : start + members.size] = self._draw_block_orders(
-                    values, totals, members, rows.stop - rows.start
+                copies, steps = rows.stop - rows.start, members.size - 1
+                begin, end = end, end + copies * steps
+                sigmas[rows, start : start + members.size] = _block_orders(
+                    values, totals, members, uniforms[begin:end].reshape(copies, steps)
                 )
         self.state.sigmas = sigmas
 
     # -- conditional 2: arrival times --------------------------------------
 
-    def sample_tau(self, draws: np.ndarray | None = None) -> None:
+    def sample_tau(self, draws: np.ndarray) -> None:
         """Redraw arrival times given lam and the current orderings.
 
         The interarrival time into position k is exponential with rate equal
         to the total weight of everything not yet ranked, so the first
         arrival has rate sum(lam) and arrivals are strictly increasing.
-        ``draws``, if given, are the (num_rows, K) standard exponentials of
-        the interarrival times, used in place of drawing them.
+        ``draws`` are the interarrival times' (num_rows, K) standard
+        exponentials.
         """
         if len(self.state.sigmas) != self.num_rows:
             raise RuntimeError("orderings not sampled yet; call sample_sigma first")
@@ -338,11 +334,7 @@ class GibbsSampler:
         # Rates summed from the last position back, in place.
         rates = self.state.lam[sigmas]
         np.add.accumulate(rates[:, ::-1], axis=1, out=rates[:, ::-1])
-        if draws is None:
-            arrivals = self.rng.standard_exponential(sigmas.shape)
-            arrivals /= rates
-        else:
-            arrivals = draws / rates
+        arrivals = draws / rates
         taus = np.empty(sigmas.shape)
         taus[self._row_col, sigmas] = np.add.accumulate(arrivals, axis=1, out=arrivals)
         self.state.taus = taus
@@ -370,63 +362,59 @@ class GibbsSampler:
         rate = self.config.beta + np.add.reduce(np.minimum(taus, horizon[:, None]), axis=0)
         return self._shape, rate
 
-    def sample_lambda(self, draws: np.ndarray | None = None) -> None:
+    def sample_lambda(self, draws: np.ndarray) -> None:
         """Redraw every weight from its Gamma full conditional.
 
-        ``draws``, if given, are (K,) standard Gammas of the conditional's
-        shapes, used in place of drawing them.
+        ``draws`` are (K,) standard Gammas of the conditional's shapes.
         """
         if self.num_rows and len(self.state.taus) != self.num_rows:
             raise RuntimeError("arrival times not sampled yet; call sample_tau first")
-        shape, rate = self._posterior_gamma_params()
-        # Same draws as rng.gamma(shape, 1 / rate), without its broadcasting.
-        # numpy fills the array call one scalar draw at a time, in order, so
-        # below the crossover K scalar calls give the same stream for less.
-        if draws is not None:
-            gammas = draws
-        elif self.num_classes <= _SCALAR_GAMMA_MAX_K:
-            draw = self.rng.standard_gamma
-            gammas = np.array([draw(a) for a in self._shape_list])
-        else:
-            gammas = self.rng.standard_gamma(shape)
-        self.state.lam = gammas * (1.0 / rate)
+        _, rate = self._posterior_gamma_params()
+        # What rng.gamma(shape, 1 / rate) draws, without its broadcasting.
+        self.state.lam = draws * (1.0 / rate)
 
     # -- driver -------------------------------------------------------------
 
     def _sweep_draws(self, sweeps: int):
-        """Yield each sweep's draws as one (2 num_rows + 1, K) array: the
-        race keys, the interarrival times, then the weights' standard Gammas.
+        """Yield each sweep's draws, in stream order: the (num_rows, K) race
+        keys, the walk uniforms that ``sample_sigma`` takes, the
+        (num_rows, K) interarrival times and the weights' (K,) standard
+        Gammas.
 
-        They come from one ``standard_gamma`` call per chunk of sweeps, which
-        draws the stream of the per-sweep calls (see the module docstring).
+        An untied chain of at most ``_CHUNK_MAX_SWEEP_DRAWS`` draws a sweep
+        takes them from one ``standard_gamma`` call per chunk of sweeps,
+        other chains from one call per kind a sweep; both draw the stream of
+        the per-sweep calls (see the module docstring).
         """
+        rng = self.rng
         k = self.num_classes
         a = self.num_rows
+        if self._ties or (2 * a + 1) * k > _CHUNK_MAX_SWEEP_DRAWS:
+            # n - 1 uniforms for each copy of an n-way tie.
+            walk = sum((rows.stop - rows.start) * (m.size - 1) for rows, m, _, _ in self._ties)
+            for _ in range(sweeps):
+                keys = rng.standard_exponential((a, k))
+                uniforms = rng.random(walk) if walk else None
+                arrivals = rng.standard_exponential((a, k))
+                yield keys, uniforms, arrivals, rng.standard_gamma(self._shape)
+            return
         per_chunk = max(1, _CHUNK_DRAWS // ((2 * a + 1) * k))
         pattern = np.ones((min(per_chunk, sweeps), 2 * a + 1, k))
         pattern[:, -1] = self._shape
         for start in range(0, sweeps, per_chunk):
-            yield from self.rng.standard_gamma(pattern[: sweeps - start])
+            for draws in rng.standard_gamma(pattern[: sweeps - start]):
+                yield draws[:a], None, draws[a:-1], draws[-1]
 
     def run(self) -> PosteriorSamples:
         """Sweep the chain and emit retained, normalized samples."""
         cfg = self.config
         kept = np.empty((cfg.num_retained, self.num_classes))
         row = 0
-        a = self.num_rows
-        if self._ties or (2 * a + 1) * self.num_classes > _CHUNK_MAX_SWEEP_DRAWS:
-            sweeps = [None] * cfg.iterations
-        else:
-            sweeps = self._sweep_draws(cfg.iterations)
-        for t, draws in enumerate(sweeps, 1):
-            if draws is None:
-                self.sample_sigma()
-                self.sample_tau()
-                self.sample_lambda()
-            else:
-                self.sample_sigma(draws[:a])
-                self.sample_tau(draws[a:-1])
-                self.sample_lambda(draws[-1])
+        sweeps = self._sweep_draws(cfg.iterations)
+        for t, (keys, uniforms, arrivals, gammas) in enumerate(sweeps, 1):
+            self.sample_sigma(keys, uniforms)
+            self.sample_tau(arrivals)
+            self.sample_lambda(gammas)
             if t > cfg.burn_in and (t - cfg.burn_in - 1) % cfg.thinning == 0:
                 kept[row] = self.state.lam
                 row += 1

@@ -375,13 +375,15 @@ def pl_partial_ranking_log_prob(lam, ranking: PartialRanking) -> float:
     parts = ranking.partition()
     if len(parts) <= 1:
         return 0.0
+    # Each block's zbar adds up the later blocks' weights, from the last one
+    # back: subtracting from the total could leave a tiny mass below zero.
     total = 0.0
-    later_mass = float(lam.sum())
-    for block in parts[:-1]:
+    later_mass = float(lam[list(parts[-1])].sum())
+    for block in reversed(parts[:-1]):
         members = sorted(block)
-        later_mass -= float(lam[members].sum())
         table = subset_recursion(members, later_mass, lam)
         total += float(np.sum(np.log(lam[members]))) + table.log_value(table.full_mask)
+        later_mass += float(lam[members].sum())
     return total
 
 

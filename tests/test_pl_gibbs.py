@@ -74,12 +74,13 @@ def test_weight_update_matches_a_per_annotation_loop():
     # the rate sum over all copies at once equals the loop over annotations,
     # an annotation that ranked nothing contributing zero
     sampler = make_sampler([[[2], [0, 1]], [], [[3]]], k=4, repetitions=3, seed=4)
-    for _ in range(5):
-        sampler.sample_sigma()
-        sampler.sample_tau()
-        sampler.sample_lambda()
-    sampler.sample_sigma()
-    sampler.sample_tau()
+    for keys, uniforms, arrivals, gammas in sampler._sweep_draws(5):
+        sampler.sample_sigma(keys, uniforms)
+        sampler.sample_tau(arrivals)
+        sampler.sample_lambda(gammas)
+    keys, uniforms, arrivals, _ = next(sampler._sweep_draws(1))
+    sampler.sample_sigma(keys, uniforms)
+    sampler.sample_tau(arrivals)
     _, rate = sampler._posterior_gamma_params()
     expected = np.full(4, 1.0)
     assert sampler.num_ranked.tolist() == [3, 3, 3, 0, 0, 0, 1, 1, 1]
@@ -92,8 +93,9 @@ def test_weight_update_matches_a_per_annotation_loop():
 def test_shapes_untouched_for_never_ranked_classes():
     sampler = make_sampler([[[0]]], k=3, alpha=2.0, seed=0)
     assert_allclose(sampler.ranked_counts, [1.0, 0.0, 0.0])
-    sampler.sample_sigma()
-    sampler.sample_tau()
+    keys, uniforms, arrivals, _ = next(sampler._sweep_draws(1))
+    sampler.sample_sigma(keys, uniforms)
+    sampler.sample_tau(arrivals)
     shape, _ = sampler._posterior_gamma_params()
     assert_allclose(shape, [3.0, 2.0, 2.0])
 
@@ -107,15 +109,14 @@ def test_repetitions_duplicate_annotations():
 
 def test_arrivals_increase_along_the_ordering():
     sampler = make_sampler([[[2], [0, 1]]], k=4, seed=5)
-    for _ in range(25):
-        sampler.sample_sigma()
-        sampler.sample_tau()
+    for keys, uniforms, arrivals, gammas in sampler._sweep_draws(25):
+        sampler.sample_sigma(keys, uniforms)
+        sampler.sample_tau(arrivals)
         (sigma,) = sampler.state.sigmas
         (tau,) = sampler.state.taus
-        arrivals = tau[sigma]
-        assert np.all(np.diff(arrivals) > 0)
+        assert np.all(np.diff(tau[sigma]) > 0)
         assert sigma[0] == 2  # the ranked top stays on top
-        sampler.sample_lambda()
+        sampler.sample_lambda(gammas)
 
 
 def test_first_arrival_rate_is_total_mass():
@@ -123,9 +124,9 @@ def test_first_arrival_rate_is_total_mass():
     lam = np.array([1.5, 2.5])
     sampler.state.lam = lam
     firsts = []
-    for _ in range(4000):
-        sampler.sample_sigma()
-        sampler.sample_tau()
+    for keys, uniforms, arrivals, _ in sampler._sweep_draws(4000):
+        sampler.sample_sigma(keys, uniforms)
+        sampler.sample_tau(arrivals)
         firsts.append(min(sampler.state.taus[0]))
     target = 1.0 / lam.sum()
     se = target / np.sqrt(len(firsts))  # exponential: sd equals the mean
@@ -140,8 +141,8 @@ def test_block_order_conditional_frequencies():
     p_first = (1 / (0.5 + 2.0)) / (1 / (0.5 + 2.0) + 1 / (0.5 + 1.0))
     hits = 0
     n = 4000
-    for _ in range(n):
-        sampler.sample_sigma()
+    for keys, uniforms, _, _ in sampler._sweep_draws(n):
+        sampler.sample_sigma(keys, uniforms)
         hits += sampler.state.sigmas[0][0] == 0
     se = np.sqrt(p_first * (1 - p_first) / n)
     assert abs(hits / n - p_first) < 4 * se
@@ -153,7 +154,8 @@ def test_copies_draw_their_block_orders_independently():
     lam = np.array([1.0, 2.0, 0.5])
     sampler.state.lam = lam
     p_first = (1 / (0.5 + 2.0)) / (1 / (0.5 + 2.0) + 1 / (0.5 + 1.0))
-    sampler.sample_sigma()
+    keys, uniforms, _, _ = next(sampler._sweep_draws(1))
+    sampler.sample_sigma(keys, uniforms)
     firsts = sampler.state.sigmas[:, 0]
     n = firsts.size
     assert n == 400
@@ -174,7 +176,8 @@ def test_copies_order_a_large_tie_by_its_exact_first_pick_probabilities():
     probs = np.prod(w / (zbar + w[:, ::-1].cumsum(1)[:, ::-1]), axis=1)
     probs /= probs.sum()
     p_first = np.bincount(orders[:, 0], weights=probs, minlength=8)
-    sampler.sample_sigma()
+    keys, uniforms, _, _ = next(sampler._sweep_draws(1))
+    sampler.sample_sigma(keys, uniforms)
     sigmas = sampler.state.sigmas
     assert sigmas.shape == (2000, k)
     assert (np.sort(sigmas[:, :8], axis=1) == members).all()
@@ -183,14 +186,14 @@ def test_copies_order_a_large_tie_by_its_exact_first_pick_probabilities():
     assert (np.abs(freq - p_first) < 4 * se).all()
 
 
-def _reference_block_orders(rng, values, members, copies):
+def _reference_block_orders(uniforms, values, members):
     # the walk over a tolist() of every entry, rescanning the remaining bits
     # from all n singles at each step: the sampler must pick as it does
     n = members.size
     values = values.tolist()
     singles = [1 << i for i in range(n)]
     picks = []
-    for draws in rng.random((copies, n - 1)).tolist():
+    for draws in uniforms.tolist():
         mask = (1 << n) - 1
         for u in draws:
             bits = [bit for bit in singles if mask & bit]
@@ -199,7 +202,7 @@ def _reference_block_orders(rng, values, members, copies):
             picks.append(bit.bit_length() - 1)
             mask ^= bit
         picks.append(mask.bit_length() - 1)
-    return members[np.reshape(picks, (copies, n))]
+    return members[np.reshape(picks, (len(uniforms), n))]
 
 
 def _in_order_totals(values):
@@ -217,7 +220,6 @@ def _in_order_totals(values):
 @pytest.mark.parametrize("n", range(2, 14))
 def test_block_walk_matches_the_reference_walk(n):
     # n <= 5 takes the plain-float table, wider blocks the layered one
-    sampler = make_sampler([[[0, 1]]], k=3)
     rng = np.random.default_rng(n)
     members = rng.permutation(n + 3)[:n]
     w = rng.uniform(0.1, 5.0, size=n)
@@ -225,21 +227,9 @@ def test_block_walk_matches_the_reference_walk(n):
         values, totals, _ = _table_values(w, zbar)
         for copies in (1, 3, 21):
             for seed in range(3):
-                sampler.rng = np.random.default_rng(seed)
-                got = sampler._draw_block_orders(values, totals, members, copies)
-                ref = np.random.default_rng(seed)
-                assert_array_equal(got, _reference_block_orders(ref, values, members, copies))
-                assert sampler.rng.bit_generator.state == ref.bit_generator.state
-
-
-class _FixedDraws:
-    """Stands in for a Generator whose every uniform is ``u``."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self, shape):
-        return np.full(shape, self.u)
+                uniforms = np.random.default_rng(seed).random((copies, n - 1))
+                got = pl_gibbs._block_orders(values, totals, members, uniforms)
+                assert_array_equal(got, _reference_block_orders(uniforms, values, members))
 
 
 def test_block_walk_takes_the_last_bit_when_the_draw_rounds_up():
@@ -249,20 +239,18 @@ def test_block_walk_takes_the_last_bit_when_the_draw_rounds_up():
     values = np.full(1 << 5, 5e-324)
     assert top * (3 * 5e-324) == 3 * 5e-324
     members = np.array([7, 3, 9, 1, 4])
-    sampler = make_sampler([[[0, 1]]], k=3)
-    sampler.rng = _FixedDraws(top)
-    got = sampler._draw_block_orders(values, _in_order_totals(values), members, 2)
+    uniforms = np.full((2, 4), top)
+    got = pl_gibbs._block_orders(values, _in_order_totals(values), members, uniforms)
     assert_array_equal(got, [members[::-1]] * 2)
-    assert_array_equal(got, _reference_block_orders(_FixedDraws(top), values, members, 2))
+    assert_array_equal(got, _reference_block_orders(uniforms, values, members))
 
 
 def test_block_walk_moves_a_draw_on_a_boundary_to_the_next_class():
     # equal entries put 0.5 * total exactly on the first cumulative value;
     # the draw lies in [cum[0], cum[1]), so the second class goes first
-    sampler = make_sampler([[[0, 1]]], k=3)
-    sampler.rng = _FixedDraws(0.5)
     values = np.ones(4)
-    got = sampler._draw_block_orders(values, _in_order_totals(values), np.array([5, 6]), 1)
+    uniforms = np.full((1, 1), 0.5)
+    got = pl_gibbs._block_orders(values, _in_order_totals(values), np.array([5, 6]), uniforms)
     assert_array_equal(got, [[6, 5]])
 
 
@@ -278,12 +266,13 @@ def test_oversized_ties_are_refused_at_construction():
 
 def test_tau_requires_sigma_first():
     sampler = make_sampler([[[0]]], k=2, seed=0)
+    keys, uniforms, arrivals, gammas = next(sampler._sweep_draws(1))
     with pytest.raises(RuntimeError):
-        sampler.sample_tau()
-    sampler.sample_sigma()
-    sampler.sample_tau()
+        sampler.sample_tau(arrivals)
+    sampler.sample_sigma(keys, uniforms)
+    sampler.sample_tau(arrivals)
     with pytest.raises(RuntimeError):
-        make_sampler([[[0]]], k=2, seed=0).sample_lambda()
+        make_sampler([[[0]]], k=2, seed=0).sample_lambda(gammas)
 
 
 def test_prior_recovery_without_annotations():
@@ -362,8 +351,9 @@ class _ReferenceSampler(GibbsSampler):
         total = lam.sum()
         for rows, members, start, above in self._ties:
             values, _, _ = _table_values(lam[members], float(total - lam[above].sum()))
+            uniforms = self.rng.random((rows.stop - rows.start, members.size - 1))
             sigmas[rows, start : start + members.size] = _reference_block_orders(
-                self.rng, values, members, rows.stop - rows.start
+                uniforms, values, members
             )
         self.state.sigmas = sigmas
 
@@ -450,7 +440,7 @@ def _assert_runs_as_the_reference(rankings, cfg, space):
 
 @pytest.mark.parametrize("case", range(30))
 def test_sampler_draws_as_the_reference_conditionals(case, monkeypatch):
-    # K runs over 2..12, on both sides of the scalar-gamma crossover
+    # K runs over 2..12
     rng = np.random.default_rng(1000 + case)
     k = 2 + (7 * case) % 11
     rankings, space = _panel(case, rng, k)
@@ -464,12 +454,17 @@ def test_sampler_draws_as_the_reference_conditionals(case, monkeypatch):
     )
     got = GibbsSampler(rankings, cfg, class_space=space)
     ref = _ReferenceSampler(rankings, cfg, class_space=space)
-    for _ in range(4):
-        for name in ("sample_sigma", "sample_tau", "sample_lambda"):
-            getattr(got, name)()
+    for keys, uniforms, arrivals, gammas in got._sweep_draws(4):
+        for name, draws in (
+            ("sample_sigma", (keys, uniforms)),
+            ("sample_tau", (arrivals,)),
+            ("sample_lambda", (gammas,)),
+        ):
+            getattr(got, name)(*draws)
             getattr(ref, name)()
             for field in ("lam", "sigmas", "taus"):
                 assert np.array_equal(getattr(got.state, field), getattr(ref.state, field))
+    assert got.rng.bit_generator.state == ref.rng.bit_generator.state
     assert np.array_equal(
         gibbs_run(rankings, cfg, class_space=space).samples,
         _ReferenceSampler(rankings, cfg, class_space=space).run(),
@@ -485,28 +480,40 @@ def _untied(k, annotations):
     return [PartialRanking([[i % k], [(i + 1) % k]], space) for i in range(annotations)], space
 
 
-# (rankings, space, whether run() draws the chain's stream in chunks)
+# (rankings, space, draw calls a sweep, or None where run() draws the
+# chain's stream in chunks)
 _CHAINS = {
-    "untied-K4": (*_untied(4, 2), True),
-    "untied-K12": (*_untied(12, 3), True),
+    "untied-K4": (*_untied(4, 2), None),
+    "untied-K12": (*_untied(12, 3), None),
     "ranked-nothing": (
         [PartialRanking([[3], [1]], ClassSpace(size=10)), PartialRanking([], ClassSpace(size=10))],
         ClassSpace(size=10),
-        True,
+        None,
     ),
-    "no-annotations": ([], ClassSpace(size=9), True),
+    "no-annotations": ([], ClassSpace(size=9), None),
+    # Race keys, every tied walk's uniforms, arrivals, Gammas.
     "tied": (
         [PartialRanking([[0, 2], [1]], ClassSpace(size=5)), PartialRanking([[4]], ClassSpace(size=5))],
         ClassSpace(size=5),
-        False,
+        4,
     ),
     "ends-tied": (
         [PartialRanking([[1], [0, 2]], ClassSpace(size=5)), PartialRanking([[4]], ClassSpace(size=5))],
         ClassSpace(size=5),
-        False,
+        4,
     ),
-    # 6 annotations x 10 repetitions: (2 * 60 + 1) * 12 = 1452 draws a sweep.
-    "above-threshold": (*_untied(12, 6), False),
+    # Three ties over two annotations share the sweep's one uniform call.
+    "tied-thrice": (
+        [
+            PartialRanking([[0, 2], [1], [3, 4], [5]], ClassSpace(size=10)),
+            PartialRanking([[5, 1, 3], [0]], ClassSpace(size=10)),
+        ],
+        ClassSpace(size=10),
+        4,
+    ),
+    # 6 annotations x 10 repetitions: (2 * 60 + 1) * 12 = 1452 draws a sweep,
+    # with no uniform call.
+    "above-threshold": (*_untied(12, 6), 3),
 }
 
 
@@ -514,7 +521,7 @@ _CHAINS = {
 @pytest.mark.parametrize("thinning", [1, 2])
 @pytest.mark.parametrize("chain", sorted(_CHAINS))
 def test_run_draws_as_the_reference_loop(chain, thinning, chunk_sweeps, monkeypatch):
-    rankings, space, chunked = _CHAINS[chain]
+    rankings, space, sweep_calls = _CHAINS[chain]
     reps_grid = (10,) if chain == "above-threshold" else DEFAULT_REPETITION_GRID
     for reps in reps_grid:
         sweep_draws = (2 * len(rankings) * reps + 1) * space.size
@@ -524,11 +531,11 @@ def test_run_draws_as_the_reference_loop(chain, thinning, chunk_sweeps, monkeypa
             alpha=0.7, iterations=13, burn_in=3, thinning=thinning, repetitions=reps, seed=reps
         )
         calls = _assert_runs_as_the_reference(rankings, cfg, space)
-        if chunked:
+        if sweep_calls is None:
             per_chunk = max(1, pl_gibbs._CHUNK_DRAWS // sweep_draws)
             assert calls == -(-cfg.iterations // per_chunk)
         else:
-            assert calls > cfg.iterations
+            assert calls == sweep_calls * cfg.iterations
 
 
 @pytest.mark.parametrize("chain", sorted(_CHAINS))
@@ -541,14 +548,14 @@ def test_horizon_reads_a_fixed_cell_only_where_every_row_ends_on_one_class(chain
     fixed = chain not in ("ranked-nothing", "ends-tied")
     assert (sampler._horizon_flat is not None) == fixed
     if fixed:
-        for _ in range(3):
-            sampler.sample_sigma()
-            sampler.sample_tau()
+        for keys, uniforms, arrivals, gammas in sampler._sweep_draws(3):
+            sampler.sample_sigma(keys, uniforms)
+            sampler.sample_tau(arrivals)
             rows = np.arange(sampler.num_rows)
             last = sampler.state.sigmas[rows, sampler.num_ranked - 1]
             taus = sampler.state.taus
             assert_array_equal(taus.take(sampler._horizon_flat), taus[rows, last])
-            sampler.sample_lambda()
+            sampler.sample_lambda(gammas)
 
 
 @pytest.mark.parametrize("seed", range(8))

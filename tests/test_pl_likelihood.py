@@ -85,6 +85,19 @@ def test_recursion_matches_enumeration(case):
     assert_allclose(dp, brute_force_partial_prob(lam, ranking), atol=1e-10)
 
 
+def test_a_tiny_unranked_mass_keeps_every_zbar_non_negative():
+    # taking the blocks' masses off the total one after another leaves the
+    # unranked 2.6e-28 as a rounding error below zero
+    lam = [0.13117623367200737, 0.05914475088811405, 0.684952666426423, 2.5817106281586813e-28]
+    ranking = PartialRanking([[0], [1, 2]], ClassSpace(size=4))
+    assert_allclose(brute_force_partial_prob(lam, ranking), 0.14986882505163412, rtol=1e-14)
+    assert_allclose(
+        math.exp(pl_partial_ranking_log_prob(lam, ranking)),
+        brute_force_partial_prob(lam, ranking),
+        rtol=1e-12,
+    )
+
+
 @given(
     weighted_rankings(max_classes=6, max_block=3),
     st.floats(1e-6, 1e6, allow_nan=False, allow_infinity=False),
