@@ -5,9 +5,10 @@ Sampling plausibilities from ranked annotations
 The sampler treats each annotation as the outcome of an exponential race:
 every class arrives at a rate given by its latent weight, and the
 annotator reports arrival order, coarsened into blocks. Alternating three
-conditional draws (full orderings within blocks, arrival times, then
-conjugate weight updates) yields posterior samples of the plausibility
-vector. Annotation certainty is read straight off those samples.
+conditional draws (orderings within tied blocks, arrival times at the
+ranked positions, then conjugate weight updates) yields posterior samples
+of the plausibility vector. Annotation certainty is read straight off
+those samples.
 """
 
 import numpy as np

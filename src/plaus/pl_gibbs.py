@@ -1,47 +1,52 @@
 """Gibbs sampler for the posterior over ranking-model weights.
 
-Generative story per annotator: every class k gets an independent arrival
-time tau_k ~ Exp(lambda_k); sorting the arrivals yields a full ordering, and
-the observed partial ranking is that ordering with positions grouped into
-the annotator's blocks. With independent Gamma(alpha, beta) priors on the
-weights, all three conditionals are exact:
+Generative story per annotator: the model picks classes one position at a
+time, each with probability proportional to its weight among those not yet
+ranked, and the observed partial ranking groups those positions into the
+annotator's blocks. After Caron and Doucet (2012), every ranked position j
+carries an exponential latent of rate Z_j, the weight not yet ranked there
+(1 / Z_j is the integral of exp(-Z_j t) over t > 0). Running sums of the
+latents are arrival times, and a copy's last arrival is its horizon. With
+independent Gamma(alpha, beta) priors on the weights, all three
+conditionals are exact:
 
-  * the ordering within each block, given the weights, via the block's
-    subset table (a trellis walk);
+  * the ordering within each tied block, given the weights, via the block's
+    subset table (a trellis walk); an untied block has one ordering;
   * the arrival times, given weights and orderings, via interarrival
-    exponentials whose rate at position k is the weight still unranked;
+    exponentials of rate Z_j;
   * each weight, given the arrival times, via a Gamma whose shape counts
-    the class's appearances in non-trailing blocks and whose rate adds up
-    arrival times. A class an annotator never ranked is only known not to
-    have arrived before that annotator's last ranked class, so its arrival
-    contributes censored at that time and its shape is untouched.
+    the class's appearances in non-trailing blocks and whose rate adds, for
+    every copy, the arrival time of the class's position, or the horizon
+    where the copy left the class unranked (zero if it ranked nothing).
+    This is the race of Exp(weight) arrivals of every class with the
+    unranked classes' arrivals integrated out: the latents live at ranked
+    positions only.
 
 Reliability is an integer repetition count: each annotation is entered that
 many times with its own latent ordering and arrival times, which sharpens
 the likelihood exactly like observing the annotator repeatedly. The chain
-state is one row per copy, and each conditional updates every row with a
-fixed number of array calls. Copies share their annotation's partition and
-so, at a given lambda, every tied block's zbar: each sweep builds one subset
-table per tied block of an annotation and draws all of its copies' orderings
-from it.
+state is one row per copy over the ranked positions, and each conditional
+updates every row with a fixed number of array calls. Copies share their
+annotation's partition and so, at a given lambda, every tied block's zbar:
+each sweep builds one subset table per tied block of an annotation and
+draws all of its copies' orderings from it.
 
 The conditionals draw nothing themselves: each is a function of the chain
 state and the draws it is given, and ``GibbsSampler._sweep_draws`` is the
 one reader of the generator after the initial weights. A sweep's draws are,
-in stream order, the race keys, every tied block's walk uniforms, the
-interarrival times and the weights' standard Gammas. A chain with no tied
-block draws them ahead, in chunks of sweeps. Every draw of its sweep is a
-standard Gamma of a shape fixed for the chain: 1 for the race keys and the
-interarrival times, which numpy draws as the same ziggurat exponentials that
-``standard_exponential`` draws, and alpha plus the ranked count for each
-weight. numpy fills an array ``standard_gamma`` call one entry after another,
-so one call over that pattern, stacked for a chunk of sweeps, draws bit for
-bit the stream of the per-sweep calls and leaves the generator in the same
-state. A tied chain draws sweep by sweep, in four calls, since its walk
-uniforms are not Gammas; numpy fills ``random`` one entry after another too,
-so one call for all of its blocks draws what one call per block would. So
-does a chain of more than ``_CHUNK_MAX_SWEEP_DRAWS`` draws a sweep, in
-three, where numpy's slower per-entry Gamma fill outweighs the calls saved.
+in stream order, every tied block's walk uniforms, the interarrival times
+and the weights' standard Gammas. A chain with no tied block draws them
+ahead, in chunks of sweeps. Every draw of its sweep is a standard Gamma of
+a shape fixed for the chain: 1 for the interarrival times, which numpy
+draws as the same ziggurat exponentials that ``standard_exponential``
+draws, and alpha plus the ranked count for each weight. numpy fills an
+array ``standard_gamma`` call one entry after another, so one call over
+that pattern, stacked for a chunk of sweeps, draws bit for bit the stream
+of the per-sweep calls and leaves the generator in the same state. A tied
+chain draws sweep by sweep, in three calls, since its walk uniforms are not
+Gammas; numpy fills ``random`` one entry after another too, so one call for
+all of its blocks draws what one call per block would. So does a chain of
+more than ``_CHUNK_MAX_SWEEP_DRAWS`` draws a sweep, in two calls.
 
 Weights stay unnormalized inside the chain; emitted samples are projected
 onto the simplex. With no annotations the chain reproduces the prior, whose
@@ -54,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pl_likelihood import _check_block_size, _table_values, _TableBuffers
+from .pl_likelihood import _check_block_size, _table_values
 from .rankings import ClassSpace
 from .samples import PosteriorSamples
 
@@ -69,12 +74,13 @@ __all__ = [
 # Reliability settings swept by default, loosest to tightest.
 DEFAULT_REPETITION_GRID = (1, 2, 3, 5, 10)
 
-# Largest count of draws a sweep, (2 num_rows + 1) K, at which an untied
-# chain draws its stream in chunks. numpy fills an array standard_gamma
-# call at about 18 ns an entry against 9 ns for standard_exponential, so the
-# calls saved stop paying near 1,500 draws: whole sweeps ran 1.34x faster
-# chunked at 20 draws, 1.07x at 972 and 1,200, 1.01x at 1,464 and 0.92x at
-# 2,440 (2-vCPU x86 box, numpy 2.4; table in CHANGES.md).
+# Largest count of draws a sweep, num_rows * r + K, at which an untied
+# chain draws its stream in chunks. The cut was set when a sweep drew
+# (2 num_rows + 1) K draws, most of them exponentials that numpy's array
+# standard_gamma fills at twice their cost. With latents at ranked positions
+# only, whole sweeps ran chunked 1.73x faster at 8 draws, 1.06x at 520,
+# 1.11x at 1,200 and 1.07x at 2,440 (2-vCPU x86 box, numpy 2.4; table in
+# CHANGES.md).
 _CHUNK_MAX_SWEEP_DRAWS = 1200
 # Draws per chunk: at most 64 KiB of them at once.
 _CHUNK_DRAWS = 8192
@@ -120,11 +126,13 @@ class GibbsState:
 
     Attributes:
         lam: (K,) current unnormalized weights.
-        sigmas: (A, K) full compatible permutations (position -> class id),
-            one row per effective annotation. Zero rows until the first
+        sigmas: (A, r) class at each ranked position (position -> class id),
+            one row per copy, where r is the longest ranking's ranked count
+            and shorter rows are padded with the id K. Empty until the first
             ordering pass.
-        taus: (A, K) arrival times by class id, one row per effective
-            annotation.
+        taus: (A, r + 1) arrival time after each ranked position, behind a
+            leading zero column, so that a row's horizon is its column
+            ``num_ranked``. Empty until the first arrival pass.
     """
 
     lam: np.ndarray
@@ -227,139 +235,114 @@ class GibbsSampler:
 
         k = self.num_classes
         counts = np.zeros(k)
-        num_ranked = np.zeros(len(rankings), dtype=np.int64)
-        # Sort keys that put each annotation's ranked classes, in order, ahead
-        # of every arrival time (tied blocks are redrawn after the sort).
-        head = np.zeros((len(rankings), k))
-        free = np.zeros((len(rankings), k), dtype=bool)
-        # Each annotation's last ranked class if its last ranked block holds
-        # that class alone, else -1.
-        last_single = np.full(len(rankings), -1, dtype=np.int64)
-        self._ties = []  # (rows, members, first position, classes ranked up to it)
-        for g, ranking in enumerate(rankings):
-            parts = ranking.partition()
-            for block in parts[:-1]:
+        parts = [r.partition() for r in rankings]
+        num_ranked = np.array([sum(map(len, p[:-1])) for p in parts], dtype=np.int64)
+        self.num_ranked = np.repeat(num_ranked, reps)  # per row
+        width = int(num_ranked.max(initial=0))
+        # Each row's ranked classes in order, padded with the id K, then the
+        # id K + 1 + row of its trailing mass: sample_tau gathers its rates
+        # through this from [lam, 0, trailing masses].
+        order = np.full((self.num_rows, width + 1), k, dtype=np.intp)
+        order[:, -1] += 1 + np.arange(self.num_rows)
+        # 1.0 where a row's class sits in its trailing block.
+        self._trailing = np.zeros((self.num_rows, k))
+        self._ties = []  # (rows, members, first position, ids of later blocks)
+        for g, blocks in enumerate(parts):
+            for block in blocks[:-1]:
                 _check_block_size(len(block))
+            rows = slice(g * reps, (g + 1) * reps)
             # Non-trailing blocks carry likelihood; the trailing one is free.
-            blocks = [np.array(sorted(b), dtype=np.int64) for b in parts[:-1]]
-            ranked_ids = np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
-            num_ranked[g] = ranked_ids.size
+            ranked = [np.array(sorted(b), dtype=np.intp) for b in blocks[:-1]]
+            ranked_ids = np.concatenate(ranked) if ranked else np.empty(0, dtype=np.intp)
             counts[ranked_ids] += reps
-            head[g, ranked_ids] = np.arange(ranked_ids.size) - k
-            free[g, list(parts[-1])] = True
-            if blocks and blocks[-1].size == 1:
-                last_single[g] = blocks[-1][0]
+            order[rows, : ranked_ids.size] = ranked_ids
+            self._trailing[rows, list(blocks[-1])] = 1.0
             end = 0
-            for members in blocks:
+            for members in ranked:
                 end += members.size
                 if members.size > 1:
-                    rows = slice(g * reps, (g + 1) * reps)
-                    self._ties.append((rows, members, end - members.size, ranked_ids[:end]))
+                    self._ties.append((rows, members, end - members.size, ranked_ids[end:]))
         self.ranked_counts = counts
-        # The subset tables' working arrays, one set per tied block size.
-        self._table_buffers = {m.size: _TableBuffers(m.size) for _, m, _, _ in self._ties}
-        self.num_ranked = np.repeat(num_ranked, reps)  # per row
         # Per-chain constants, so that each sweep makes only the calls its
         # draws need.
         self._shape = self.config.alpha + counts
-        self._head_keys = np.repeat(head, reps, axis=0)
-        self._fixed = ~np.repeat(free, reps, axis=0)
-        self._row_col = np.arange(self.num_rows)[:, None]
-        self._row_starts = np.arange(self.num_rows) * k
-        # A row that ranked nothing reads its last column, then weighs zero.
-        self._last_flat = self._row_starts + (self.num_ranked - 1) % k
-        self._has_ranked = (self.num_ranked > 0).astype(float)
-        self._all_ranked = bool(self.num_ranked.all())
-        # When every row ends its ranking on a one-class block, each row's
-        # horizon is the arrival of that class: a fixed cell of taus.
-        self._horizon_flat = None
-        if (last_single >= 0).all():
-            self._horizon_flat = self._row_starts + np.repeat(last_single, reps)
+        self._order = order
+        self._sigmas = order[:, :-1]
+        self._taus = np.zeros((self.num_rows, width + 1))
+        self._horizon_flat = np.arange(self.num_rows) * (width + 1) + self.num_ranked
+        self._zero = np.zeros(1)
 
         self.rng = np.random.default_rng(self.config.seed)
         lam0 = self.rng.gamma(self.config.alpha, 1.0 / self.config.beta, size=self.num_classes)
         self.state = GibbsState(
-            lam=lam0, sigmas=np.empty((0, k), dtype=np.int64), taus=np.empty((0, k))
+            lam=lam0,
+            sigmas=np.empty((0, width), dtype=np.intp),
+            taus=np.empty((0, width + 1)),
         )
 
     # -- conditional 1: orderings ------------------------------------------
 
-    def sample_sigma(self, keys: np.ndarray, uniforms: np.ndarray | None) -> None:
-        """Redraw every annotation's compatible full ordering given lam.
+    def sample_sigma(self, uniforms: np.ndarray | None) -> None:
+        """Redraw every copy's ordering of its ranked positions given lam.
 
-        ``keys`` are the race's (num_rows, K) standard exponentials and
-        ``uniforms`` the tied blocks' walk uniforms, each block's
-        (copies, n - 1) in turn, flattened; None without a tied block.
+        Only tied blocks have more than one ordering. ``uniforms`` are their
+        walk uniforms, each block's (copies, n - 1) in turn, flattened; None
+        without a tied block.
         """
-        if not self.num_rows:
+        self.state.sigmas = sigmas = self._sigmas
+        if not self._ties:
             return
         lam = self.state.lam
-        # Ordering what trails is the model itself: run the race for every
-        # copy at once.
-        keys = keys / lam
-        np.copyto(keys, self._head_keys, where=self._fixed)
-        sigmas = keys.argsort(1)
-        if self._ties:
-            total = lam.sum()
-            end = 0
-            for rows, members, start, above in self._ties:
-                # Copies share the partition, hence each block's zbar and table.
-                # Down to a block at the top, only its own members are ranked.
-                w = lam[members]
-                zbar = float(total - (w.sum() if start == 0 else lam[above].sum()))
-                values, totals, _ = _table_values(w, zbar, self._table_buffers[members.size])
-                copies, steps = rows.stop - rows.start, members.size - 1
-                begin, end = end, end + copies * steps
-                sigmas[rows, start : start + members.size] = _block_orders(
-                    values, totals, members, uniforms[begin:end].reshape(copies, steps)
-                )
-        self.state.sigmas = sigmas
+        trailing_mass = self._trailing.dot(lam)
+        end = 0
+        for rows, members, start, later in self._ties:
+            # Copies share the partition, hence each block's zbar and table.
+            # zbar adds non-negative masses, so it cannot round below zero.
+            zbar = float(trailing_mass[rows.start] + lam[later].sum())
+            values, totals, _ = _table_values(lam[members], zbar)
+            copies, steps = rows.stop - rows.start, members.size - 1
+            begin, end = end, end + copies * steps
+            sigmas[rows, start : start + members.size] = _block_orders(
+                values, totals, members, uniforms[begin:end].reshape(copies, steps)
+            )
 
     # -- conditional 2: arrival times --------------------------------------
 
     def sample_tau(self, draws: np.ndarray) -> None:
         """Redraw arrival times given lam and the current orderings.
 
-        The interarrival time into position k is exponential with rate equal
-        to the total weight of everything not yet ranked, so the first
-        arrival has rate sum(lam) and arrivals are strictly increasing.
-        ``draws`` are the interarrival times' (num_rows, K) standard
-        exponentials.
+        The interarrival time into ranked position j is exponential with
+        rate equal to the total weight of everything not yet ranked, so the
+        first arrival has rate sum(lam) and arrivals are strictly
+        increasing. ``draws`` are the interarrival times' (num_rows, r)
+        standard exponentials.
         """
         if len(self.state.sigmas) != self.num_rows:
             raise RuntimeError("orderings not sampled yet; call sample_sigma first")
-        if not self.num_rows:
-            return
-        sigmas = self.state.sigmas
-        # Rates summed from the last position back, in place.
-        rates = self.state.lam[sigmas]
+        lam = self.state.lam
+        # Each position's weight, then the trailing mass, summed from the
+        # end back in place: a padded position adds 0.
+        rates = np.concatenate((lam, self._zero, self._trailing.dot(lam))).take(self._order)
         np.add.accumulate(rates[:, ::-1], axis=1, out=rates[:, ::-1])
-        arrivals = draws / rates
-        taus = np.empty(sigmas.shape)
-        taus[self._row_col, sigmas] = np.add.accumulate(arrivals, axis=1, out=arrivals)
-        self.state.taus = taus
+        np.add.accumulate(draws / rates[:, :-1], axis=1, out=self._taus[:, 1:])
+        self.state.taus = self._taus
 
     # -- conditional 3: weights --------------------------------------------
 
     def _posterior_gamma_params(self):
         """Shape and rate vectors for the weight update.
 
-        Shape adds the class's ranked appearances; the rate adds each
-        annotation's arrival time, censored at that annotation's last ranked
-        arrival for classes it never ranked (an unranked class is only known
-        to have arrived after that point; zero when nothing was ranked).
+        Shape adds the class's ranked appearances; the rate adds each copy's
+        arrival time at the class's position, or the copy's horizon for a
+        class in its trailing block (an unranked class is only known to have
+        arrived after that point; zero when nothing was ranked).
         """
-        if not self.num_rows:
-            return self._shape, np.full(self.num_classes, self.config.beta)
+        k = self.num_classes
         taus = self.state.taus
-        if self._horizon_flat is not None:
-            horizon = taus.take(self._horizon_flat)
-        else:
-            horizon = taus.take(self._row_starts + self.state.sigmas.take(self._last_flat))
-            if not self._all_ranked:
-                horizon *= self._has_ranked
-        # np.add.reduce is what sum(0) calls, without the method's wrapper.
-        rate = self.config.beta + np.add.reduce(np.minimum(taus, horizon[:, None]), axis=0)
+        rate = taus.take(self._horizon_flat).dot(self._trailing)
+        # Padded positions land in bin K, which is dropped.
+        rate += np.bincount(self.state.sigmas.ravel(), taus[:, 1:].ravel(), k + 1)[:k]
+        rate += self.config.beta
         return self._shape, rate
 
     def sample_lambda(self, draws: np.ndarray) -> None:
@@ -367,19 +350,17 @@ class GibbsSampler:
 
         ``draws`` are (K,) standard Gammas of the conditional's shapes.
         """
-        if self.num_rows and len(self.state.taus) != self.num_rows:
+        if len(self.state.taus) != self.num_rows:
             raise RuntimeError("arrival times not sampled yet; call sample_tau first")
         _, rate = self._posterior_gamma_params()
-        # What rng.gamma(shape, 1 / rate) draws, without its broadcasting.
-        self.state.lam = draws * (1.0 / rate)
+        self.state.lam = draws / rate
 
     # -- driver -------------------------------------------------------------
 
     def _sweep_draws(self, sweeps: int):
-        """Yield each sweep's draws, in stream order: the (num_rows, K) race
-        keys, the walk uniforms that ``sample_sigma`` takes, the
-        (num_rows, K) interarrival times and the weights' (K,) standard
-        Gammas.
+        """Yield each sweep's draws, in stream order: the walk uniforms that
+        ``sample_sigma`` takes, the (num_rows, r) interarrival times and the
+        weights' (K,) standard Gammas.
 
         An untied chain of at most ``_CHUNK_MAX_SWEEP_DRAWS`` draws a sweep
         takes them from one ``standard_gamma`` call per chunk of sweeps,
@@ -387,23 +368,23 @@ class GibbsSampler:
         the per-sweep calls (see the module docstring).
         """
         rng = self.rng
-        k = self.num_classes
-        a = self.num_rows
-        if self._ties or (2 * a + 1) * k > _CHUNK_MAX_SWEEP_DRAWS:
+        shape = (self.num_rows, self._sigmas.shape[1])
+        positions = shape[0] * shape[1]
+        sweep_draws = positions + self.num_classes
+        if self._ties or sweep_draws > _CHUNK_MAX_SWEEP_DRAWS:
             # n - 1 uniforms for each copy of an n-way tie.
             walk = sum((rows.stop - rows.start) * (m.size - 1) for rows, m, _, _ in self._ties)
             for _ in range(sweeps):
-                keys = rng.standard_exponential((a, k))
                 uniforms = rng.random(walk) if walk else None
-                arrivals = rng.standard_exponential((a, k))
-                yield keys, uniforms, arrivals, rng.standard_gamma(self._shape)
+                arrivals = rng.standard_exponential(shape)
+                yield uniforms, arrivals, rng.standard_gamma(self._shape)
             return
-        per_chunk = max(1, _CHUNK_DRAWS // ((2 * a + 1) * k))
-        pattern = np.ones((min(per_chunk, sweeps), 2 * a + 1, k))
-        pattern[:, -1] = self._shape
+        per_chunk = max(1, _CHUNK_DRAWS // sweep_draws)
+        pattern = np.ones((min(per_chunk, sweeps), sweep_draws))
+        pattern[:, positions:] = self._shape
         for start in range(0, sweeps, per_chunk):
             for draws in rng.standard_gamma(pattern[: sweeps - start]):
-                yield draws[:a], None, draws[a:-1], draws[-1]
+                yield None, draws[:positions].reshape(shape), draws[positions:]
 
     def run(self) -> PosteriorSamples:
         """Sweep the chain and emit retained, normalized samples."""
@@ -411,8 +392,8 @@ class GibbsSampler:
         kept = np.empty((cfg.num_retained, self.num_classes))
         row = 0
         sweeps = self._sweep_draws(cfg.iterations)
-        for t, (keys, uniforms, arrivals, gammas) in enumerate(sweeps, 1):
-            self.sample_sigma(keys, uniforms)
+        for t, (uniforms, arrivals, gammas) in enumerate(sweeps, 1):
+            self.sample_sigma(uniforms)
             self.sample_tau(arrivals)
             self.sample_lambda(gammas)
             if t > cfg.burn_in and (t - cfg.burn_in - 1) % cfg.thinning == 0:

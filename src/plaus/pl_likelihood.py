@@ -224,8 +224,9 @@ class _TableBuffers:
 
     Making a view costs about as much as the arithmetic of a small layer,
     and an n-class table needs 2n + 3n of them. The kernel returns fresh
-    arrays, so their owner may pass the same buffers to every call for
-    blocks of that size; they must not serve two calls at once.
+    arrays, so every call for blocks of that size shares the one set that
+    :func:`_table_buffers` keeps; they must not serve two calls at once, so
+    the kernel is not thread-safe (the CLI's workers are processes).
     """
 
     def __init__(self, n: int):
@@ -243,7 +244,14 @@ class _TableBuffers:
         ]
 
 
-def _table_values_layered(w, zbar: float, buffers: _TableBuffers | None = None):
+@lru_cache(maxsize=None)
+def _table_buffers(n: int) -> _TableBuffers:
+    """The working arrays of every n-class table, kept like the layout
+    they index with: 4 * 2^n floats, 2 MB at n = 16 and 32 MB at n = 20."""
+    return _TableBuffers(n)
+
+
+def _table_values_layered(w, zbar: float):
     # Same recursion, a popcount layer at a time, on tables kept in layer
     # order: one gather of every mask's one-bit-removed values, summed in
     # ascending bit order into the layer's slice of the totals, then divided
@@ -252,7 +260,7 @@ def _table_values_layered(w, zbar: float, buffers: _TableBuffers | None = None):
     # layer is a contiguous run that numpy sums pairwise, which changes the
     # last bits; accumulate keeps that layer in order. A one-class subset's
     # only predecessor is the empty set, of value 1, so its total is 1.
-    space = _TableBuffers(len(w)) if buffers is None else buffers
+    space = _table_buffers(len(w))
     weights = w.tolist()
     # denom[mask] adds the weights in ascending bit order, then zbar.
     for (lower, upper), weight in zip(space.doubling, weights):
@@ -286,7 +294,7 @@ def _table_values_layered(w, zbar: float, buffers: _TableBuffers | None = None):
     return values.take(position), totals.take(position), log_scale
 
 
-def _table_values(w, zbar: float, buffers: _TableBuffers | None = None):
+def _table_values(w, zbar: float):
     """Subset values, their totals and the shared log scale of one block.
 
     Returns ``(values, totals, log_scale)``, each table indexed by bitmask
@@ -299,14 +307,12 @@ def _table_values(w, zbar: float, buffers: _TableBuffers | None = None):
     totals by the same peaks as its values, so there a total may differ from
     a walk's running sum over the rescaled values by rounding; the weights
     of the benchmark's workloads and of the report digests never rescale.
-
-    ``buffers``, if given, are the :class:`_TableBuffers` of ``len(w)``
-    that a caller building many tables of that size reuses; blocks of up to
-    five classes take the plain-float kernel and leave them unused.
+    Blocks of up to five classes take the plain-float kernel, wider ones the
+    layered kernel.
     """
     if len(w) <= 5:
         return _table_values_small([float(x) for x in w], zbar)
-    return _table_values_layered(np.asarray(w, dtype=float), zbar, buffers)
+    return _table_values_layered(np.asarray(w, dtype=float), zbar)
 
 
 def subset_recursion(members, zbar: float, lam) -> SubsetTable:

@@ -124,16 +124,19 @@ def brute_force_partial_prob(lam, ranking: PartialRanking, cap: int = BRUTE_FORC
     count = math.prod(math.factorial(len(b)) for b in ranked_blocks)
     if count > cap:
         raise CombinatorialCapError(f"{count} orderings exceed the cap of {cap}")
-    total_mass = float(lam.sum())
+    trailing_mass = float(lam[list(parts[-1])].sum())
     prob = 0.0
     per_block_orders = [itertools.permutations(sorted(b)) for b in ranked_blocks]
     for pieces in itertools.product(*per_block_orders):
         prefix = list(itertools.chain.from_iterable(pieces))
-        residual = total_mass
+        # Each step's residual adds up the weights still unchosen, from the
+        # last pick back: taking each pick off the total would leave a tiny
+        # trailing mass as rounding error.
+        residual = trailing_mass
         term = 1.0
-        for cid in prefix:
+        for cid in reversed(prefix):
+            residual += lam[cid]
             term *= lam[cid] / residual
-            residual -= lam[cid]
         prob += term
     return prob
 

@@ -42,8 +42,8 @@ def test_default_grid():
 def test_weight_update_for_a_ranked_class():
     # one annotator ranked class 0 first; its arrival of 1.0 is the horizon
     sampler = make_sampler([[[0]]], k=2, seed=0)
-    sampler.state.sigmas = np.array([[0, 1]])
-    sampler.state.taus = np.array([[1.0, 1.5]])
+    sampler.state.sigmas = np.array([[0]])
+    sampler.state.taus = np.array([[0.0, 1.0]])
     shape, rate = sampler._posterior_gamma_params()
     assert_allclose(shape, [2.0, 1.0])
     assert_allclose(rate, [2.0, 2.0])
@@ -52,8 +52,8 @@ def test_weight_update_for_a_ranked_class():
 def test_weight_update_censors_the_unranked_class():
     # unranked class alive past the horizon 0.7 contributes Gamma(1, 1.7)
     sampler = make_sampler([[[0]]], k=2, seed=0)
-    sampler.state.sigmas = np.array([[0, 1]])
-    sampler.state.taus = np.array([[0.7, 0.9]])
+    sampler.state.sigmas = np.array([[0]])
+    sampler.state.taus = np.array([[0.0, 0.7]])
     shape, rate = sampler._posterior_gamma_params()
     assert_allclose(shape, [2.0, 1.0])
     assert_allclose(rate, [1.7, 1.7])
@@ -61,8 +61,10 @@ def test_weight_update_censors_the_unranked_class():
 
 def test_weight_update_accumulates_over_annotations():
     sampler = make_sampler([[[0]], [[1], [0]]], k=3, seed=0)
-    sampler.state.sigmas = np.array([[0, 1, 2], [1, 0, 2]])
-    sampler.state.taus = np.array([[0.5, 0.8, 1.1], [0.6, 0.2, 0.9]])
+    # the first row ranked one class: its second position is padding (id 3),
+    # and its arrival there must not count
+    sampler.state.sigmas = np.array([[0, 3], [1, 0]])
+    sampler.state.taus = np.array([[0.0, 0.5, 0.8], [0.0, 0.2, 0.6]])
     shape, rate = sampler._posterior_gamma_params()
     # class 0 ranked by both; class 1 ranked only by the second annotator
     assert_allclose(shape, [3.0, 2.0, 1.0])
@@ -74,27 +76,30 @@ def test_weight_update_matches_a_per_annotation_loop():
     # the rate sum over all copies at once equals the loop over annotations,
     # an annotation that ranked nothing contributing zero
     sampler = make_sampler([[[2], [0, 1]], [], [[3]]], k=4, repetitions=3, seed=4)
-    for keys, uniforms, arrivals, gammas in sampler._sweep_draws(5):
-        sampler.sample_sigma(keys, uniforms)
+    for uniforms, arrivals, gammas in sampler._sweep_draws(5):
+        sampler.sample_sigma(uniforms)
         sampler.sample_tau(arrivals)
         sampler.sample_lambda(gammas)
-    keys, uniforms, arrivals, _ = next(sampler._sweep_draws(1))
-    sampler.sample_sigma(keys, uniforms)
+    uniforms, arrivals, _ = next(sampler._sweep_draws(1))
+    sampler.sample_sigma(uniforms)
     sampler.sample_tau(arrivals)
     _, rate = sampler._posterior_gamma_params()
     expected = np.full(4, 1.0)
     assert sampler.num_ranked.tolist() == [3, 3, 3, 0, 0, 0, 1, 1, 1]
+    assert sampler.state.sigmas.shape == (9, 3) and sampler.state.taus.shape == (9, 4)
     for ranked, sigma, tau in zip(sampler.num_ranked, sampler.state.sigmas, sampler.state.taus):
-        if ranked:
-            expected += np.minimum(tau, tau[sigma[ranked - 1]])
+        for position in range(ranked):
+            expected[sigma[position]] += tau[position + 1]
+        for c in set(range(4)) - set(sigma[:ranked].tolist()):
+            expected[c] += tau[ranked]
     assert_allclose(rate, expected, rtol=1e-12)
 
 
 def test_shapes_untouched_for_never_ranked_classes():
     sampler = make_sampler([[[0]]], k=3, alpha=2.0, seed=0)
     assert_allclose(sampler.ranked_counts, [1.0, 0.0, 0.0])
-    keys, uniforms, arrivals, _ = next(sampler._sweep_draws(1))
-    sampler.sample_sigma(keys, uniforms)
+    uniforms, arrivals, _ = next(sampler._sweep_draws(1))
+    sampler.sample_sigma(uniforms)
     sampler.sample_tau(arrivals)
     shape, _ = sampler._posterior_gamma_params()
     assert_allclose(shape, [3.0, 2.0, 2.0])
@@ -109,13 +114,14 @@ def test_repetitions_duplicate_annotations():
 
 def test_arrivals_increase_along_the_ordering():
     sampler = make_sampler([[[2], [0, 1]]], k=4, seed=5)
-    for keys, uniforms, arrivals, gammas in sampler._sweep_draws(25):
-        sampler.sample_sigma(keys, uniforms)
+    for uniforms, arrivals, gammas in sampler._sweep_draws(25):
+        sampler.sample_sigma(uniforms)
         sampler.sample_tau(arrivals)
         (sigma,) = sampler.state.sigmas
         (tau,) = sampler.state.taus
-        assert np.all(np.diff(tau[sigma]) > 0)
+        assert tau[0] == 0.0 and np.all(np.diff(tau) > 0)
         assert sigma[0] == 2  # the ranked top stays on top
+        assert sorted(sigma[1:].tolist()) == [0, 1]
         sampler.sample_lambda(gammas)
 
 
@@ -124,10 +130,10 @@ def test_first_arrival_rate_is_total_mass():
     lam = np.array([1.5, 2.5])
     sampler.state.lam = lam
     firsts = []
-    for keys, uniforms, arrivals, _ in sampler._sweep_draws(4000):
-        sampler.sample_sigma(keys, uniforms)
+    for uniforms, arrivals, _ in sampler._sweep_draws(4000):
+        sampler.sample_sigma(uniforms)
         sampler.sample_tau(arrivals)
-        firsts.append(min(sampler.state.taus[0]))
+        firsts.append(sampler.state.taus[0, 1])
     target = 1.0 / lam.sum()
     se = target / np.sqrt(len(firsts))  # exponential: sd equals the mean
     assert abs(np.mean(firsts) - target) < 4 * se
@@ -141,8 +147,8 @@ def test_block_order_conditional_frequencies():
     p_first = (1 / (0.5 + 2.0)) / (1 / (0.5 + 2.0) + 1 / (0.5 + 1.0))
     hits = 0
     n = 4000
-    for keys, uniforms, _, _ in sampler._sweep_draws(n):
-        sampler.sample_sigma(keys, uniforms)
+    for uniforms, _, _ in sampler._sweep_draws(n):
+        sampler.sample_sigma(uniforms)
         hits += sampler.state.sigmas[0][0] == 0
     se = np.sqrt(p_first * (1 - p_first) / n)
     assert abs(hits / n - p_first) < 4 * se
@@ -154,8 +160,8 @@ def test_copies_draw_their_block_orders_independently():
     lam = np.array([1.0, 2.0, 0.5])
     sampler.state.lam = lam
     p_first = (1 / (0.5 + 2.0)) / (1 / (0.5 + 2.0) + 1 / (0.5 + 1.0))
-    keys, uniforms, _, _ = next(sampler._sweep_draws(1))
-    sampler.sample_sigma(keys, uniforms)
+    uniforms, _, _ = next(sampler._sweep_draws(1))
+    sampler.sample_sigma(uniforms)
     firsts = sampler.state.sigmas[:, 0]
     n = firsts.size
     assert n == 400
@@ -176,11 +182,11 @@ def test_copies_order_a_large_tie_by_its_exact_first_pick_probabilities():
     probs = np.prod(w / (zbar + w[:, ::-1].cumsum(1)[:, ::-1]), axis=1)
     probs /= probs.sum()
     p_first = np.bincount(orders[:, 0], weights=probs, minlength=8)
-    keys, uniforms, _, _ = next(sampler._sweep_draws(1))
-    sampler.sample_sigma(keys, uniforms)
+    uniforms, _, _ = next(sampler._sweep_draws(1))
+    sampler.sample_sigma(uniforms)
     sigmas = sampler.state.sigmas
-    assert sigmas.shape == (2000, k)
-    assert (np.sort(sigmas[:, :8], axis=1) == members).all()
+    assert sigmas.shape == (2000, 8)  # ranked positions only
+    assert (np.sort(sigmas, axis=1) == members).all()
     freq = np.bincount(sigmas[:, 0], minlength=8) / 2000
     se = np.sqrt(p_first * (1 - p_first) / 2000)
     assert (np.abs(freq - p_first) < 4 * se).all()
@@ -266,10 +272,10 @@ def test_oversized_ties_are_refused_at_construction():
 
 def test_tau_requires_sigma_first():
     sampler = make_sampler([[[0]]], k=2, seed=0)
-    keys, uniforms, arrivals, gammas = next(sampler._sweep_draws(1))
+    uniforms, arrivals, gammas = next(sampler._sweep_draws(1))
     with pytest.raises(RuntimeError):
         sampler.sample_tau(arrivals)
-    sampler.sample_sigma(keys, uniforms)
+    sampler.sample_sigma(uniforms)
     sampler.sample_tau(arrivals)
     with pytest.raises(RuntimeError):
         make_sampler([[[0]]], k=2, seed=0).sample_lambda(gammas)
@@ -327,69 +333,106 @@ def test_emitted_samples_are_normalized_with_provenance(derm_rankings):
     assert np.all(out.samples >= 0)
 
 
-class _ReferenceSampler(GibbsSampler):
-    """The three conditionals and the run loop as one plain array call each,
-    with per-sweep normalization and the reference block walk: the sampler
-    must draw as this does."""
+class _ReferenceSampler:
+    """The full-K race the sampler replaced, as one plain array call per
+    step: every copy draws a race key and an arrival time for every class
+    each sweep, sorts the keys behind its ranked classes, walks each tied
+    block with the reference walk, and censors every arrival at its
+    horizon. The sampler draws its latents at ranked positions only, so it
+    must match this chain's posterior in distribution, not draw for draw."""
 
-    def __init__(self, rankings, config, class_space=None):
-        super().__init__(rankings, config, class_space)
-        k, reps = self.num_classes, self.config.repetitions
-        free = np.zeros((len(rankings), k), dtype=bool)
+    def __init__(self, rankings, config, class_space):
+        k, reps = class_space.size, config.repetitions
+        self.config, self.num_classes = config, k
+        head, free = np.zeros((len(rankings), k)), np.zeros((len(rankings), k), dtype=bool)
+        num_ranked = np.zeros(len(rankings), dtype=np.int64)
+        self.ranked_counts = np.zeros(k)
+        self.ties = []  # (rows, members, first position, classes ranked up to it)
         for g, ranking in enumerate(rankings):
-            free[g, list(ranking.partition()[-1])] = True
-        self.ref_free = np.repeat(free, reps, axis=0)
-        self.ref_rows = np.arange(self.num_rows)
+            parts = ranking.partition()
+            blocks = [np.array(sorted(b)) for b in parts[:-1]]
+            ranked_ids = np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
+            num_ranked[g] = ranked_ids.size
+            self.ranked_counts[ranked_ids] += reps
+            head[g, ranked_ids] = np.arange(ranked_ids.size) - k
+            free[g, list(parts[-1])] = True
+            end = 0
+            for members in blocks:
+                end += members.size
+                if members.size > 1:
+                    rows = slice(g * reps, (g + 1) * reps)
+                    self.ties.append((rows, members, end - members.size, ranked_ids[:end]))
+        self.head_keys = np.repeat(head, reps, axis=0)
+        self.free = np.repeat(free, reps, axis=0)
+        self.num_ranked = np.repeat(num_ranked, reps)
+        self.rows = np.arange(self.num_ranked.size)
+        self.rng = np.random.default_rng(config.seed)
+        self.lam = self.rng.gamma(config.alpha, 1.0 / config.beta, size=k)
 
-    def sample_sigma(self):
-        if not self.num_rows:
-            return
-        lam = self.state.lam
-        arrivals = self.rng.standard_exponential(self.ref_free.shape)
-        arrivals /= lam
-        sigmas = np.where(self.ref_free, arrivals, self._head_keys).argsort(1)
-        total = lam.sum()
-        for rows, members, start, above in self._ties:
-            values, _, _ = _table_values(lam[members], float(total - lam[above].sum()))
-            uniforms = self.rng.random((rows.stop - rows.start, members.size - 1))
-            sigmas[rows, start : start + members.size] = _reference_block_orders(
-                uniforms, values, members
-            )
-        self.state.sigmas = sigmas
-
-    def sample_tau(self):
-        if not self.num_rows:
-            return
-        sigmas = self.state.sigmas
-        rates = self.state.lam[sigmas][:, ::-1].cumsum(1)[:, ::-1]
-        arrivals = self.rng.standard_exponential(sigmas.shape)
-        arrivals /= rates
-        taus = np.empty(sigmas.shape)
-        taus.flat[sigmas + self.ref_rows[:, None] * self.num_classes] = arrivals.cumsum(1)
-        self.state.taus = taus
-
-    def sample_lambda(self):
-        shape = self.config.alpha + self.ranked_counts
-        if self.num_rows:
-            sigmas, taus = self.state.sigmas, self.state.taus
-            last = sigmas[self.ref_rows, self.num_ranked - 1]
-            horizon = taus[self.ref_rows, last] * (self.num_ranked > 0)
-            rate = self.config.beta + np.minimum(taus, horizon[:, None]).sum(0)
-        else:
-            rate = np.full(self.num_classes, self.config.beta)
-        self.state.lam = self.rng.standard_gamma(shape) * (1.0 / rate)
+    def sweep(self):
+        cfg, lam = self.config, self.lam
+        rate = np.full(self.num_classes, cfg.beta)
+        if self.rows.size:
+            keys = self.rng.standard_exponential(self.free.shape) / lam
+            sigmas = np.where(self.free, keys, self.head_keys).argsort(1)
+            total = lam.sum()
+            for rows, members, start, above in self.ties:
+                values, _, _ = _table_values(lam[members], float(total - lam[above].sum()))
+                uniforms = self.rng.random((rows.stop - rows.start, members.size - 1))
+                sigmas[rows, start : start + members.size] = _reference_block_orders(
+                    uniforms, values, members
+                )
+            rates = lam[sigmas][:, ::-1].cumsum(1)[:, ::-1]
+            arrivals = self.rng.standard_exponential(sigmas.shape) / rates
+            taus = np.empty(sigmas.shape)
+            taus[self.rows[:, None], sigmas] = arrivals.cumsum(1)
+            last = sigmas[self.rows, self.num_ranked - 1]
+            horizon = taus[self.rows, last] * (self.num_ranked > 0)
+            rate += np.minimum(taus, horizon[:, None]).sum(0)
+        shape = cfg.alpha + self.ranked_counts
+        self.lam = self.rng.standard_gamma(shape) / rate
 
     def run(self):
         cfg = self.config
         kept = []
         for t in range(1, cfg.iterations + 1):
-            self.sample_sigma()
-            self.sample_tau()
-            self.sample_lambda()
+            self.sweep()
             if t > cfg.burn_in and (t - cfg.burn_in - 1) % cfg.thinning == 0:
-                lam = self.state.lam
-                kept.append(lam / lam.sum())
+                kept.append(self.lam / self.lam.sum())
         return np.array(kept)
+
+
+def _batch_means(samples, batches=20):
+    """Per-class mean and its batch-means standard error."""
+    means = samples[: samples.shape[0] // batches * batches].reshape(batches, -1, samples.shape[1])
+    means = means.mean(axis=1)
+    return samples.mean(axis=0), means.std(axis=0, ddof=1) / np.sqrt(batches)
+
+
+# (class count, annotations' blocks): untied, a leading tie, ties mid-ranking
+# and at its end, an annotation that ranked nothing.
+_POSTERIOR_CASES = {
+    "untied-K4": (4, [[[0], [1]], [[2], [0]]]),
+    "untied-K12": (12, [[[3], [7], [1]], [[7], [0]], [[11]]]),
+    "leading-tie-K6": (6, [[[0, 2], [1]], [[4]], []]),
+    "ties-K12": (12, [[[5], [0, 9, 2], [8]], [[1], [4], [6, 10]]]),
+}
+
+
+@pytest.mark.parametrize("reps", [1, 3, 10])
+@pytest.mark.parametrize("case", sorted(_POSTERIOR_CASES))
+def test_posterior_matches_the_full_race(case, reps):
+    # Drawing no latent for unranked classes leaves the weights' Markov
+    # kernel as it was, so both chains have one stationary law: their means
+    # agree within a batch-means bound of 5 standard errors per class.
+    k, blocks = _POSTERIOR_CASES[case]
+    space = ClassSpace(size=k)
+    rankings = [PartialRanking(b, space) for b in blocks]
+    cfg = GibbsConfig(iterations=4500, burn_in=500, repetitions=reps, seed=reps)
+    got, got_se = _batch_means(gibbs_run(rankings, cfg, class_space=space).samples)
+    ref_cfg = GibbsConfig(iterations=4500, burn_in=500, repetitions=reps, seed=100 + reps)
+    ref, ref_se = _batch_means(_ReferenceSampler(rankings, ref_cfg, space).run())
+    assert (np.abs(got - ref) < 5 * np.hypot(got_se, ref_se)).all()
 
 
 def _panel(case, rng, k):
@@ -427,14 +470,52 @@ class _CountingGenerator:
         return counted
 
 
+def _loop_draws(rankings, cfg, space):
+    """Per-sweep draw sizes, read from the rankings alone: the tied walks'
+    uniforms, the (copies, longest ranked count) interarrival times and the
+    weights' Gamma shapes."""
+    reps = cfg.repetitions
+    parts = [r.partition()[:-1] for r in rankings]
+    walk = reps * sum(len(b) - 1 for blocks in parts for b in blocks if len(b) > 1)
+    width = max((sum(map(len, blocks)) for blocks in parts), default=0)
+    shape = np.full(space.size, cfg.alpha)
+    for blocks in parts:
+        for b in blocks:
+            shape[list(b)] += reps
+    return walk, (len(rankings) * reps, width), shape
+
+
+def _sweep_draws_size(rankings, cfg, space):
+    _, (rows, width), _ = _loop_draws(rankings, cfg, space)
+    return rows * width + space.size
+
+
+def _reference_loop(rankings, cfg, space):
+    """The sampler's conditionals, driven by a plain loop that makes each
+    sweep's draw calls itself; returns its samples, normalized sweep by
+    sweep, and its generator."""
+    sampler = GibbsSampler(rankings, cfg, class_space=space)
+    walk, arrival_shape, shape = _loop_draws(rankings, cfg, space)
+    rng = sampler.rng
+    kept = []
+    for t in range(1, cfg.iterations + 1):
+        sampler.sample_sigma(rng.random(walk) if walk else None)
+        sampler.sample_tau(rng.standard_exponential(arrival_shape))
+        sampler.sample_lambda(rng.standard_gamma(shape))
+        if t > cfg.burn_in and (t - cfg.burn_in - 1) % cfg.thinning == 0:
+            lam = sampler.state.lam
+            kept.append(lam / lam.sum())
+    return np.array(kept).reshape(-1, space.size), rng
+
+
 def _assert_runs_as_the_reference(rankings, cfg, space):
     """run() emits the reference loop's samples and leaves the generator in
     its state; returns the draw calls run() made."""
     got = GibbsSampler(rankings, cfg, class_space=space)
     got.rng = _CountingGenerator(got.rng)
-    ref = _ReferenceSampler(rankings, cfg, class_space=space)
-    assert np.array_equal(got.run().samples, ref.run())
-    assert got.rng.bit_generator.state == ref.rng.bit_generator.state
+    samples, rng = _reference_loop(rankings, cfg, space)
+    assert np.array_equal(got.run().samples, samples)
+    assert got.rng.bit_generator.state == rng.bit_generator.state
     return got.rng.calls
 
 
@@ -452,25 +533,30 @@ def test_sampler_draws_as_the_reference_conditionals(case, monkeypatch):
         repetitions=DEFAULT_REPETITION_GRID[case % 5],
         seed=case,
     )
+    # _sweep_draws hands each conditional the draws of the plain calls, and
+    # the conditionals move both chains alike, step by step
     got = GibbsSampler(rankings, cfg, class_space=space)
-    ref = _ReferenceSampler(rankings, cfg, class_space=space)
-    for keys, uniforms, arrivals, gammas in got._sweep_draws(4):
-        for name, draws in (
-            ("sample_sigma", (keys, uniforms)),
-            ("sample_tau", (arrivals,)),
-            ("sample_lambda", (gammas,)),
+    ref = GibbsSampler(rankings, cfg, class_space=space)
+    walk, arrival_shape, shape = _loop_draws(rankings, cfg, space)
+    for uniforms, arrivals, gammas in got._sweep_draws(4):
+        plain = (
+            ref.rng.random(walk) if walk else None,
+            ref.rng.standard_exponential(arrival_shape),
+            ref.rng.standard_gamma(shape),
+        )
+        for name, draws, expected in zip(
+            ("sample_sigma", "sample_tau", "sample_lambda"), (uniforms, arrivals, gammas), plain
         ):
-            getattr(got, name)(*draws)
-            getattr(ref, name)()
+            assert (draws is None) == (expected is None)
+            assert draws is None or np.array_equal(draws, expected)
+            getattr(got, name)(draws)
+            getattr(ref, name)(expected)
             for field in ("lam", "sigmas", "taus"):
                 assert np.array_equal(getattr(got.state, field), getattr(ref.state, field))
     assert got.rng.bit_generator.state == ref.rng.bit_generator.state
-    assert np.array_equal(
-        gibbs_run(rankings, cfg, class_space=space).samples,
-        _ReferenceSampler(rankings, cfg, class_space=space).run(),
-    )
+    _assert_runs_as_the_reference(rankings, cfg, space)
     # Chunks of 1 to 5 sweeps, so most chains end on a partial chunk.
-    sweep_draws = (2 * len(rankings) * cfg.repetitions + 1) * k
+    sweep_draws = _sweep_draws_size(rankings, cfg, space)
     monkeypatch.setattr(pl_gibbs, "_CHUNK_DRAWS", sweep_draws * (1 + case % 5))
     _assert_runs_as_the_reference(rankings, cfg, space)
 
@@ -491,16 +577,16 @@ _CHAINS = {
         None,
     ),
     "no-annotations": ([], ClassSpace(size=9), None),
-    # Race keys, every tied walk's uniforms, arrivals, Gammas.
+    # Every tied walk's uniforms, arrivals, Gammas.
     "tied": (
         [PartialRanking([[0, 2], [1]], ClassSpace(size=5)), PartialRanking([[4]], ClassSpace(size=5))],
         ClassSpace(size=5),
-        4,
+        3,
     ),
     "ends-tied": (
         [PartialRanking([[1], [0, 2]], ClassSpace(size=5)), PartialRanking([[4]], ClassSpace(size=5))],
         ClassSpace(size=5),
-        4,
+        3,
     ),
     # Three ties over two annotations share the sweep's one uniform call.
     "tied-thrice": (
@@ -509,11 +595,11 @@ _CHAINS = {
             PartialRanking([[5, 1, 3], [0]], ClassSpace(size=10)),
         ],
         ClassSpace(size=10),
-        4,
+        3,
     ),
-    # 6 annotations x 10 repetitions: (2 * 60 + 1) * 12 = 1452 draws a sweep,
-    # with no uniform call.
-    "above-threshold": (*_untied(12, 6), 3),
+    # 2 annotations x 10 repetitions over 1,200 classes: 20 * 2 + 1,200 =
+    # 1,240 draws a sweep, with no uniform call.
+    "above-threshold": (*_untied(1200, 2), 2),
 }
 
 
@@ -524,12 +610,13 @@ def test_run_draws_as_the_reference_loop(chain, thinning, chunk_sweeps, monkeypa
     rankings, space, sweep_calls = _CHAINS[chain]
     reps_grid = (10,) if chain == "above-threshold" else DEFAULT_REPETITION_GRID
     for reps in reps_grid:
-        sweep_draws = (2 * len(rankings) * reps + 1) * space.size
-        if chunk_sweeps is not None:
-            monkeypatch.setattr(pl_gibbs, "_CHUNK_DRAWS", sweep_draws * chunk_sweeps)
         cfg = GibbsConfig(
             alpha=0.7, iterations=13, burn_in=3, thinning=thinning, repetitions=reps, seed=reps
         )
+        sweep_draws = _sweep_draws_size(rankings, cfg, space)
+        assert (sweep_draws > pl_gibbs._CHUNK_MAX_SWEEP_DRAWS) == (chain == "above-threshold")
+        if chunk_sweeps is not None:
+            monkeypatch.setattr(pl_gibbs, "_CHUNK_DRAWS", sweep_draws * chunk_sweeps)
         calls = _assert_runs_as_the_reference(rankings, cfg, space)
         if sweep_calls is None:
             per_chunk = max(1, pl_gibbs._CHUNK_DRAWS // sweep_draws)
@@ -538,44 +625,62 @@ def test_run_draws_as_the_reference_loop(chain, thinning, chunk_sweeps, monkeypa
             assert calls == sweep_calls * cfg.iterations
 
 
-@pytest.mark.parametrize("chain", sorted(_CHAINS))
-def test_horizon_reads_a_fixed_cell_only_where_every_row_ends_on_one_class(chain):
-    # a row that ranked nothing, or whose last ranked block is tied, has no
-    # fixed horizon class; the runs above check both reads against the
-    # reference's read through the orderings
-    rankings, space, _ = _CHAINS[chain]
-    sampler = GibbsSampler(rankings, GibbsConfig(repetitions=3, seed=0), class_space=space)
-    fixed = chain not in ("ranked-nothing", "ends-tied")
-    assert (sampler._horizon_flat is not None) == fixed
-    if fixed:
-        for keys, uniforms, arrivals, gammas in sampler._sweep_draws(3):
-            sampler.sample_sigma(keys, uniforms)
-            sampler.sample_tau(arrivals)
-            rows = np.arange(sampler.num_rows)
-            last = sampler.state.sigmas[rows, sampler.num_ranked - 1]
-            taus = sampler.state.taus
-            assert_array_equal(taus.take(sampler._horizon_flat), taus[rows, last])
-            sampler.sample_lambda(gammas)
+def test_every_zbar_the_sampler_forms_is_non_negative(monkeypatch):
+    # One or two unranked weights in [1e-30, 1e-14] and a tie among the
+    # ranked classes: zbar taken as the total less the mass ranked up to a
+    # tied block rounds below zero on many of these cases, while adding up
+    # the masses below the block cannot.
+    zbars = []
+
+    def recording(w, zbar):
+        zbars.append(zbar)
+        return _table_values(w, zbar)
+
+    monkeypatch.setattr(pl_gibbs, "_table_values", recording)
+    rng = np.random.default_rng(38)
+    negative_differences = 0
+    for case in range(2000):
+        k = int(rng.integers(3, 13))
+        space = ClassSpace(size=k)
+        order = rng.permutation(k).tolist()
+        unranked = min(int(rng.integers(1, 3)), k - 2)
+        ranked = order[unranked:]
+        lam = rng.uniform(0.0, 1.0, size=k)
+        lam[order[:unranked]] = 10.0 ** rng.uniform(-30, -14, size=unranked)
+        # a tie of 2 or more somewhere in the ranked order, at the top every
+        # third case; single blocks elsewhere
+        size = int(rng.integers(2, len(ranked) + 1))
+        start = 0 if case % 3 == 0 else int(rng.integers(0, len(ranked) - size + 1))
+        blocks = [[c] for c in ranked[:start]] + [ranked[start : start + size]]
+        blocks += [[c] for c in ranked[start + size :]]
+        end = start + size
+        negative_differences += float(lam.sum() - lam[ranked[:end]].sum()) < 0
+        sampler = GibbsSampler([PartialRanking(blocks, space)], GibbsConfig(seed=case))
+        sampler.state.lam = lam
+        uniforms, _, _ = next(sampler._sweep_draws(1))
+        sampler.sample_sigma(uniforms)
+    assert len(zbars) == 2000
+    assert negative_differences > 0
+    assert min(zbars) >= 0.0
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_numpy_draws_a_shape_one_gamma_as_its_exponential(seed):
     # The chunked stream of GibbsSampler.run relies on this numpy rule: an
     # array standard_gamma call whose shapes are 1.0 then the weights' shapes
-    # draws, in order, what standard_exponential calls followed by scalar
-    # standard_gamma calls draw, and leaves the generator in the same state.
+    # draws, in order, what a standard_exponential call followed by scalar
+    # standard_gamma calls draws, and leaves the generator in the same state.
     rng = np.random.default_rng(seed)
-    rows, k, sweeps = int(rng.integers(1, 8)), int(rng.integers(2, 13)), 7
+    positions, k, sweeps = int(rng.integers(0, 40)), int(rng.integers(2, 13)), 7
     # Shapes below, at and above 1 take numpy's three Gamma branches.
     shape = (0.3, 1.0, 2.5)[seed % 3] + rng.integers(0, 3, size=k)
-    pattern = np.ones((sweeps, 2 * rows + 1, k))
-    pattern[:, -1] = shape
+    pattern = np.ones((sweeps, positions + k))
+    pattern[:, positions:] = shape
     ref = np.random.default_rng(seed)
     expected = []
     for _ in range(sweeps):
-        expected.append(ref.standard_exponential((rows, k)))
-        expected.append(ref.standard_exponential((rows, k)))
-        expected.append([[ref.standard_gamma(a) for a in shape]])
+        expected.append(ref.standard_exponential(positions))
+        expected.append([ref.standard_gamma(a) for a in shape])
     expected = np.concatenate(expected).reshape(pattern.shape)
     for chunk in (sweeps, 1, 2, 3):
         got = np.random.default_rng(seed)

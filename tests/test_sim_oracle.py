@@ -1,3 +1,6 @@
+from fractions import Fraction
+from itertools import permutations
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -73,6 +76,23 @@ def test_brute_force_closed_form():
     r = PartialRanking([[0], [1]], ClassSpace(size=3))
     expected = (2.0 / 3.5) * (1.0 / 1.5)
     assert_allclose(brute_force_partial_prob(lam, r), expected, atol=1e-14)
+
+
+def test_brute_force_is_exact_with_a_tiny_trailing_mass():
+    # each step's residual adds up the weights still unchosen; subtracting
+    # each pick from the total loses the trailing 3.75e-22 and was 9.8e-14 off
+    lam = [0.908, 1.77e-4, 0.172, 3.75e-22]
+    r = PartialRanking([[2], [0, 1]], ClassSpace(size=4))
+    w = [Fraction(x) for x in lam]
+    exact = Fraction(0)
+    for tied in permutations([0, 1]):
+        order = [2, *tied, 3]
+        term = Fraction(1)
+        for i, c in enumerate(order[:-1]):
+            term *= w[c] / sum(w[d] for d in order[i:])
+        exact += term
+    got = Fraction(brute_force_partial_prob(lam, r))
+    assert abs(got - exact) <= Fraction(1, 10**14) * exact
 
 
 def test_brute_force_no_blocks_is_one():
