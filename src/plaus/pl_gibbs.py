@@ -31,22 +31,30 @@ annotation's partition and so, at a given lambda, every tied block's zbar:
 each sweep builds one subset table per tied block of an annotation and
 draws all of its copies' orderings from it.
 
+A chain with no tied block has one ordering per annotation, so it sweeps
+with collapsed copies instead. Its ranked positions, over every annotation,
+index the rows of a fixed (P, K) 0/1 matrix U, 1 where a class is still
+unranked at the position: ranked there or later, or in the trailing block.
+The rate there is R = U lambda, and the weights' Gamma rate adds
+sum_p z_p U[p, k], where z_p is the sum of the copies' interarrival times
+into position p. The copies of an annotation share every rate, so z_p is
+Gamma(repetitions) / R_p in law, and a sweep draws z = Gamma / (U lambda)
+and then lambda = G / (beta + z U): the weights' Markov kernel is that of
+the per-copy chain in distribution, and a sweep's cost does not grow with
+the repetitions.
+
 The conditionals draw nothing themselves: each is a function of the chain
-state and the draws it is given, and ``GibbsSampler._sweep_draws`` is the
-one reader of the generator after the initial weights. A sweep's draws are,
-in stream order, every tied block's walk uniforms, the interarrival times
-and the weights' standard Gammas. A chain with no tied block draws them
-ahead, in chunks of sweeps. Every draw of its sweep is a standard Gamma of
-a shape fixed for the chain: 1 for the interarrival times, which numpy
-draws as the same ziggurat exponentials that ``standard_exponential``
-draws, and alpha plus the ranked count for each weight. numpy fills an
-array ``standard_gamma`` call one entry after another, so one call over
-that pattern, stacked for a chunk of sweeps, draws bit for bit the stream
-of the per-sweep calls and leaves the generator in the same state. A tied
-chain draws sweep by sweep, in three calls, since its walk uniforms are not
-Gammas; numpy fills ``random`` one entry after another too, so one call for
-all of its blocks draws what one call per block would. So does a chain of
-more than ``_CHUNK_MAX_SWEEP_DRAWS`` draws a sweep, in two calls.
+state and the draws it is given. A tied chain takes them from
+``GibbsSampler._sweep_draws``, which draws sweep by sweep, in stream order,
+every tied block's walk uniforms (numpy fills ``random`` one entry after
+another, so one call for all of the blocks draws what one call per block
+would), the interarrival times and the weights' standard Gammas. An untied
+chain draws a chunk of sweeps in one ``standard_gamma`` call, each sweep its
+P Gammas of shape ``repetitions`` then its K of shape alpha plus the ranked
+count. numpy draws a shape-1 Gamma as the same ziggurat exponential that
+``standard_exponential`` draws, and fills an array call one entry after
+another, so at one repetition, where no annotation ranks fewer classes than
+another, this is the per-copy chain's stream, draw for draw.
 
 Weights stay unnormalized inside the chain; emitted samples are projected
 onto the simplex. With no annotations the chain reproduces the prior, whose
@@ -74,15 +82,8 @@ __all__ = [
 # Reliability settings swept by default, loosest to tightest.
 DEFAULT_REPETITION_GRID = (1, 2, 3, 5, 10)
 
-# Largest count of draws a sweep, num_rows * r + K, at which an untied
-# chain draws its stream in chunks. The cut was set when a sweep drew
-# (2 num_rows + 1) K draws, most of them exponentials that numpy's array
-# standard_gamma fills at twice their cost. With latents at ranked positions
-# only, whole sweeps ran chunked 1.73x faster at 8 draws, 1.06x at 520,
-# 1.11x at 1,200 and 1.07x at 2,440 (2-vCPU x86 box, numpy 2.4; table in
-# CHANGES.md).
-_CHUNK_MAX_SWEEP_DRAWS = 1200
-# Draws per chunk: at most 64 KiB of them at once.
+# Draws per chunk of an untied chain's sweeps: at most 64 KiB of them at
+# once.
 _CHUNK_DRAWS = 8192
 
 
@@ -104,13 +105,18 @@ class GibbsConfig:
     def __post_init__(self) -> None:
         if not self.alpha > 0 or not self.beta > 0:
             raise ValueError("alpha and beta must be positive")
+        for name in ("iterations", "burn_in", "thinning", "repetitions"):
+            value = getattr(self, name)
+            # bool is an int, but True is no count of sweeps or copies.
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if not (0 <= self.burn_in < self.iterations):
             raise ValueError("burn_in must lie in [0, iterations)")
         if self.thinning < 1:
             raise ValueError("thinning must be >= 1")
-        if not (isinstance(self.repetitions, (int, np.integer)) and self.repetitions >= 1):
+        if self.repetitions < 1:
             raise ValueError("repetitions must be a positive integer")
 
     @property
@@ -123,6 +129,9 @@ class GibbsConfig:
 @dataclass
 class GibbsState:
     """Mutable chain state.
+
+    ``GibbsSampler.run`` on a chain with no tied block updates only ``lam``:
+    its sweep collapses the copies and never forms ``sigmas`` or ``taus``.
 
     Attributes:
         lam: (K,) current unnormalized weights.
@@ -190,7 +199,8 @@ def _block_orders(
 
 
 class GibbsSampler:
-    """Runs the three-conditional chain for one case.
+    """Runs the chain for one case: the three conditionals where some
+    annotation ties classes, the collapsed sweep where none does.
 
     Args:
         rankings: annotations sharing one class space. May be empty, in
@@ -247,6 +257,9 @@ class GibbsSampler:
         # 1.0 where a row's class sits in its trailing block.
         self._trailing = np.zeros((self.num_rows, k))
         self._ties = []  # (rows, members, first position, ids of later blocks)
+        # Each annotation's rows of U: 1.0 where a class is ranked at the
+        # row's position or later, or sits in the trailing block.
+        unranked = [np.zeros((0, k))]
         for g, blocks in enumerate(parts):
             for block in blocks[:-1]:
                 _check_block_size(len(block))
@@ -257,6 +270,10 @@ class GibbsSampler:
             counts[ranked_ids] += reps
             order[rows, : ranked_ids.size] = ranked_ids
             self._trailing[rows, list(blocks[-1])] = 1.0
+            u = np.zeros((ranked_ids.size, k))
+            u[:, ranked_ids] = np.triu(np.ones((ranked_ids.size, ranked_ids.size)))
+            u[:, list(blocks[-1])] = 1.0
+            unranked.append(u)
             end = 0
             for members in ranked:
                 end += members.size
@@ -271,6 +288,7 @@ class GibbsSampler:
         self._taus = np.zeros((self.num_rows, width + 1))
         self._horizon_flat = np.arange(self.num_rows) * (width + 1) + self.num_ranked
         self._zero = np.zeros(1)
+        self._unranked = np.concatenate(unranked)
 
         self.rng = np.random.default_rng(self.config.seed)
         lam0 = self.rng.gamma(self.config.alpha, 1.0 / self.config.beta, size=self.num_classes)
@@ -282,11 +300,11 @@ class GibbsSampler:
 
     # -- conditional 1: orderings ------------------------------------------
 
-    def sample_sigma(self, uniforms: np.ndarray | None) -> None:
+    def sample_sigma(self, uniforms: np.ndarray) -> None:
         """Redraw every copy's ordering of its ranked positions given lam.
 
         Only tied blocks have more than one ordering. ``uniforms`` are their
-        walk uniforms, each block's (copies, n - 1) in turn, flattened; None
+        walk uniforms, each block's (copies, n - 1) in turn, flattened; empty
         without a tied block.
         """
         self.state.sigmas = sigmas = self._sigmas
@@ -358,46 +376,60 @@ class GibbsSampler:
     # -- driver -------------------------------------------------------------
 
     def _sweep_draws(self, sweeps: int):
-        """Yield each sweep's draws, in stream order: the walk uniforms that
-        ``sample_sigma`` takes, the (num_rows, r) interarrival times and the
-        weights' (K,) standard Gammas.
-
-        An untied chain of at most ``_CHUNK_MAX_SWEEP_DRAWS`` draws a sweep
-        takes them from one ``standard_gamma`` call per chunk of sweeps,
-        other chains from one call per kind a sweep; both draw the stream of
-        the per-sweep calls (see the module docstring).
-        """
+        """Yield a tied chain's draws for each sweep, in stream order: the
+        walk uniforms that ``sample_sigma`` takes, the (num_rows, r)
+        interarrival times and the weights' (K,) standard Gammas, one call
+        for each kind."""
         rng = self.rng
-        shape = (self.num_rows, self._sigmas.shape[1])
-        positions = shape[0] * shape[1]
-        sweep_draws = positions + self.num_classes
-        if self._ties or sweep_draws > _CHUNK_MAX_SWEEP_DRAWS:
-            # n - 1 uniforms for each copy of an n-way tie.
-            walk = sum((rows.stop - rows.start) * (m.size - 1) for rows, m, _, _ in self._ties)
-            for _ in range(sweeps):
-                uniforms = rng.random(walk) if walk else None
-                arrivals = rng.standard_exponential(shape)
-                yield uniforms, arrivals, rng.standard_gamma(self._shape)
-            return
-        per_chunk = max(1, _CHUNK_DRAWS // sweep_draws)
-        pattern = np.ones((min(per_chunk, sweeps), sweep_draws))
-        pattern[:, positions:] = self._shape
-        for start in range(0, sweeps, per_chunk):
-            for draws in rng.standard_gamma(pattern[: sweeps - start]):
-                yield None, draws[:positions].reshape(shape), draws[positions:]
+        shape = self._sigmas.shape
+        # n - 1 uniforms for each copy of an n-way tie.
+        walk = sum((rows.stop - rows.start) * (m.size - 1) for rows, m, _, _ in self._ties)
+        for _ in range(sweeps):
+            yield rng.random(walk), rng.standard_exponential(shape), rng.standard_gamma(self._shape)
 
-    def run(self) -> PosteriorSamples:
-        """Sweep the chain and emit retained, normalized samples."""
-        cfg = self.config
-        kept = np.empty((cfg.num_retained, self.num_classes))
-        row = 0
-        sweeps = self._sweep_draws(cfg.iterations)
-        for t, (uniforms, arrivals, gammas) in enumerate(sweeps, 1):
+    def _tied_sweeps(self, sweeps: int):
+        """Yield the weights after each sweep of the three conditionals."""
+        for uniforms, arrivals, gammas in self._sweep_draws(sweeps):
             self.sample_sigma(uniforms)
             self.sample_tau(arrivals)
             self.sample_lambda(gammas)
+            yield self.state.lam
+
+    def _collapsed_sweeps(self, sweeps: int):
+        """Yield the weights after each sweep of an untied chain, with each
+        annotation's copies collapsed (see the module docstring).
+
+        A chunk of sweeps draws its (sweeps, P + K) standard Gammas in one
+        call: the P position sums of shape ``repetitions``, then the
+        weights' K.
+        """
+        unranked = self._unranked
+        positions = unranked.shape[0]
+        beta = self.config.beta
+        per_chunk = max(1, _CHUNK_DRAWS // (positions + self.num_classes))
+        pattern = np.empty((min(per_chunk, sweeps), positions + self.num_classes))
+        pattern[:, :positions] = self.config.repetitions
+        pattern[:, positions:] = self._shape
+        lam = self.state.lam
+        for start in range(0, sweeps, per_chunk):
+            for draws in self.rng.standard_gamma(pattern[: sweeps - start]):
+                z = draws[:positions] / unranked.dot(lam)
+                self.state.lam = lam = draws[positions:] / (z.dot(unranked) + beta)
+                yield lam
+
+    def run(self) -> PosteriorSamples:
+        """Sweep the chain and emit retained, normalized samples.
+
+        A chain with a tied block runs the three conditionals; an untied one
+        runs the collapsed sweep and updates only ``state.lam``.
+        """
+        cfg = self.config
+        kept = np.empty((cfg.num_retained, self.num_classes))
+        row = 0
+        chain = self._tied_sweeps if self._ties else self._collapsed_sweeps
+        for t, lam in enumerate(chain(cfg.iterations), 1):
             if t > cfg.burn_in and (t - cfg.burn_in - 1) % cfg.thinning == 0:
-                kept[row] = self.state.lam
+                kept[row] = lam
                 row += 1
         # Each row sums in the order lam.sum() would, so this is the
         # per-sweep normalization done once.

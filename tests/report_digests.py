@@ -100,7 +100,7 @@ def _entries(work: str):
             if workload_name == "pl-panel" and seed == WORKLOAD_SEEDS[0]:
                 argv = workload.argv(inputs, os.path.join(work, name + "-workers2"), seed)
                 yield name + "-workers2", _workers(argv, 2)
-    # The PL chain on the wide dermatology shape, above any per-sweep cutoff.
+    # The PL chain on the wide dermatology shape: one untied case, one tied.
     workload = dataclasses.replace(
         WORKLOADS["derm-mc"], num_cases=2, samples=20, burn_in=10, models=("pl",), reliability=(1, 3)
     )

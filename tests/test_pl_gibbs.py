@@ -29,6 +29,24 @@ def test_config_validation():
         GibbsConfig(repetitions=1.5)
 
 
+@pytest.mark.parametrize(
+    "field, value, count",
+    [
+        ("iterations", 600.5, 600),
+        ("burn_in", 1.5, 1),
+        ("thinning", 1.5, 2),
+        ("repetitions", True, 3),
+    ],
+)
+def test_config_refuses_a_count_that_is_no_integer(field, value, count):
+    # a float count used to pass and fail later in run() with a TypeError,
+    # and repetitions=True ran as 1
+    with pytest.raises(ValueError, match=field):
+        GibbsConfig(**{field: value})
+    # numpy integers are counts
+    assert getattr(GibbsConfig(**{field: np.int64(count)}), field) == count
+
+
 def test_retained_count_arithmetic():
     assert GibbsConfig(iterations=2000, burn_in=500).num_retained == 1500
     assert GibbsConfig(iterations=505, burn_in=500, thinning=2).num_retained == 3
@@ -416,6 +434,8 @@ _POSTERIOR_CASES = {
     "untied-K12": (12, [[[3], [7], [1]], [[7], [0]], [[11]]]),
     "leading-tie-K6": (6, [[[0, 2], [1]], [[4]], []]),
     "ties-K12": (12, [[[5], [0, 9, 2], [8]], [[1], [4], [6, 10]]]),
+    # ranked counts 3, 1 and 0, and a row that ranks every class
+    "untied-ragged-K6": (6, [[[3], [0], [5]], [[2]], [], [[1], [4], [0], [2], [3], [5]]]),
 }
 
 
@@ -433,6 +453,33 @@ def test_posterior_matches_the_full_race(case, reps):
     ref_cfg = GibbsConfig(iterations=4500, burn_in=500, repetitions=reps, seed=100 + reps)
     ref, ref_se = _batch_means(_ReferenceSampler(rankings, ref_cfg, space).run())
     assert (np.abs(got - ref) < 5 * np.hypot(got_se, ref_se)).all()
+
+
+# (class count, annotations' blocks) where every annotation ranks as many
+# classes as every other and ties none.
+_EQUAL_COUNTS = {
+    "K4": (4, [[[0], [1]], [[2], [0]]]),
+    "K12": (12, [[[3], [7], [1]], [[7], [0], [11]], [[11], [2], [5]]]),
+    "every-class": (5, [[[1], [4], [0], [2], [3]], [[3], [2], [4], [0], [1]]]),
+    "no-annotations": (7, []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EQUAL_COUNTS))
+def test_collapsed_chain_draws_the_per_copy_stream_at_one_repetition(case):
+    # At one repetition with no padded position, the P position sums of
+    # shape 1 are the per-copy chain's interarrival exponentials, draw for
+    # draw: the chains differ only in the order they add up the same
+    # numbers.
+    k, blocks = _EQUAL_COUNTS[case]
+    space = ClassSpace(size=k)
+    rankings = [PartialRanking(b, space) for b in blocks]
+    cfg = GibbsConfig(alpha=0.7, iterations=400, burn_in=100, thinning=3, seed=11)
+    got = GibbsSampler(rankings, cfg, class_space=space)
+    samples = got.run().samples
+    per_copy, rng = _reference_loop(rankings, cfg, space)
+    assert got.rng.bit_generator.state == rng.bit_generator.state
+    assert_allclose(samples, per_copy, rtol=1e-12, atol=0)
 
 
 def _panel(case, rng, k):
@@ -486,8 +533,14 @@ def _loop_draws(rankings, cfg, space):
 
 
 def _sweep_draws_size(rankings, cfg, space):
-    _, (rows, width), _ = _loop_draws(rankings, cfg, space)
-    return rows * width + space.size
+    """Draws a sweep of an untied chain: one position sum per ranked
+    position of each annotation, then the K weights' Gammas."""
+    positions = sum(len(r.partition()) - 1 for r in rankings)
+    return positions + space.size
+
+
+def _is_tied(rankings):
+    return any(len(b) > 1 for r in rankings for b in r.partition()[:-1])
 
 
 def _reference_loop(rankings, cfg, space):
@@ -499,7 +552,7 @@ def _reference_loop(rankings, cfg, space):
     rng = sampler.rng
     kept = []
     for t in range(1, cfg.iterations + 1):
-        sampler.sample_sigma(rng.random(walk) if walk else None)
+        sampler.sample_sigma(rng.random(walk))
         sampler.sample_tau(rng.standard_exponential(arrival_shape))
         sampler.sample_lambda(rng.standard_gamma(shape))
         if t > cfg.burn_in and (t - cfg.burn_in - 1) % cfg.thinning == 0:
@@ -508,15 +561,52 @@ def _reference_loop(rankings, cfg, space):
     return np.array(kept).reshape(-1, space.size), rng
 
 
+def _collapsed_loop(rankings, cfg, space):
+    """The untied chain's collapsed sweep as a plain loop over sweeps, each
+    making its one standard_gamma call, with U built position by position
+    from the rankings; returns its samples, normalized sweep by sweep, and
+    its generator."""
+    k, reps = space.size, cfg.repetitions
+    rows, shape = [], np.full(k, cfg.alpha)
+    for r in rankings:
+        *blocks, trailing = r.partition()
+        ranked = [c for b in blocks for c in b]
+        for position in range(len(ranked)):
+            row = np.zeros(k)
+            row[ranked[position:] + list(trailing)] = 1.0
+            rows.append(row)
+        shape[ranked] += reps
+    unranked = np.array(rows).reshape(-1, k)
+    sums = np.full(len(rows), float(reps))
+    rng = np.random.default_rng(cfg.seed)
+    lam = rng.gamma(cfg.alpha, 1.0 / cfg.beta, size=k)
+    kept = []
+    for t in range(1, cfg.iterations + 1):
+        draws = rng.standard_gamma(np.concatenate((sums, shape)))
+        z = draws[: len(rows)] / unranked.dot(lam)
+        lam = draws[len(rows) :] / (z.dot(unranked) + cfg.beta)
+        if t > cfg.burn_in and (t - cfg.burn_in - 1) % cfg.thinning == 0:
+            kept.append(lam / lam.sum())
+    return np.array(kept).reshape(-1, k), rng
+
+
 def _assert_runs_as_the_reference(rankings, cfg, space):
-    """run() emits the reference loop's samples and leaves the generator in
-    its state; returns the draw calls run() made."""
+    """run() emits the samples of the reference loop, the conditionals' for
+    a tied chain and the collapsed sweep's for an untied one, and leaves
+    the generator in its state; returns the draw calls run() made."""
     got = GibbsSampler(rankings, cfg, class_space=space)
     got.rng = _CountingGenerator(got.rng)
-    samples, rng = _reference_loop(rankings, cfg, space)
+    reference = _reference_loop if _is_tied(rankings) else _collapsed_loop
+    samples, rng = reference(rankings, cfg, space)
     assert np.array_equal(got.run().samples, samples)
     assert got.rng.bit_generator.state == rng.bit_generator.state
     return got.rng.calls
+
+
+def _chunked_calls(rankings, cfg, space):
+    """Draw calls of an untied run: one a chunk of sweeps."""
+    per_chunk = max(1, pl_gibbs._CHUNK_DRAWS // _sweep_draws_size(rankings, cfg, space))
+    return -(-cfg.iterations // per_chunk)
 
 
 @pytest.mark.parametrize("case", range(30))
@@ -527,38 +617,47 @@ def test_sampler_draws_as_the_reference_conditionals(case, monkeypatch):
     rankings, space = _panel(case, rng, k)
     cfg = GibbsConfig(
         alpha=(0.3, 1.0, 2.5)[case % 3],
+        beta=(1.0, 0.4, 2.5)[case // 3 % 3],
         iterations=12,
         burn_in=case % 4,
         thinning=1 + case % 2,
         repetitions=DEFAULT_REPETITION_GRID[case % 5],
         seed=case,
     )
-    # _sweep_draws hands each conditional the draws of the plain calls, and
-    # the conditionals move both chains alike, step by step
-    got = GibbsSampler(rankings, cfg, class_space=space)
-    ref = GibbsSampler(rankings, cfg, class_space=space)
-    walk, arrival_shape, shape = _loop_draws(rankings, cfg, space)
-    for uniforms, arrivals, gammas in got._sweep_draws(4):
-        plain = (
-            ref.rng.random(walk) if walk else None,
-            ref.rng.standard_exponential(arrival_shape),
-            ref.rng.standard_gamma(shape),
-        )
-        for name, draws, expected in zip(
-            ("sample_sigma", "sample_tau", "sample_lambda"), (uniforms, arrivals, gammas), plain
-        ):
-            assert (draws is None) == (expected is None)
-            assert draws is None or np.array_equal(draws, expected)
-            getattr(got, name)(draws)
-            getattr(ref, name)(expected)
-            for field in ("lam", "sigmas", "taus"):
-                assert np.array_equal(getattr(got.state, field), getattr(ref.state, field))
-    assert got.rng.bit_generator.state == ref.rng.bit_generator.state
-    _assert_runs_as_the_reference(rankings, cfg, space)
-    # Chunks of 1 to 5 sweeps, so most chains end on a partial chunk.
+    if _is_tied(rankings):
+        # _sweep_draws hands each conditional the draws of the plain calls,
+        # and the conditionals move both chains alike, step by step
+        got = GibbsSampler(rankings, cfg, class_space=space)
+        ref = GibbsSampler(rankings, cfg, class_space=space)
+        walk, arrival_shape, shape = _loop_draws(rankings, cfg, space)
+        for uniforms, arrivals, gammas in got._sweep_draws(4):
+            plain = (
+                ref.rng.random(walk),
+                ref.rng.standard_exponential(arrival_shape),
+                ref.rng.standard_gamma(shape),
+            )
+            for name, draws, expected in zip(
+                ("sample_sigma", "sample_tau", "sample_lambda"),
+                (uniforms, arrivals, gammas),
+                plain,
+            ):
+                assert np.array_equal(draws, expected)
+                getattr(got, name)(draws)
+                getattr(ref, name)(expected)
+                for field in ("lam", "sigmas", "taus"):
+                    assert np.array_equal(getattr(got.state, field), getattr(ref.state, field))
+        assert got.rng.bit_generator.state == ref.rng.bit_generator.state
+        assert _assert_runs_as_the_reference(rankings, cfg, space) == 3 * cfg.iterations
+        return
+    # An untied chain runs the collapsed sweep, one draw call a chunk of
+    # sweeps; chunks of 1 to 5 sweeps, so most chains end on a partial one.
+    assert _assert_runs_as_the_reference(rankings, cfg, space) == _chunked_calls(
+        rankings, cfg, space
+    )
     sweep_draws = _sweep_draws_size(rankings, cfg, space)
     monkeypatch.setattr(pl_gibbs, "_CHUNK_DRAWS", sweep_draws * (1 + case % 5))
-    _assert_runs_as_the_reference(rankings, cfg, space)
+    calls = _assert_runs_as_the_reference(rankings, cfg, space)
+    assert calls == _chunked_calls(rankings, cfg, space) == -(-cfg.iterations // (1 + case % 5))
 
 
 def _untied(k, annotations):
@@ -597,9 +696,10 @@ _CHAINS = {
         ClassSpace(size=10),
         3,
     ),
-    # 2 annotations x 10 repetitions over 1,200 classes: 20 * 2 + 1,200 =
-    # 1,240 draws a sweep, with no uniform call.
-    "above-threshold": (*_untied(1200, 2), 2),
+    # 2 annotations over 1,200 classes: 2 * 2 + 1,200 draws a sweep. At 10
+    # repetitions the per-copy sweep drew 20 * 2 + 1,200 = 1,240, above a
+    # cut of 1,200 that once sent such chains to per-sweep draws.
+    "above-threshold": (*_untied(1200, 2), None),
 }
 
 
@@ -613,14 +713,13 @@ def test_run_draws_as_the_reference_loop(chain, thinning, chunk_sweeps, monkeypa
         cfg = GibbsConfig(
             alpha=0.7, iterations=13, burn_in=3, thinning=thinning, repetitions=reps, seed=reps
         )
-        sweep_draws = _sweep_draws_size(rankings, cfg, space)
-        assert (sweep_draws > pl_gibbs._CHUNK_MAX_SWEEP_DRAWS) == (chain == "above-threshold")
+        assert _is_tied(rankings) == (sweep_calls is not None)
         if chunk_sweeps is not None:
+            sweep_draws = _sweep_draws_size(rankings, cfg, space)
             monkeypatch.setattr(pl_gibbs, "_CHUNK_DRAWS", sweep_draws * chunk_sweeps)
         calls = _assert_runs_as_the_reference(rankings, cfg, space)
         if sweep_calls is None:
-            per_chunk = max(1, pl_gibbs._CHUNK_DRAWS // sweep_draws)
-            assert calls == -(-cfg.iterations // per_chunk)
+            assert calls == _chunked_calls(rankings, cfg, space)
         else:
             assert calls == sweep_calls * cfg.iterations
 
@@ -666,10 +765,11 @@ def test_every_zbar_the_sampler_forms_is_non_negative(monkeypatch):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_numpy_draws_a_shape_one_gamma_as_its_exponential(seed):
-    # The chunked stream of GibbsSampler.run relies on this numpy rule: an
-    # array standard_gamma call whose shapes are 1.0 then the weights' shapes
-    # draws, in order, what a standard_exponential call followed by scalar
-    # standard_gamma calls draws, and leaves the generator in the same state.
+    # At one repetition the collapsed chain draws the per-copy chain's stream
+    # by this numpy rule: an array standard_gamma call whose shapes are 1.0
+    # then the weights' shapes draws, in order, what a standard_exponential
+    # call followed by scalar standard_gamma calls draws, and leaves the
+    # generator in the same state.
     rng = np.random.default_rng(seed)
     positions, k, sweeps = int(rng.integers(0, 40)), int(rng.integers(2, 13)), 7
     # Shapes below, at and above 1 take numpy's three Gamma branches.
