@@ -506,7 +506,7 @@ def loo_agreement(rankings) -> float:
             continue
         # Same trailing-block convention as the aggregation itself: the last
         # block of the completed partition never counts as ranked.
-        agree_set = frozenset().union(*held_out.partition()[:-1]) if len(held_out.partition()) > 1 else frozenset()
+        agree_set = frozenset().union(*held_out.partition()[:-1])
         if top in agree_set:
             hits += 1
     return hits / len(rankings)

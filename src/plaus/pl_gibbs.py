@@ -5,56 +5,54 @@ time, each with probability proportional to its weight among those not yet
 ranked, and the observed partial ranking groups those positions into the
 annotator's blocks. After Caron and Doucet (2012), every ranked position j
 carries an exponential latent of rate Z_j, the weight not yet ranked there
-(1 / Z_j is the integral of exp(-Z_j t) over t > 0). Running sums of the
-latents are arrival times, and a copy's last arrival is its horizon. With
-independent Gamma(alpha, beta) priors on the weights, all three
-conditionals are exact:
+(1 / Z_j is the integral of exp(-Z_j t) over t > 0). With independent
+Gamma(alpha, beta) priors on the weights, all three conditionals are exact:
 
   * the ordering within each tied block, given the weights, via the block's
     subset table (a trellis walk); an untied block has one ordering;
-  * the arrival times, given weights and orderings, via interarrival
-    exponentials of rate Z_j;
-  * each weight, given the arrival times, via a Gamma whose shape counts
-    the class's appearances in non-trailing blocks and whose rate adds, for
-    every copy, the arrival time of the class's position, or the horizon
-    where the copy left the class unranked (zero if it ranked nothing).
-    This is the race of Exp(weight) arrivals of every class with the
-    unranked classes' arrivals integrated out: the latents live at ranked
-    positions only.
+  * the latents, given weights and orderings: Exp(Z_j) at each position;
+  * each weight, given the latents, via a Gamma whose shape counts the
+    class's appearances in non-trailing blocks and whose rate adds every
+    latent of a position where the class was still unranked. This is the
+    race of Exp(weight) arrivals of every class with the unranked classes'
+    arrivals integrated out: the latents live at ranked positions only.
 
 Reliability is an integer repetition count: each annotation is entered that
-many times with its own latent ordering and arrival times, which sharpens
-the likelihood exactly like observing the annotator repeatedly. The chain
-state is one row per copy over the ranked positions, and each conditional
-updates every row with a fixed number of array calls. Copies share their
-annotation's partition and so, at a given lambda, every tied block's zbar:
-each sweep builds one subset table per tied block of an annotation and
-draws all of its copies' orderings from it.
+many times, each copy with its own latent ordering and latents, which
+sharpens the likelihood exactly like observing the annotator repeatedly.
 
-A chain with no tied block has one ordering per annotation, so it sweeps
-with collapsed copies instead. Its ranked positions, over every annotation,
-index the rows of a fixed (P, K) 0/1 matrix U, 1 where a class is still
-unranked at the position: ranked there or later, or in the trailing block.
-The rate there is R = U lambda, and the weights' Gamma rate adds
-sum_p z_p U[p, k], where z_p is the sum of the copies' interarrival times
-into position p. The copies of an annotation share every rate, so z_p is
-Gamma(repetitions) / R_p in law, and a sweep draws z = Gamma / (U lambda)
-and then lambda = G / (beta + z U): the weights' Markov kernel is that of
-the per-copy chain in distribution, and a sweep's cost does not grow with
-the repetitions.
+The chain state is a 0/1 matrix U, one row per latent, 1 where a class is
+still unranked at the row's position: ranked there or later, or in the
+trailing block. The rates are then Z = U lambda and the weights' Gamma rate
+is beta + z U, where z holds the latents. The copies of an annotation have
+the same classes unranked at every ranked position outside a tie and at a
+tie's first position, whatever their orderings, so they share one row
+there, whose latent is the sum of theirs: Gamma(repetitions) / Z_j in law.
+A tie's later positions get one row per copy, with a Gamma(1) / Z_j latent,
+and the ordering pass writes the copy's ordering into those rows. U holds
+at most (positions + sum over ties of copies * (n - 1)) rows of K floats,
+positions counted over all annotations. A sweep is
+
+  orderings:  each tie's copies walk its subset table and rewrite their rows;
+  latents:    z = Gamma / (U lambda);
+  weights:    lambda = G / (beta + z U),
+
+so the weights' Markov kernel is that of the per-copy chain in
+distribution, and outside the ties a sweep's cost does not grow with the
+repetitions.
 
 The conditionals draw nothing themselves: each is a function of the chain
-state and the draws it is given. A tied chain takes them from
-``GibbsSampler._sweep_draws``, which draws sweep by sweep, in stream order,
-every tied block's walk uniforms (numpy fills ``random`` one entry after
-another, so one call for all of the blocks draws what one call per block
-would), the interarrival times and the weights' standard Gammas. An untied
-chain draws a chunk of sweeps in one ``standard_gamma`` call, each sweep its
-P Gammas of shape ``repetitions`` then its K of shape alpha plus the ranked
-count. numpy draws a shape-1 Gamma as the same ziggurat exponential that
-``standard_exponential`` draws, and fills an array call one entry after
-another, so at one repetition, where no annotation ranks fewer classes than
-another, this is the per-copy chain's stream, draw for draw.
+state and the draws it is given. ``GibbsSampler._sweeps`` draws a chunk of
+sweeps at once: one ``random`` call for every sweep's walk uniforms, each
+tie's (copies, n - 1) in turn, then one ``standard_gamma`` call for every
+sweep's row Gammas and its K weight Gammas of shape alpha plus the ranked
+count. numpy fills an array call one entry after another, so a chunk draws
+what one call per sweep would. A chain with no tie draws no walk uniforms,
+and an empty ``random`` call leaves the generator as it was. numpy draws a
+shape-1 Gamma as the same ziggurat exponential that
+``standard_exponential`` draws, so at one repetition, where no annotation
+ranks fewer classes than another, an untied chain draws the per-copy
+chain's stream, draw for draw.
 
 Weights stay unnormalized inside the chain; emitted samples are projected
 onto the simplex. With no annotations the chain reproduces the prior, whose
@@ -82,8 +80,7 @@ __all__ = [
 # Reliability settings swept by default, loosest to tightest.
 DEFAULT_REPETITION_GRID = (1, 2, 3, 5, 10)
 
-# Draws per chunk of an untied chain's sweeps: at most 64 KiB of them at
-# once.
+# Draws per chunk of sweeps: at most 64 KiB of them at once.
 _CHUNK_DRAWS = 8192
 
 
@@ -130,23 +127,20 @@ class GibbsConfig:
 class GibbsState:
     """Mutable chain state.
 
-    ``GibbsSampler.run`` on a chain with no tied block updates only ``lam``:
-    its sweep collapses the copies and never forms ``sigmas`` or ``taus``.
-
     Attributes:
         lam: (K,) current unnormalized weights.
-        sigmas: (A, r) class at each ranked position (position -> class id),
-            one row per copy, where r is the longest ranking's ranked count
-            and shorter rows are padded with the id K. Empty until the first
-            ordering pass.
-        taus: (A, r + 1) arrival time after each ranked position, behind a
-            leading zero column, so that a row's horizon is its column
-            ``num_ranked``. Empty until the first arrival pass.
+        unranked: (rows, K) the matrix U: 1.0 where a class is still
+            unranked at the row's position. A tie's rows after its first
+            position hold one copy's current ordering each; no other row
+            changes.
+        z: (rows,) latents of the last pass: a shared row's is the sum of
+            its copies' interarrival times into the position, a tie row's
+            one copy's. None until the first pass.
     """
 
     lam: np.ndarray
-    sigmas: np.ndarray
-    taus: np.ndarray
+    unranked: np.ndarray
+    z: np.ndarray | None = None
 
 
 def _block_orders(
@@ -199,8 +193,8 @@ def _block_orders(
 
 
 class GibbsSampler:
-    """Runs the chain for one case: the three conditionals where some
-    annotation ties classes, the collapsed sweep where none does.
+    """Runs the chain for one case, one sweep form for every chain (see the
+    module docstring).
 
     Args:
         rankings: annotations sharing one class space. May be empty, in
@@ -210,9 +204,8 @@ class GibbsSampler:
         class_space: required when ``rankings`` is empty.
 
     Attributes:
-        num_rows: state rows, one per copy: annotations times repetitions.
-        num_ranked: (num_rows,) classes each row's annotation ranked in its
-            non-trailing blocks.
+        ranked_counts: (K,) appearances of each class in non-trailing
+            blocks, over every copy.
 
     Raises:
         BlockTooLargeError: some annotation ties more than
@@ -237,197 +230,116 @@ class GibbsSampler:
         self.class_space = class_space
         self.num_classes = class_space.size
 
-        # Repetitions literally duplicate the annotation, each copy with its
-        # own latent ordering and arrival times. The copies of annotation g
-        # are the contiguous rows g * reps ... (g + 1) * reps - 1.
         reps = self.config.repetitions
-        self.num_rows = len(rankings) * reps
-
         k = self.num_classes
         counts = np.zeros(k)
-        parts = [r.partition() for r in rankings]
-        num_ranked = np.array([sum(map(len, p[:-1])) for p in parts], dtype=np.int64)
-        self.num_ranked = np.repeat(num_ranked, reps)  # per row
-        width = int(num_ranked.max(initial=0))
-        # Each row's ranked classes in order, padded with the id K, then the
-        # id K + 1 + row of its trailing mass: sample_tau gathers its rates
-        # through this from [lam, 0, trailing masses].
-        order = np.full((self.num_rows, width + 1), k, dtype=np.intp)
-        order[:, -1] += 1 + np.arange(self.num_rows)
-        # 1.0 where a row's class sits in its trailing block.
-        self._trailing = np.zeros((self.num_rows, k))
-        self._ties = []  # (rows, members, first position, ids of later blocks)
-        # Each annotation's rows of U: 1.0 where a class is ranked at the
-        # row's position or later, or sits in the trailing block.
         unranked = [np.zeros((0, k))]
-        for g, blocks in enumerate(parts):
+        shapes = []  # each row's Gamma shape
+        rest = []  # per tie: 1.0 on the classes of its later and trailing blocks
+        self._ties = []  # (rows of U (copies, n - 1), members, their entries)
+        for blocks in (r.partition() for r in rankings):
             for block in blocks[:-1]:
                 _check_block_size(len(block))
-            rows = slice(g * reps, (g + 1) * reps)
             # Non-trailing blocks carry likelihood; the trailing one is free.
             ranked = [np.array(sorted(b), dtype=np.intp) for b in blocks[:-1]]
             ranked_ids = np.concatenate(ranked) if ranked else np.empty(0, dtype=np.intp)
             counts[ranked_ids] += reps
-            order[rows, : ranked_ids.size] = ranked_ids
-            self._trailing[rows, list(blocks[-1])] = 1.0
+            # U's rows at each position, ties in ascending id order.
             u = np.zeros((ranked_ids.size, k))
             u[:, ranked_ids] = np.triu(np.ones((ranked_ids.size, ranked_ids.size)))
             u[:, list(blocks[-1])] = 1.0
-            unranked.append(u)
+            picks = []  # position of each of the annotation's rows
             end = 0
             for members in ranked:
-                end += members.size
+                start, end = end, end + members.size
+                picks.append(start)
+                shapes.append(float(reps))
                 if members.size > 1:
-                    self._ties.append((rows, members, end - members.size, ranked_ids[end:]))
+                    n = members.size
+                    rows = len(shapes) + np.arange(reps * (n - 1)).reshape(reps, n - 1)
+                    picks += list(range(start + 1, end)) * reps
+                    shapes += [1.0] * rows.size
+                    self._ties.append((rows, members, np.triu(np.ones((n, n)))[1:]))
+                    rest.append(u[start] * np.isin(np.arange(k), members, invert=True))
+            unranked.append(u[picks])
         self.ranked_counts = counts
-        # Per-chain constants, so that each sweep makes only the calls its
-        # draws need.
-        self._shape = self.config.alpha + counts
-        self._order = order
-        self._sigmas = order[:, :-1]
-        self._taus = np.zeros((self.num_rows, width + 1))
-        self._horizon_flat = np.arange(self.num_rows) * (width + 1) + self.num_ranked
-        self._zero = np.zeros(1)
-        self._unranked = np.concatenate(unranked)
+        self._shapes = np.concatenate((shapes, self.config.alpha + counts))
+        self._rest = np.array(rest).reshape(-1, k)
 
         self.rng = np.random.default_rng(self.config.seed)
         lam0 = self.rng.gamma(self.config.alpha, 1.0 / self.config.beta, size=self.num_classes)
-        self.state = GibbsState(
-            lam=lam0,
-            sigmas=np.empty((0, width), dtype=np.intp),
-            taus=np.empty((0, width + 1)),
-        )
+        self.state = GibbsState(lam=lam0, unranked=np.concatenate(unranked))
 
     # -- conditional 1: orderings ------------------------------------------
 
     def sample_sigma(self, uniforms: np.ndarray) -> None:
-        """Redraw every copy's ordering of its ranked positions given lam.
+        """Redraw every copy's ordering of each tie given lam, into U.
 
-        Only tied blocks have more than one ordering. ``uniforms`` are their
-        walk uniforms, each block's (copies, n - 1) in turn, flattened; empty
-        without a tied block.
+        ``uniforms`` are the ties' walk uniforms, each tie's (copies, n - 1)
+        in turn, flattened; empty without a tie.
         """
-        self.state.sigmas = sigmas = self._sigmas
         if not self._ties:
             return
         lam = self.state.lam
-        trailing_mass = self._trailing.dot(lam)
+        unranked = self.state.unranked
         end = 0
-        for rows, members, start, later in self._ties:
-            # Copies share the partition, hence each block's zbar and table.
-            # zbar adds non-negative masses, so it cannot round below zero.
-            zbar = float(trailing_mass[rows.start] + lam[later].sum())
+        # Each zbar adds non-negative masses, so it cannot round below zero.
+        for (rows, members, entries), zbar in zip(self._ties, self._rest.dot(lam).tolist()):
+            # Copies share the partition, hence the tie's zbar and table.
             values, totals, _ = _table_values(lam[members], zbar)
-            copies, steps = rows.stop - rows.start, members.size - 1
-            begin, end = end, end + copies * steps
-            sigmas[rows, start : start + members.size] = _block_orders(
-                values, totals, members, uniforms[begin:end].reshape(copies, steps)
-            )
+            begin, end = end, end + rows.size
+            walks = uniforms[begin:end].reshape(rows.shape)
+            orders = _block_orders(values, totals, members, walks)
+            unranked[rows[:, :, None], orders[:, None, :]] = entries
 
-    # -- conditional 2: arrival times --------------------------------------
+    # -- conditional 2: latents --------------------------------------------
 
     def sample_tau(self, draws: np.ndarray) -> None:
-        """Redraw arrival times given lam and the current orderings.
+        """Redraw the latents given lam and U.
 
-        The interarrival time into ranked position j is exponential with
-        rate equal to the total weight of everything not yet ranked, so the
-        first arrival has rate sum(lam) and arrivals are strictly
-        increasing. ``draws`` are the interarrival times' (num_rows, r)
-        standard exponentials.
+        ``draws`` are the rows' standard Gammas: of shape ``repetitions``
+        for a shared row, 1 for a tie's row.
         """
-        if len(self.state.sigmas) != self.num_rows:
-            raise RuntimeError("orderings not sampled yet; call sample_sigma first")
-        lam = self.state.lam
-        # Each position's weight, then the trailing mass, summed from the
-        # end back in place: a padded position adds 0.
-        rates = np.concatenate((lam, self._zero, self._trailing.dot(lam))).take(self._order)
-        np.add.accumulate(rates[:, ::-1], axis=1, out=rates[:, ::-1])
-        np.add.accumulate(draws / rates[:, :-1], axis=1, out=self._taus[:, 1:])
-        self.state.taus = self._taus
+        state = self.state
+        state.z = draws / state.unranked.dot(state.lam)
 
     # -- conditional 3: weights --------------------------------------------
-
-    def _posterior_gamma_params(self):
-        """Shape and rate vectors for the weight update.
-
-        Shape adds the class's ranked appearances; the rate adds each copy's
-        arrival time at the class's position, or the copy's horizon for a
-        class in its trailing block (an unranked class is only known to have
-        arrived after that point; zero when nothing was ranked).
-        """
-        k = self.num_classes
-        taus = self.state.taus
-        rate = taus.take(self._horizon_flat).dot(self._trailing)
-        # Padded positions land in bin K, which is dropped.
-        rate += np.bincount(self.state.sigmas.ravel(), taus[:, 1:].ravel(), k + 1)[:k]
-        rate += self.config.beta
-        return self._shape, rate
 
     def sample_lambda(self, draws: np.ndarray) -> None:
         """Redraw every weight from its Gamma full conditional.
 
         ``draws`` are (K,) standard Gammas of the conditional's shapes.
         """
-        if len(self.state.taus) != self.num_rows:
-            raise RuntimeError("arrival times not sampled yet; call sample_tau first")
-        _, rate = self._posterior_gamma_params()
-        self.state.lam = draws / rate
+        state = self.state
+        if state.z is None:
+            raise RuntimeError("latents not sampled yet; call sample_tau first")
+        state.lam = draws / (state.z.dot(state.unranked) + self.config.beta)
 
     # -- driver -------------------------------------------------------------
 
-    def _sweep_draws(self, sweeps: int):
-        """Yield a tied chain's draws for each sweep, in stream order: the
-        walk uniforms that ``sample_sigma`` takes, the (num_rows, r)
-        interarrival times and the weights' (K,) standard Gammas, one call
-        for each kind."""
-        rng = self.rng
-        shape = self._sigmas.shape
-        # n - 1 uniforms for each copy of an n-way tie.
-        walk = sum((rows.stop - rows.start) * (m.size - 1) for rows, m, _, _ in self._ties)
-        for _ in range(sweeps):
-            yield rng.random(walk), rng.standard_exponential(shape), rng.standard_gamma(self._shape)
-
-    def _tied_sweeps(self, sweeps: int):
-        """Yield the weights after each sweep of the three conditionals."""
-        for uniforms, arrivals, gammas in self._sweep_draws(sweeps):
-            self.sample_sigma(uniforms)
-            self.sample_tau(arrivals)
-            self.sample_lambda(gammas)
-            yield self.state.lam
-
-    def _collapsed_sweeps(self, sweeps: int):
-        """Yield the weights after each sweep of an untied chain, with each
-        annotation's copies collapsed (see the module docstring).
-
-        A chunk of sweeps draws its (sweeps, P + K) standard Gammas in one
-        call: the P position sums of shape ``repetitions``, then the
-        weights' K.
-        """
-        unranked = self._unranked
-        positions = unranked.shape[0]
-        beta = self.config.beta
-        per_chunk = max(1, _CHUNK_DRAWS // (positions + self.num_classes))
-        pattern = np.empty((min(per_chunk, sweeps), positions + self.num_classes))
-        pattern[:, :positions] = self.config.repetitions
-        pattern[:, positions:] = self._shape
-        lam = self.state.lam
+    def _sweeps(self, sweeps: int):
+        """Yield the weights after each sweep, drawing a chunk of sweeps at
+        a time: their walk uniforms in one call, then their (sweeps,
+        rows + K) standard Gammas in one."""
+        rows = self.state.unranked.shape[0]
+        walk = sum(tie_rows.size for tie_rows, _, _ in self._ties)
+        per_chunk = max(1, _CHUNK_DRAWS // (walk + self._shapes.size))
+        pattern = np.tile(self._shapes, (min(per_chunk, sweeps), 1))
         for start in range(0, sweeps, per_chunk):
-            for draws in self.rng.standard_gamma(pattern[: sweeps - start]):
-                z = draws[:positions] / unranked.dot(lam)
-                self.state.lam = lam = draws[positions:] / (z.dot(unranked) + beta)
-                yield lam
+            count = min(per_chunk, sweeps - start)
+            walks = self.rng.random((count, walk))
+            for uniforms, draws in zip(walks, self.rng.standard_gamma(pattern[:count])):
+                self.sample_sigma(uniforms)
+                self.sample_tau(draws[:rows])
+                self.sample_lambda(draws[rows:])
+                yield self.state.lam
 
     def run(self) -> PosteriorSamples:
-        """Sweep the chain and emit retained, normalized samples.
-
-        A chain with a tied block runs the three conditionals; an untied one
-        runs the collapsed sweep and updates only ``state.lam``.
-        """
+        """Sweep the chain and emit retained, normalized samples."""
         cfg = self.config
         kept = np.empty((cfg.num_retained, self.num_classes))
         row = 0
-        chain = self._tied_sweeps if self._ties else self._collapsed_sweeps
-        for t, lam in enumerate(chain(cfg.iterations), 1):
+        for t, lam in enumerate(self._sweeps(cfg.iterations), 1):
             if t > cfg.burn_in and (t - cfg.burn_in - 1) % cfg.thinning == 0:
                 kept[row] = lam
                 row += 1

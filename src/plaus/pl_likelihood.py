@@ -399,6 +399,9 @@ def pl_log_likelihood(lam, rankings, repetitions: int = 1) -> float:
     ``repetitions`` models reliability by counting each annotation that many
     times, sharpening the likelihood around its maximum.
     """
-    if not (isinstance(repetitions, (int, np.integer)) and repetitions >= 1):
+    # bool is an int, but True is no count of copies.
+    if isinstance(repetitions, bool) or not (
+        isinstance(repetitions, (int, np.integer)) and repetitions >= 1
+    ):
         raise ValueError(f"repetitions must be a positive integer, got {repetitions!r}")
     return repetitions * sum(pl_partial_ranking_log_prob(lam, r) for r in rankings)

@@ -9,7 +9,7 @@ from plaus import pl_gibbs
 from plaus.pl_gibbs import DEFAULT_REPETITION_GRID, GibbsConfig, GibbsSampler, gibbs_run
 from plaus.pl_likelihood import MAX_BLOCK_SIZE, BlockTooLargeError, _table_values
 from plaus.rankings import ClassSpace, PartialRanking
-from plaus.sim_oracle import random_partial_ranking
+from plaus.sim_oracle import grid_posterior_oracle, random_partial_ranking
 
 
 def make_sampler(blocks, k, **cfg):
@@ -57,12 +57,32 @@ def test_default_grid():
     assert DEFAULT_REPETITION_GRID == (1, 2, 3, 5, 10)
 
 
+def _weight_update(sampler, z):
+    """The weights' Gamma shapes and rates given latents ``z``: the update
+    with unit draws leaves lambda at one over the rate."""
+    sampler.state.z = np.array(z, dtype=float)
+    sampler.sample_lambda(np.ones(sampler.num_classes))
+    return sampler._shapes[len(z) :], 1.0 / sampler.state.lam
+
+
+def _tie_orders(sampler, tie=0):
+    """Each copy's ordering of a tie, read from its rows of U: a member's
+    place is the number of the tie's later rows that leave it unranked.
+    Checks first that the rows hold an ordering: the i-th leaves n - 1 - i
+    members unranked, each one the row above left unranked."""
+    rows, members, _ = sampler._ties[tie]
+    left = sampler.state.unranked[rows][:, :, members]
+    places = np.arange(members.size - 1, 0, -1)
+    assert_array_equal(left.sum(axis=2), np.broadcast_to(places, rows.shape))
+    assert (np.diff(left, axis=1) <= 0).all()
+    return members[np.argsort(left.sum(axis=1), axis=1)]
+
+
 def test_weight_update_for_a_ranked_class():
-    # one annotator ranked class 0 first; its arrival of 1.0 is the horizon
+    # one annotator ranked class 0 first; its latent of 1.0 is the horizon
     sampler = make_sampler([[[0]]], k=2, seed=0)
-    sampler.state.sigmas = np.array([[0]])
-    sampler.state.taus = np.array([[0.0, 1.0]])
-    shape, rate = sampler._posterior_gamma_params()
+    assert_array_equal(sampler.state.unranked, [[1.0, 1.0]])
+    shape, rate = _weight_update(sampler, [1.0])
     assert_allclose(shape, [2.0, 1.0])
     assert_allclose(rate, [2.0, 2.0])
 
@@ -70,77 +90,77 @@ def test_weight_update_for_a_ranked_class():
 def test_weight_update_censors_the_unranked_class():
     # unranked class alive past the horizon 0.7 contributes Gamma(1, 1.7)
     sampler = make_sampler([[[0]]], k=2, seed=0)
-    sampler.state.sigmas = np.array([[0]])
-    sampler.state.taus = np.array([[0.0, 0.7]])
-    shape, rate = sampler._posterior_gamma_params()
+    shape, rate = _weight_update(sampler, [0.7])
     assert_allclose(shape, [2.0, 1.0])
     assert_allclose(rate, [1.7, 1.7])
 
 
 def test_weight_update_accumulates_over_annotations():
     sampler = make_sampler([[[0]], [[1], [0]]], k=3, seed=0)
-    # the first row ranked one class: its second position is padding (id 3),
-    # and its arrival there must not count
-    sampler.state.sigmas = np.array([[0, 3], [1, 0]])
-    sampler.state.taus = np.array([[0.0, 0.5, 0.8], [0.0, 0.2, 0.6]])
-    shape, rate = sampler._posterior_gamma_params()
+    # the first annotation ranked one class, so it has one row; the second
+    # leaves class 1 behind after its first position
+    assert_array_equal(sampler.state.unranked, [[1, 1, 1], [1, 1, 1], [1, 0, 1]])
+    # arrivals 0.5 (its horizon) and 0.2, 0.6 (horizon 0.6) as latents
+    shape, rate = _weight_update(sampler, [0.5, 0.2, 0.4])
     # class 0 ranked by both; class 1 ranked only by the second annotator
     assert_allclose(shape, [3.0, 2.0, 1.0])
-    # first annotation horizon 0.5, second 0.6
     assert_allclose(rate, [1.0 + 0.5 + 0.6, 1.0 + 0.5 + 0.2, 1.0 + 0.5 + 0.6])
 
 
 def test_weight_update_matches_a_per_annotation_loop():
-    # the rate sum over all copies at once equals the loop over annotations,
-    # an annotation that ranked nothing contributing zero
+    # the rate sum over all rows at once equals the loop over annotations
+    # and copies, an annotation that ranked nothing contributing zero
     sampler = make_sampler([[[2], [0, 1]], [], [[3]]], k=4, repetitions=3, seed=4)
-    for uniforms, arrivals, gammas in sampler._sweep_draws(5):
-        sampler.sample_sigma(uniforms)
-        sampler.sample_tau(arrivals)
-        sampler.sample_lambda(gammas)
-    uniforms, arrivals, _ = next(sampler._sweep_draws(1))
-    sampler.sample_sigma(uniforms)
-    sampler.sample_tau(arrivals)
-    _, rate = sampler._posterior_gamma_params()
+    for _ in sampler._sweeps(5):
+        pass
+    z = sampler.state.z
+    orders = _tie_orders(sampler)
+    assert z.shape == (6,) and sampler.state.unranked.shape == (6, 4)
+    assert_allclose(sampler._shapes[:6], [3, 3, 1, 1, 1, 3])
     expected = np.full(4, 1.0)
-    assert sampler.num_ranked.tolist() == [3, 3, 3, 0, 0, 0, 1, 1, 1]
-    assert sampler.state.sigmas.shape == (9, 3) and sampler.state.taus.shape == (9, 4)
-    for ranked, sigma, tau in zip(sampler.num_ranked, sampler.state.sigmas, sampler.state.taus):
-        for position in range(ranked):
-            expected[sigma[position]] += tau[position + 1]
-        for c in set(range(4)) - set(sigma[:ranked].tolist()):
-            expected[c] += tau[ranked]
+    # the first annotation: its shared rows at class 2 and at the tie's
+    # first position, then one row a copy at the tie's second; class 3 is
+    # its trailing block
+    expected[[2, 0, 1, 3]] += z[0]
+    expected[[0, 1, 3]] += z[1]
+    for copy in range(3):
+        expected[[orders[copy, 1], 3]] += z[2 + copy]
+    # the third annotation's one row
+    expected += z[5]
+    _, rate = _weight_update(sampler, z)
     assert_allclose(rate, expected, rtol=1e-12)
 
 
 def test_shapes_untouched_for_never_ranked_classes():
     sampler = make_sampler([[[0]]], k=3, alpha=2.0, seed=0)
     assert_allclose(sampler.ranked_counts, [1.0, 0.0, 0.0])
-    uniforms, arrivals, _ = next(sampler._sweep_draws(1))
-    sampler.sample_sigma(uniforms)
-    sampler.sample_tau(arrivals)
-    shape, _ = sampler._posterior_gamma_params()
-    assert_allclose(shape, [3.0, 2.0, 2.0])
+    # the one row's shape, then the weights'
+    assert_allclose(sampler._shapes, [1.0, 3.0, 2.0, 2.0])
 
 
 def test_repetitions_duplicate_annotations():
     base = make_sampler([[[0]], [[1]]], k=3, seed=0)
     doubled = make_sampler([[[0]], [[1]]], k=3, repetitions=2, seed=0)
-    assert (base.num_rows, doubled.num_rows) == (2, 4)
     assert_allclose(doubled.ranked_counts, 2 * base.ranked_counts)
+    # untied copies share their rows, whose latents sum theirs
+    assert_array_equal(doubled.state.unranked, base.state.unranked)
+    assert_allclose((base._shapes[:2], doubled._shapes[:2]), [[1, 1], [2, 2]])
+    # a tie's later positions take one row a copy
+    tied = make_sampler([[[0, 1]]], k=3, repetitions=2, seed=0)
+    assert_array_equal(tied.state.unranked, [[1, 1, 1], [0, 1, 1], [0, 1, 1]])
+    assert_allclose(tied._shapes[:3], [2, 1, 1])
 
 
 def test_arrivals_increase_along_the_ordering():
     sampler = make_sampler([[[2], [0, 1]]], k=4, seed=5)
-    for uniforms, arrivals, gammas in sampler._sweep_draws(25):
-        sampler.sample_sigma(uniforms)
-        sampler.sample_tau(arrivals)
-        (sigma,) = sampler.state.sigmas
-        (tau,) = sampler.state.taus
-        assert tau[0] == 0.0 and np.all(np.diff(tau) > 0)
-        assert sigma[0] == 2  # the ranked top stays on top
-        assert sorted(sigma[1:].tolist()) == [0, 1]
-        sampler.sample_lambda(gammas)
+    for _ in sampler._sweeps(25):
+        # the arrival times are the latents' running sums
+        assert np.all(sampler.state.z > 0)
+        (order,) = _tie_orders(sampler)
+        assert sorted(order.tolist()) == [0, 1]
+        # the ranked top stays on top, ahead of the tie
+        assert_array_equal(sampler.state.unranked[:2], [[1, 1, 1, 1], [1, 1, 0, 1]])
+        assert_array_equal(sampler.state.unranked[2], np.isin(range(4), [order[1], 3]))
 
 
 def test_first_arrival_rate_is_total_mass():
@@ -148,10 +168,9 @@ def test_first_arrival_rate_is_total_mass():
     lam = np.array([1.5, 2.5])
     sampler.state.lam = lam
     firsts = []
-    for uniforms, arrivals, _ in sampler._sweep_draws(4000):
-        sampler.sample_sigma(uniforms)
-        sampler.sample_tau(arrivals)
-        firsts.append(sampler.state.taus[0, 1])
+    for _ in range(4000):
+        sampler.sample_tau(sampler.rng.standard_gamma(sampler._shapes[:1]))
+        firsts.append(sampler.state.z[0])
     target = 1.0 / lam.sum()
     se = target / np.sqrt(len(firsts))  # exponential: sd equals the mean
     assert abs(np.mean(firsts) - target) < 4 * se
@@ -165,9 +184,9 @@ def test_block_order_conditional_frequencies():
     p_first = (1 / (0.5 + 2.0)) / (1 / (0.5 + 2.0) + 1 / (0.5 + 1.0))
     hits = 0
     n = 4000
-    for uniforms, _, _ in sampler._sweep_draws(n):
-        sampler.sample_sigma(uniforms)
-        hits += sampler.state.sigmas[0][0] == 0
+    for _ in range(n):
+        sampler.sample_sigma(sampler.rng.random(1))
+        hits += _tie_orders(sampler)[0, 0] == 0
     se = np.sqrt(p_first * (1 - p_first) / n)
     assert abs(hits / n - p_first) < 4 * se
 
@@ -178,9 +197,8 @@ def test_copies_draw_their_block_orders_independently():
     lam = np.array([1.0, 2.0, 0.5])
     sampler.state.lam = lam
     p_first = (1 / (0.5 + 2.0)) / (1 / (0.5 + 2.0) + 1 / (0.5 + 1.0))
-    uniforms, _, _ = next(sampler._sweep_draws(1))
-    sampler.sample_sigma(uniforms)
-    firsts = sampler.state.sigmas[:, 0]
+    sampler.sample_sigma(sampler.rng.random(400))
+    firsts = _tie_orders(sampler)[:, 0]
     n = firsts.size
     assert n == 400
     se = np.sqrt(p_first * (1 - p_first) / n)
@@ -200,12 +218,11 @@ def test_copies_order_a_large_tie_by_its_exact_first_pick_probabilities():
     probs = np.prod(w / (zbar + w[:, ::-1].cumsum(1)[:, ::-1]), axis=1)
     probs /= probs.sum()
     p_first = np.bincount(orders[:, 0], weights=probs, minlength=8)
-    uniforms, _, _ = next(sampler._sweep_draws(1))
-    sampler.sample_sigma(uniforms)
-    sigmas = sampler.state.sigmas
-    assert sigmas.shape == (2000, 8)  # ranked positions only
-    assert (np.sort(sigmas, axis=1) == members).all()
-    freq = np.bincount(sigmas[:, 0], minlength=8) / 2000
+    sampler.sample_sigma(sampler.rng.random(2000 * 7))
+    # the tie's first position is shared, each later one a row a copy
+    assert sampler.state.unranked.shape == (1 + 2000 * 7, k)
+    firsts = _tie_orders(sampler)[:, 0]
+    freq = np.bincount(firsts, minlength=8) / 2000
     se = np.sqrt(p_first * (1 - p_first) / 2000)
     assert (np.abs(freq - p_first) < 4 * se).all()
 
@@ -288,15 +305,15 @@ def test_oversized_ties_are_refused_at_construction():
     make_sampler([[[0], [1]]], k=k)
 
 
-def test_tau_requires_sigma_first():
-    sampler = make_sampler([[[0]]], k=2, seed=0)
-    uniforms, arrivals, gammas = next(sampler._sweep_draws(1))
+def test_lambda_requires_the_latents_first():
+    sampler = make_sampler([[[0, 1]]], k=3, seed=0)
+    # U starts as an ordering, the tie's ids ascending, so the latents
+    # need no ordering pass first
+    assert_array_equal(_tie_orders(sampler), [[0, 1]])
     with pytest.raises(RuntimeError):
-        sampler.sample_tau(arrivals)
-    sampler.sample_sigma(uniforms)
-    sampler.sample_tau(arrivals)
-    with pytest.raises(RuntimeError):
-        make_sampler([[[0]]], k=2, seed=0).sample_lambda(gammas)
+        sampler.sample_lambda(np.ones(3))
+    sampler.sample_tau(np.ones(2))
+    sampler.sample_lambda(np.ones(3))
 
 
 def test_prior_recovery_without_annotations():
@@ -434,6 +451,8 @@ _POSTERIOR_CASES = {
     "untied-K12": (12, [[[3], [7], [1]], [[7], [0]], [[11]]]),
     "leading-tie-K6": (6, [[[0, 2], [1]], [[4]], []]),
     "ties-K12": (12, [[[5], [0, 9, 2], [8]], [[1], [4], [6, 10]]]),
+    # two ties in one annotation; ranked counts 7, 1 and 0
+    "two-ties-ragged-K8": (8, [[[6, 1], [3], [0, 7, 4], [5]], [[2]], []]),
     # ranked counts 3, 1 and 0, and a row that ranks every class
     "untied-ragged-K6": (6, [[[3], [0], [5]], [[2]], [], [[1], [4], [0], [2], [3], [5]]]),
 }
@@ -477,9 +496,63 @@ def test_collapsed_chain_draws_the_per_copy_stream_at_one_repetition(case):
     cfg = GibbsConfig(alpha=0.7, iterations=400, burn_in=100, thinning=3, seed=11)
     got = GibbsSampler(rankings, cfg, class_space=space)
     samples = got.run().samples
-    per_copy, rng = _reference_loop(rankings, cfg, space)
+    per_copy, rng = _per_copy_loop(rankings, cfg, space)
     assert got.rng.bit_generator.state == rng.bit_generator.state
     assert_allclose(samples, per_copy, rtol=1e-12, atol=0)
+
+
+def _per_copy_loop(rankings, cfg, space):
+    """The per-copy chain of untied rankings at one repetition, as plain
+    loops: each sweep draws every copy's interarrival exponentials in one
+    call, then the weights' Gammas, and adds each copy's arrival time at a
+    class's position, or its horizon where the class is in its trailing
+    block, into the class's rate. Returns its samples, normalized sweep by
+    sweep, and its generator."""
+    k = space.size
+    ranked = [[c for b in r.partition()[:-1] for c in b] for r in rankings]
+    trailing = [list(r.partition()[-1]) for r in rankings]
+    shape = np.full(k, cfg.alpha)
+    for order in ranked:
+        shape[order] += 1
+    rng = np.random.default_rng(cfg.seed)
+    lam = rng.gamma(cfg.alpha, 1.0 / cfg.beta, size=k)
+    kept = []
+    for t in range(1, cfg.iterations + 1):
+        arrivals = rng.standard_exponential((len(ranked), max(map(len, ranked), default=0)))
+        rate = np.full(k, cfg.beta)
+        for order, rest, draws in zip(ranked, trailing, arrivals):
+            tau = 0.0
+            for j, c in enumerate(order):
+                tau += draws[j] / lam[order[j:] + rest].sum()
+                rate[c] += tau
+            rate[rest] += tau
+        lam = rng.standard_gamma(shape) / rate
+        if t > cfg.burn_in and (t - cfg.burn_in - 1) % cfg.thinning == 0:
+            kept.append(lam / lam.sum())
+    return np.array(kept).reshape(-1, k), rng
+
+
+# (class count, annotations' blocks) with a tie, small enough for the exact
+# grid posterior.
+_GRID_CASES = {
+    "one-tie": (3, [[[0, 1]]]),
+    "tie-and-untied": (3, [[[1, 2], [0]], [[0], [2]]]),
+}
+
+
+@pytest.mark.parametrize("reps", [1, 3])
+@pytest.mark.parametrize("case", sorted(_GRID_CASES))
+def test_tied_chains_match_the_grid_oracle(case, reps):
+    # Within criterion 03's tolerance of the exact posterior; the grid sees
+    # each annotation once per copy. Its mean moves by under 1e-4 from
+    # resolution 240 to 120 on these cases.
+    k, blocks = _GRID_CASES[case]
+    space = ClassSpace(size=k)
+    rankings = [PartialRanking(b, space) for b in blocks]
+    oracle = grid_posterior_oracle(rankings * reps, alpha=1.0, resolution=120)
+    cfg = GibbsConfig(iterations=5500, burn_in=500, repetitions=reps, seed=30 + reps)
+    got = gibbs_run(rankings, cfg).samples.mean(axis=0)
+    assert np.abs(got - oracle.mean).max() < 0.02
 
 
 def _panel(case, rng, k):
@@ -517,96 +590,102 @@ class _CountingGenerator:
         return counted
 
 
-def _loop_draws(rankings, cfg, space):
-    """Per-sweep draw sizes, read from the rankings alone: the tied walks'
-    uniforms, the (copies, longest ranked count) interarrival times and the
-    weights' Gamma shapes."""
-    reps = cfg.repetitions
-    parts = [r.partition()[:-1] for r in rankings]
-    walk = reps * sum(len(b) - 1 for blocks in parts for b in blocks if len(b) > 1)
-    width = max((sum(map(len, blocks)) for blocks in parts), default=0)
-    shape = np.full(space.size, cfg.alpha)
-    for blocks in parts:
-        for b in blocks:
-            shape[list(b)] += reps
-    return walk, (len(rankings) * reps, width), shape
+class _PlainSweep:
+    """The sweep as plain loops over the rankings: every copy's ties walked
+    with the reference walk, then U rebuilt position by position from the
+    copies' orderings, then z and the weights. A chunk of sweeps, as many
+    as ``_CHUNK_DRAWS`` holds, makes one ``random`` call for their walk
+    uniforms and one ``standard_gamma`` call for their Gammas: per sweep, a
+    shape of ``repetitions`` for each shared row, 1 for each copy's row at
+    a tie's later position, then the weights' shapes."""
 
+    def __init__(self, rankings, cfg, space):
+        k, reps = space.size, cfg.repetitions
+        self.cfg, self.k = cfg, k
+        self.annotations = []  # (non-trailing blocks, trailing block), ids ascending
+        self.orders = []  # each copy's current ordering of each block
+        shapes, weights = [], np.full(k, cfg.alpha)
+        for r in rankings:
+            *blocks, trailing = [sorted(b) for b in r.partition()]
+            self.annotations.append((blocks, trailing))
+            self.orders.append([list(blocks) for _ in range(reps)])
+            for block in blocks:
+                weights[block] += reps
+                shapes += [reps] + [1] * (reps * (len(block) - 1))
+        self.walk = sum(reps * (len(b) - 1) for blocks, _ in self.annotations for b in blocks)
+        self.shape = np.array(shapes + weights.tolist(), dtype=float)
+        self.sweep_draws = self.walk + self.shape.size
+        self.rng = np.random.default_rng(cfg.seed)
+        self.lam = self.rng.gamma(cfg.alpha, 1.0 / cfg.beta, size=k)
 
-def _sweep_draws_size(rankings, cfg, space):
-    """Draws a sweep of an untied chain: one position sum per ranked
-    position of each annotation, then the K weights' Gammas."""
-    positions = sum(len(r.partition()) - 1 for r in rankings)
-    return positions + space.size
+    def unranked(self):
+        """U, row by row: per annotation and block, the block's first
+        position, shared by the copies, then for a tie each copy's later
+        positions. A row holds the classes ranked at its position or later,
+        or in the trailing block."""
+        rows = []
+        for (blocks, trailing), copies in zip(self.annotations, self.orders):
+            for b, block in enumerate(blocks):
+                after = [c for later in blocks[b + 1 :] for c in later] + trailing
+                rows.append(block + after)
+                for copy in copies if len(block) > 1 else ():
+                    rows += [copy[b][i:] + after for i in range(1, len(block))]
+        u = np.zeros((len(rows), self.k))
+        for row, classes in zip(u, rows):
+            row[classes] = 1.0
+        return u
 
+    def walk_ties(self, uniforms):
+        lam, end = self.lam, 0
+        for (blocks, trailing), copies in zip(self.annotations, self.orders):
+            for b, block in enumerate(blocks):
+                if len(block) > 1:
+                    after = [c for later in blocks[b + 1 :] for c in later] + trailing
+                    values, _, _ = _table_values(lam[block], float(lam[after].sum()))
+                    begin, end = end, end + len(copies) * (len(block) - 1)
+                    walks = uniforms[begin:end].reshape(len(copies), len(block) - 1)
+                    for copy, order in zip(
+                        copies, _reference_block_orders(walks, values, np.array(block))
+                    ):
+                        copy[b] = order.tolist()
 
-def _is_tied(rankings):
-    return any(len(b) > 1 for r in rankings for b in r.partition()[:-1])
-
-
-def _reference_loop(rankings, cfg, space):
-    """The sampler's conditionals, driven by a plain loop that makes each
-    sweep's draw calls itself; returns its samples, normalized sweep by
-    sweep, and its generator."""
-    sampler = GibbsSampler(rankings, cfg, class_space=space)
-    walk, arrival_shape, shape = _loop_draws(rankings, cfg, space)
-    rng = sampler.rng
-    kept = []
-    for t in range(1, cfg.iterations + 1):
-        sampler.sample_sigma(rng.random(walk))
-        sampler.sample_tau(rng.standard_exponential(arrival_shape))
-        sampler.sample_lambda(rng.standard_gamma(shape))
-        if t > cfg.burn_in and (t - cfg.burn_in - 1) % cfg.thinning == 0:
-            lam = sampler.state.lam
-            kept.append(lam / lam.sum())
-    return np.array(kept).reshape(-1, space.size), rng
-
-
-def _collapsed_loop(rankings, cfg, space):
-    """The untied chain's collapsed sweep as a plain loop over sweeps, each
-    making its one standard_gamma call, with U built position by position
-    from the rankings; returns its samples, normalized sweep by sweep, and
-    its generator."""
-    k, reps = space.size, cfg.repetitions
-    rows, shape = [], np.full(k, cfg.alpha)
-    for r in rankings:
-        *blocks, trailing = r.partition()
-        ranked = [c for b in blocks for c in b]
-        for position in range(len(ranked)):
-            row = np.zeros(k)
-            row[ranked[position:] + list(trailing)] = 1.0
-            rows.append(row)
-        shape[ranked] += reps
-    unranked = np.array(rows).reshape(-1, k)
-    sums = np.full(len(rows), float(reps))
-    rng = np.random.default_rng(cfg.seed)
-    lam = rng.gamma(cfg.alpha, 1.0 / cfg.beta, size=k)
-    kept = []
-    for t in range(1, cfg.iterations + 1):
-        draws = rng.standard_gamma(np.concatenate((sums, shape)))
-        z = draws[: len(rows)] / unranked.dot(lam)
-        lam = draws[len(rows) :] / (z.dot(unranked) + cfg.beta)
-        if t > cfg.burn_in and (t - cfg.burn_in - 1) % cfg.thinning == 0:
-            kept.append(lam / lam.sum())
-    return np.array(kept).reshape(-1, k), rng
+    def sweeps(self, sweeps):
+        """Yield each sweep's (walk uniforms, Gammas, U, z, weights)."""
+        per_chunk = max(1, pl_gibbs._CHUNK_DRAWS // self.sweep_draws)
+        for start in range(0, sweeps, per_chunk):
+            count = min(per_chunk, sweeps - start)
+            walks = self.rng.random((count, self.walk))
+            gammas = self.rng.standard_gamma(np.tile(self.shape, (count, 1)))
+            for uniforms, draws in zip(walks, gammas):
+                self.walk_ties(uniforms)
+                u = self.unranked()
+                z = draws[: len(u)] / u.dot(self.lam)
+                self.lam = draws[len(u) :] / (z.dot(u) + self.cfg.beta)
+                yield uniforms, draws, u, z, self.lam
 
 
 def _assert_runs_as_the_reference(rankings, cfg, space):
-    """run() emits the samples of the reference loop, the conditionals' for
-    a tied chain and the collapsed sweep's for an untied one, and leaves
-    the generator in its state; returns the draw calls run() made."""
+    """run() emits the plain sweep's samples, normalized sweep by sweep,
+    and leaves the generator in its state; returns the draw calls run()
+    made."""
     got = GibbsSampler(rankings, cfg, class_space=space)
     got.rng = _CountingGenerator(got.rng)
-    reference = _reference_loop if _is_tied(rankings) else _collapsed_loop
-    samples, rng = reference(rankings, cfg, space)
-    assert np.array_equal(got.run().samples, samples)
-    assert got.rng.bit_generator.state == rng.bit_generator.state
+    ref = _PlainSweep(rankings, cfg, space)
+    kept = [
+        lam / lam.sum()
+        for t, (*_, lam) in enumerate(ref.sweeps(cfg.iterations), 1)
+        if t > cfg.burn_in and (t - cfg.burn_in - 1) % cfg.thinning == 0
+    ]
+    assert np.array_equal(got.run().samples, np.array(kept).reshape(-1, space.size))
+    assert got.rng.bit_generator.state == ref.rng.bit_generator.state
     return got.rng.calls
 
 
 def _chunked_calls(rankings, cfg, space):
-    """Draw calls of an untied run: one a chunk of sweeps."""
-    per_chunk = max(1, pl_gibbs._CHUNK_DRAWS // _sweep_draws_size(rankings, cfg, space))
-    return -(-cfg.iterations // per_chunk)
+    """Draw calls of a run: a random and a standard_gamma call a chunk of
+    sweeps."""
+    per_chunk = max(1, pl_gibbs._CHUNK_DRAWS // _PlainSweep(rankings, cfg, space).sweep_draws)
+    return 2 * -(-cfg.iterations // per_chunk)
 
 
 @pytest.mark.parametrize("case", range(30))
@@ -624,40 +703,27 @@ def test_sampler_draws_as_the_reference_conditionals(case, monkeypatch):
         repetitions=DEFAULT_REPETITION_GRID[case % 5],
         seed=case,
     )
-    if _is_tied(rankings):
-        # _sweep_draws hands each conditional the draws of the plain calls,
-        # and the conditionals move both chains alike, step by step
-        got = GibbsSampler(rankings, cfg, class_space=space)
-        ref = GibbsSampler(rankings, cfg, class_space=space)
-        walk, arrival_shape, shape = _loop_draws(rankings, cfg, space)
-        for uniforms, arrivals, gammas in got._sweep_draws(4):
-            plain = (
-                ref.rng.random(walk),
-                ref.rng.standard_exponential(arrival_shape),
-                ref.rng.standard_gamma(shape),
-            )
-            for name, draws, expected in zip(
-                ("sample_sigma", "sample_tau", "sample_lambda"),
-                (uniforms, arrivals, gammas),
-                plain,
-            ):
-                assert np.array_equal(draws, expected)
-                getattr(got, name)(draws)
-                getattr(ref, name)(expected)
-                for field in ("lam", "sigmas", "taus"):
-                    assert np.array_equal(getattr(got.state, field), getattr(ref.state, field))
-        assert got.rng.bit_generator.state == ref.rng.bit_generator.state
-        assert _assert_runs_as_the_reference(rankings, cfg, space) == 3 * cfg.iterations
-        return
-    # An untied chain runs the collapsed sweep, one draw call a chunk of
-    # sweeps; chunks of 1 to 5 sweeps, so most chains end on a partial one.
+    # Given the plain sweep's draws, the conditionals move U, z and the
+    # weights as it does, sweep by sweep.
+    got = GibbsSampler(rankings, cfg, class_space=space)
+    ref = _PlainSweep(rankings, cfg, space)
+    assert np.array_equal(got.state.unranked, ref.unranked())
+    rows = len(got.state.unranked)
+    for uniforms, draws, u, z, lam in ref.sweeps(cfg.iterations):
+        got.sample_sigma(uniforms)
+        got.sample_tau(draws[:rows])
+        got.sample_lambda(draws[rows:])
+        for field, expected in (("unranked", u), ("z", z), ("lam", lam)):
+            assert np.array_equal(getattr(got.state, field), expected)
+    # run() draws as the plain sweep at the default chunk and at chunks of
+    # 1 to 5 sweeps, so most chains end on a partial one.
     assert _assert_runs_as_the_reference(rankings, cfg, space) == _chunked_calls(
         rankings, cfg, space
     )
-    sweep_draws = _sweep_draws_size(rankings, cfg, space)
-    monkeypatch.setattr(pl_gibbs, "_CHUNK_DRAWS", sweep_draws * (1 + case % 5))
+    chunk = 1 + case % 5
+    monkeypatch.setattr(pl_gibbs, "_CHUNK_DRAWS", ref.sweep_draws * chunk)
     calls = _assert_runs_as_the_reference(rankings, cfg, space)
-    assert calls == _chunked_calls(rankings, cfg, space) == -(-cfg.iterations // (1 + case % 5))
+    assert calls == _chunked_calls(rankings, cfg, space) == 2 * -(-cfg.iterations // chunk)
 
 
 def _untied(k, annotations):
@@ -665,41 +731,34 @@ def _untied(k, annotations):
     return [PartialRanking([[i % k], [(i + 1) % k]], space) for i in range(annotations)], space
 
 
-# (rankings, space, draw calls a sweep, or None where run() draws the
-# chain's stream in chunks)
 _CHAINS = {
-    "untied-K4": (*_untied(4, 2), None),
-    "untied-K12": (*_untied(12, 3), None),
+    "untied-K4": _untied(4, 2),
+    "untied-K12": _untied(12, 3),
     "ranked-nothing": (
         [PartialRanking([[3], [1]], ClassSpace(size=10)), PartialRanking([], ClassSpace(size=10))],
         ClassSpace(size=10),
-        None,
     ),
-    "no-annotations": ([], ClassSpace(size=9), None),
-    # Every tied walk's uniforms, arrivals, Gammas.
+    "no-annotations": ([], ClassSpace(size=9)),
     "tied": (
         [PartialRanking([[0, 2], [1]], ClassSpace(size=5)), PartialRanking([[4]], ClassSpace(size=5))],
         ClassSpace(size=5),
-        3,
     ),
     "ends-tied": (
         [PartialRanking([[1], [0, 2]], ClassSpace(size=5)), PartialRanking([[4]], ClassSpace(size=5))],
         ClassSpace(size=5),
-        3,
     ),
-    # Three ties over two annotations share the sweep's one uniform call.
+    # Three ties over two annotations share each chunk's one random call.
     "tied-thrice": (
         [
             PartialRanking([[0, 2], [1], [3, 4], [5]], ClassSpace(size=10)),
             PartialRanking([[5, 1, 3], [0]], ClassSpace(size=10)),
         ],
         ClassSpace(size=10),
-        3,
     ),
     # 2 annotations over 1,200 classes: 2 * 2 + 1,200 draws a sweep. At 10
     # repetitions the per-copy sweep drew 20 * 2 + 1,200 = 1,240, above a
     # cut of 1,200 that once sent such chains to per-sweep draws.
-    "above-threshold": (*_untied(1200, 2), None),
+    "above-threshold": _untied(1200, 2),
 }
 
 
@@ -707,21 +766,17 @@ _CHAINS = {
 @pytest.mark.parametrize("thinning", [1, 2])
 @pytest.mark.parametrize("chain", sorted(_CHAINS))
 def test_run_draws_as_the_reference_loop(chain, thinning, chunk_sweeps, monkeypatch):
-    rankings, space, sweep_calls = _CHAINS[chain]
+    rankings, space = _CHAINS[chain]
     reps_grid = (10,) if chain == "above-threshold" else DEFAULT_REPETITION_GRID
     for reps in reps_grid:
         cfg = GibbsConfig(
             alpha=0.7, iterations=13, burn_in=3, thinning=thinning, repetitions=reps, seed=reps
         )
-        assert _is_tied(rankings) == (sweep_calls is not None)
         if chunk_sweeps is not None:
-            sweep_draws = _sweep_draws_size(rankings, cfg, space)
+            sweep_draws = _PlainSweep(rankings, cfg, space).sweep_draws
             monkeypatch.setattr(pl_gibbs, "_CHUNK_DRAWS", sweep_draws * chunk_sweeps)
         calls = _assert_runs_as_the_reference(rankings, cfg, space)
-        if sweep_calls is None:
-            assert calls == _chunked_calls(rankings, cfg, space)
-        else:
-            assert calls == sweep_calls * cfg.iterations
+        assert calls == _chunked_calls(rankings, cfg, space)
 
 
 def test_every_zbar_the_sampler_forms_is_non_negative(monkeypatch):
@@ -756,8 +811,7 @@ def test_every_zbar_the_sampler_forms_is_non_negative(monkeypatch):
         negative_differences += float(lam.sum() - lam[ranked[:end]].sum()) < 0
         sampler = GibbsSampler([PartialRanking(blocks, space)], GibbsConfig(seed=case))
         sampler.state.lam = lam
-        uniforms, _, _ = next(sampler._sweep_draws(1))
-        sampler.sample_sigma(uniforms)
+        sampler.sample_sigma(sampler.rng.random(size - 1))
     assert len(zbars) == 2000
     assert negative_differences > 0
     assert min(zbars) >= 0.0
@@ -765,8 +819,8 @@ def test_every_zbar_the_sampler_forms_is_non_negative(monkeypatch):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_numpy_draws_a_shape_one_gamma_as_its_exponential(seed):
-    # At one repetition the collapsed chain draws the per-copy chain's stream
-    # by this numpy rule: an array standard_gamma call whose shapes are 1.0
+    # At one repetition an untied chain draws the per-copy chain's stream by
+    # this numpy rule: an array standard_gamma call whose shapes are 1.0
     # then the weights' shapes draws, in order, what a standard_exponential
     # call followed by scalar standard_gamma calls draws, and leaves the
     # generator in the same state.
@@ -789,3 +843,18 @@ def test_numpy_draws_a_shape_one_gamma_as_its_exponential(seed):
         )
         assert np.array_equal(draws, expected)
         assert got.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_numpy_draws_nothing_on_an_empty_call(seed):
+    # An untied chain's random call asks for no walk uniforms each chunk; it
+    # keeps the stream it drew without that call by this numpy rule: a
+    # size-0 random or standard_gamma call leaves the generator as it was.
+    rng = np.random.default_rng(seed)
+    rng.random(seed)
+    rng.standard_gamma(0.5)
+    state = rng.bit_generator.state
+    for draw in (rng.random, lambda size: rng.standard_gamma(np.ones(size))):
+        for size in (0, (0,), (6, 0), (0, 4)):
+            assert draw(size).size == 0
+            assert rng.bit_generator.state == state

@@ -371,3 +371,6 @@ def test_repetitions_multiply_the_log_likelihood(derm_rankings):
         pl_log_likelihood(lam, derm_rankings, repetitions=0)
     with pytest.raises(ValueError):
         pl_log_likelihood(lam, derm_rankings, repetitions=2.5)
+    # True once passed as one repetition
+    with pytest.raises(ValueError):
+        pl_log_likelihood(lam, derm_rankings, repetitions=True)
