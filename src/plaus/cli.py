@@ -203,6 +203,7 @@ class CaseRecord:
 
 
 def _read_records(path: str):
+    """Yield ``("path:line", record)`` for each non-blank line of a file."""
     try:
         handle = open(path, encoding="utf-8")
     except OSError as exc:
@@ -212,13 +213,14 @@ def _read_records(path: str):
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc.msg}") from None
+                raise ParseError(f"{where}: {exc.msg}") from None
             if not isinstance(record, dict):
-                raise ParseError(f"{path}:{lineno}: expected an object")
-            yield lineno, record
+                raise ParseError(f"{where}: expected an object")
+            yield where, record
 
 
 def _require(record: dict, key: str, where: str):
@@ -243,41 +245,50 @@ def _parse_class_space(record: dict, where: str) -> ClassSpace:
             raise ParseError(f"{where}: 'num_classes' must be a positive integer")
     else:
         raise ParseError(f"{where}: need 'classes' or 'num_classes'")
-    risk = None
-    if "risk" in record:
-        raw = record["risk"]
-        risk = {}
-        if isinstance(raw, list):
-            if len(raw) != size:
-                raise ParseError(f"{where}: 'risk' list must cover every class")
-            items = enumerate(raw)
-        elif isinstance(raw, dict):
-            items = raw.items()
-        else:
-            raise ParseError(f"{where}: 'risk' must be a list or object")
-        for key, level in items:
-            cid = _resolve_class(key, names, size, where)
-            if type(level) is not int or level not in (0, 1, 2):
-                raise ParseError(f"{where}: risk level must be the integer 0, 1 or 2")
-            risk[cid] = level
     try:
-        return ClassSpace(size=size, names=tuple(names) if names else None, risk=risk)
+        space = ClassSpace(size=size, names=tuple(names) if names else None)
     except ValueError as exc:
         raise ParseError(f"{where}: {exc}") from None
+    if "risk" not in record:
+        return space
+    raw = record["risk"]
+    if isinstance(raw, list):
+        if len(raw) != size:
+            raise ParseError(f"{where}: 'risk' list must cover every class")
+        items = enumerate(raw)
+    elif isinstance(raw, dict):
+        items = raw.items()
+    else:
+        raise ParseError(f"{where}: 'risk' must be a list or object")
+    risk = {}
+    for key, level in items:
+        cid = _resolve_class(key, space, where)
+        if type(level) is not int or level not in (0, 1, 2):
+            raise ParseError(f"{where}: risk level must be the integer 0, 1 or 2")
+        risk[cid] = level
+    return ClassSpace(size=size, names=space.names, risk=risk)
 
 
-def _resolve_class(token, names, size: int, where: str) -> int:
+def _resolve_class(token, space: ClassSpace, where: str) -> int:
     if isinstance(token, bool):
         raise ParseError(f"{where}: bad class reference {token!r}")
     if isinstance(token, int):
-        if not (0 <= token < size):
-            raise UnknownClassNameError(f"{where}: class id {token} outside [0, {size})")
+        if not (0 <= token < space.size):
+            raise UnknownClassNameError(f"{where}: class id {token} outside [0, {space.size})")
         return token
     if isinstance(token, str):
-        if names is None or token not in names:
-            raise UnknownClassNameError(f"{where}: unknown class name {token!r}")
-        return names.index(token)
+        try:
+            return space.id_of(token)
+        except KeyError:
+            raise UnknownClassNameError(f"{where}: unknown class name {token!r}") from None
     raise ParseError(f"{where}: bad class reference {token!r}")
+
+
+def _case_of(record: dict, spaces: dict, where: str) -> str:
+    case_id = str(_require(record, "case_id", where))
+    if case_id not in spaces:
+        raise DanglingCaseIdError(f"{where}: unknown case id {case_id!r}")
+    return case_id
 
 
 def ingest(
@@ -294,9 +305,7 @@ def ingest(
     """
     spaces: dict[str, ClassSpace] = {}
     metadata: dict[str, dict] = {}
-    order: list[str] = []
-    for lineno, record in _read_records(cases_path):
-        where = f"{cases_path}:{lineno}"
+    for where, record in _read_records(cases_path):
         case_id = str(_require(record, "case_id", where))
         if case_id in spaces:
             raise ParseError(f"{where}: duplicate case id {case_id!r}")
@@ -305,31 +314,23 @@ def ingest(
         if not isinstance(meta, dict):
             raise ParseError(f"{where}: 'metadata' must be an object")
         metadata[case_id] = meta
-        order.append(case_id)
 
-    annotations: dict[str, list] = {cid: [] for cid in order}
-    seen_annotators: dict[str, set] = {cid: set() for cid in order}
-    for lineno, record in _read_records(annotations_path):
-        where = f"{annotations_path}:{lineno}"
-        case_id = str(_require(record, "case_id", where))
-        if case_id not in spaces:
-            raise DanglingCaseIdError(f"{where}: unknown case id {case_id!r}")
+    # Per case, (ranking, score) by annotator id, in file order.
+    annotations: dict[str, dict] = {case_id: {} for case_id in spaces}
+    for where, record in _read_records(annotations_path):
+        case_id = _case_of(record, spaces, where)
         annotator = str(_require(record, "annotator_id", where))
-        if annotator in seen_annotators[case_id]:
+        if annotator in annotations[case_id]:
             raise ParseError(
                 f"{where}: duplicate annotator {annotator!r} for case {case_id!r}"
             )
-        seen_annotators[case_id].add(annotator)
         space = spaces[case_id]
         raw_blocks = _require(record, "blocks", where)
         if not isinstance(raw_blocks, list) or not all(
             isinstance(b, list) for b in raw_blocks
         ):
             raise ParseError(f"{where}: 'blocks' must be a list of lists")
-        blocks = [
-            [_resolve_class(tok, space.names, space.size, where) for tok in b]
-            for b in raw_blocks
-        ]
+        blocks = [[_resolve_class(tok, space, where) for tok in b] for b in raw_blocks]
         try:
             ranking = PartialRanking(blocks, space)
         except RankingError as exc:
@@ -337,44 +338,36 @@ def ingest(
         score = record.get("score")
         if score is not None and type(score) not in (int, float):
             raise ParseError(f"{where}: 'score' must be a number")
-        annotations[case_id].append(
-            (annotator, ranking, float(score) if score is not None else None)
-        )
+        annotations[case_id][annotator] = (ranking, float(score) if score is not None else None)
 
     predictions: dict[str, PredictionSet] = {}
     if predictions_path is not None:
-        for lineno, record in _read_records(predictions_path):
-            where = f"{predictions_path}:{lineno}"
-            case_id = str(_require(record, "case_id", where))
-            if case_id not in spaces:
-                raise DanglingCaseIdError(f"{where}: unknown case id {case_id!r}")
+        for where, record in _read_records(predictions_path):
+            case_id = _case_of(record, spaces, where)
             if case_id in predictions:
                 raise ParseError(f"{where}: duplicate prediction for case {case_id!r}")
             space = spaces[case_id]
             raw = _require(record, "ranked_classes", where)
             if not isinstance(raw, list) or not raw:
                 raise ParseError(f"{where}: 'ranked_classes' must be a non-empty list")
-            ids = [_resolve_class(tok, space.names, space.size, where) for tok in raw]
+            ids = [_resolve_class(tok, space, where) for tok in raw]
             try:
                 predictions[case_id] = PredictionSet(tuple(ids), case_id=case_id)
             except ValueError as exc:
                 raise ParseError(f"{where}: {exc}") from None
 
-    records = []
-    for case_id in order:
-        entries = annotations[case_id]
-        records.append(
-            CaseRecord(
-                case_id=case_id,
-                class_space=spaces[case_id],
-                annotator_ids=tuple(a for a, _, _ in entries),
-                rankings=tuple(r for _, r, _ in entries),
-                scores=tuple(s for _, _, s in entries),
-                prediction=predictions.get(case_id),
-                metadata=metadata[case_id],
-            )
+    return [
+        CaseRecord(
+            case_id=case_id,
+            class_space=space,
+            annotator_ids=tuple(annotations[case_id]),
+            rankings=tuple(r for r, _ in annotations[case_id].values()),
+            scores=tuple(s for _, s in annotations[case_id].values()),
+            prediction=predictions.get(case_id),
+            metadata=metadata[case_id],
         )
-    return records
+        for case_id, space in spaces.items()
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -499,9 +492,11 @@ def _write_rows(path: str, rows) -> None:
             handle.write(json.dumps(row, sort_keys=True, default=_json_default) + "\n")
 
 
-def _write_json(path: str, obj) -> None:
+def _write_manifest(out_dir: str, **fields) -> None:
+    manifest = {"schema_version": SCHEMA_VERSION, **fields}
+    path = os.path.join(out_dir, "manifest.json")
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(json.dumps(obj, sort_keys=True, indent=2, default=_json_default) + "\n")
+        handle.write(json.dumps(manifest, sort_keys=True, indent=2, default=_json_default) + "\n")
 
 
 def read_report(directory: str) -> dict:
@@ -533,8 +528,8 @@ def run(
     histogram), optionally ``aggregate_<model>_<rel>.jsonl`` posterior
     summaries (not for gaussian-scores, which has no posterior to summarize),
     and a ``failures_<model>.jsonl`` when cases failed.
-    ``manifest.json`` is written by ``_run_models`` from the returned
-    manifests of every model.
+    The command line writes ``manifest.json`` from the returned manifests
+    of every model.
 
     Cases are processed by a worker pool; output depends only on inputs and
     the base seed, not on worker count. Returns the manifest.
@@ -686,24 +681,6 @@ def run(
     return manifest
 
 
-def _run_models(configs, records, out_dir, workers, include_aggregate=False) -> int:
-    manifests = [
-        run(config, records, out_dir, workers=workers, include_aggregate=include_aggregate)
-        for config in configs
-    ]
-    _write_json(
-        os.path.join(out_dir, "manifest.json"),
-        {
-            "schema_version": SCHEMA_VERSION,
-            "models": manifests,
-            "num_cases": len(records),
-        },
-    )
-    if any(m["num_failures"] for m in manifests):
-        return EXIT_DATA
-    return EXIT_OK
-
-
 # --------------------------------------------------------------------------
 # selfcheck
 
@@ -733,16 +710,13 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _split_csv(text: str) -> list[str]:
-    return [part.strip() for part in text.split(",") if part.strip()]
-
-
 def _csv_of(convert, what: str):
-    """Flag type: a comma-separated list, each item passed through ``convert``."""
+    """Flag type: a comma-separated list, each non-blank item stripped and
+    passed through ``convert``."""
 
     def parse(text: str) -> tuple:
         try:
-            return tuple(convert(token) for token in _split_csv(text))
+            return tuple(convert(part.strip()) for part in text.split(",") if part.strip())
         except ValueError:
             raise argparse.ArgumentTypeError(f"bad {what} {text!r}") from None
 
@@ -785,7 +759,7 @@ def _add_common(parser, with_predictions: bool) -> None:
     parser.add_argument(
         "--model",
         dest="models",
-        type=_split_csv,
+        type=_csv_of(str, "model list"),
         default="prirn,pl",
         help="comma-separated models: " + ", ".join(MODELS),
     )
@@ -820,9 +794,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classes", type=int, required=True, help="classes per case")
     p.add_argument("--cases", type=int, default=10, help="number of cases")
     p.add_argument("--annotators", type=int, default=3)
-    p.add_argument("--blocks", default="1,1", help="comma-separated block sizes")
+    p.add_argument(
+        "--blocks",
+        type=_csv_of(int, "block sizes"),
+        default="1,1",
+        help="comma-separated block sizes",
+    )
     p.add_argument(
         "--true-lambda",
+        type=_csv_of(float, "weights"),
         default=None,
         help="comma-separated weights shared by all cases (default: drawn per case)",
     )
@@ -861,9 +841,13 @@ def _cmd_reports(args) -> int:
         missing = [r.case_id for r in records if r.prediction is None]
         if missing:
             raise DataError(f"no prediction for cases {missing}")
-    return _run_models(
-        configs, records, _out_dir(args), args.workers, args.command == "aggregate"
-    )
+    out_dir = _out_dir(args)
+    manifests = [
+        run(config, records, out_dir, args.workers, include_aggregate=args.command == "aggregate")
+        for config in configs
+    ]
+    _write_manifest(out_dir, models=manifests, num_cases=len(records))
+    return EXIT_DATA if any(m["num_failures"] for m in manifests) else EXIT_OK
 
 
 def _cmd_simulate(args) -> int:
@@ -871,18 +855,8 @@ def _cmd_simulate(args) -> int:
         raise ConfigError("need at least two classes")
     if args.cases < 1:
         raise ConfigError("need at least one case")
-    try:
-        block_sizes = tuple(int(s) for s in _split_csv(args.blocks))
-    except ValueError:
-        raise ConfigError(f"bad block sizes {args.blocks!r}") from None
-    shared_lambda = None
-    if args.true_lambda is not None:
-        try:
-            shared_lambda = tuple(float(v) for v in _split_csv(args.true_lambda))
-        except ValueError:
-            raise ConfigError(f"bad weights {args.true_lambda!r}") from None
-        if len(shared_lambda) != args.classes:
-            raise ConfigError("--true-lambda length must match --classes")
+    if args.true_lambda is not None and len(args.true_lambda) != args.classes:
+        raise ConfigError("--true-lambda length must match --classes")
     out_dir = _out_dir(args)
     os.makedirs(out_dir, exist_ok=True)
 
@@ -891,8 +865,8 @@ def _cmd_simulate(args) -> int:
         case_id = f"sim-{index:04d}"
         seed = _case_seed(args.seed, case_id, "simulate", "0")
         rng = np.random.default_rng(seed)
-        if shared_lambda is not None:
-            lam = np.asarray(shared_lambda)
+        if args.true_lambda is not None:
+            lam = np.asarray(args.true_lambda)
         else:
             lam = rng.dirichlet(np.full(args.classes, args.lambda_alpha))
             lam = np.maximum(lam, 1e-12)
@@ -900,7 +874,7 @@ def _cmd_simulate(args) -> int:
             spec = SimSpec(
                 true_lambda=tuple(lam),
                 num_annotators=args.annotators,
-                block_sizes=block_sizes,
+                block_sizes=args.blocks,
                 sharpness=args.sharpness,
                 seed=int(rng.integers(2**63)),
             )
@@ -928,18 +902,15 @@ def _cmd_simulate(args) -> int:
     _write_rows(os.path.join(out_dir, "truth.jsonl"), truth_rows)
     if prediction_rows:
         _write_rows(os.path.join(out_dir, "predictions.jsonl"), prediction_rows)
-    _write_json(
-        os.path.join(out_dir, "manifest.json"),
-        {
-            "schema_version": SCHEMA_VERSION,
-            "command": "simulate",
-            "num_cases": args.cases,
-            "num_classes": args.classes,
-            "annotators": args.annotators,
-            "block_sizes": list(block_sizes),
-            "sharpness": args.sharpness,
-            "base_seed": args.seed,
-        },
+    _write_manifest(
+        out_dir,
+        command="simulate",
+        num_cases=args.cases,
+        num_classes=args.classes,
+        annotators=args.annotators,
+        block_sizes=list(args.blocks),
+        sharpness=args.sharpness,
+        base_seed=args.seed,
     )
     return EXIT_OK
 

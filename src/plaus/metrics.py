@@ -65,6 +65,10 @@ class PredictionSet:
     case_id: str | None = None
 
     def __post_init__(self) -> None:
+        for c in self.ranked_classes:
+            # int() would truncate 1.7 and read True or "1" as class 1.
+            if not isinstance(c, (int, np.integer)) or isinstance(c, bool):
+                raise ValueError(f"class id {c!r} is not an integer")
         ids = tuple(int(c) for c in self.ranked_classes)
         if len(set(ids)) != len(ids):
             raise ValueError("ranked_classes must be distinct")

@@ -152,64 +152,6 @@ def _table_values_small(w, zbar: float):
     return np.array(values), np.array(totals), log_scale
 
 
-@dataclass(frozen=True, eq=False)
-class _SubsetLayout:
-    """Popcount-layer order of the 2^n subset masks of an n-class block.
-
-    Position p of a layer-ordered table holds mask ``order[p]``: the empty
-    mask first, then every one-bit mask, and so on up to the full mask, each
-    layer ascending, and ``position`` is the inverse permutation. Layer L
-    fills positions ``start:stop``, and row j of its (L, stop - start)
-    ``preds`` holds, for each of its masks, the position of that mask with
-    its j-th lowest set bit cleared.
-
-    Indices are intp up to n = 16, so a gather uses them as they are (numpy
-    would cast an int32 index array on every gather); above that they are
-    int32, which halves the largest layouts. All arrays are read-only
-    because every caller shares them.
-    """
-
-    order: np.ndarray
-    position: np.ndarray
-    layers: tuple[tuple[int, int, np.ndarray], ...]
-
-
-@lru_cache(maxsize=None)
-def _subset_layout(n: int) -> _SubsetLayout:
-    """The layer-ordered layout of an n-class block.
-
-    The layout depends on n alone, so it is built once per block size
-    (n <= ``MAX_BLOCK_SIZE`` bounds the cache). Kept bytes: about 0.12 MB
-    at n = 11, 5.2 MB at n = 16 and 50 MB at n = 20.
-    """
-    masks = np.arange(1 << n)
-    # A bit loop, since np.bitwise_count needs numpy 2.
-    popcounts = np.zeros(1 << n, dtype=np.int8)
-    for i in range(n):
-        popcounts += (masks >> i) & 1
-    index_dtype = np.intp if n <= 16 else np.int32
-    order = np.argsort(popcounts, kind="stable").astype(index_dtype)
-    position = np.empty(1 << n, dtype=index_dtype)
-    position[order] = np.arange(1 << n, dtype=index_dtype)
-    layers = []
-    start = 1
-    for layer in range(1, n + 1):
-        stop = start + int(np.count_nonzero(popcounts == layer))
-        layer_masks = order[start:stop].astype(np.intp)
-        preds = np.empty((layer, stop - start), dtype=index_dtype)
-        rest = layer_masks.copy()
-        for j in range(layer):
-            low = rest & -rest
-            preds[j] = position[layer_masks ^ low]
-            rest ^= low
-        preds.flags.writeable = False
-        layers.append((start, stop, preds))
-        start = stop
-    order.flags.writeable = False
-    position.flags.writeable = False
-    return _SubsetLayout(order=order, position=position, layers=tuple(layers))
-
-
 # Weights inside these bounds can never trip a rescale: every table entry of
 # layer L lies in [(zbar + max w)^-L, (min w)^-L], and for L <= 20 that is
 # inside [1e-240, 1e240], well within the rescale thresholds.
@@ -218,36 +160,75 @@ _UNCHECKED_MAX_MASS = 1e12
 
 
 class _TableBuffers:
-    """Working arrays of the layered kernel for one block size, kept from
-    call to call: the layer-order denominators, values and totals, and the
-    view of them that each doubling step and each layer reads or writes.
+    """The layer-ordered layout of an n-class block's 2^n subset masks, and
+    the working arrays of the layered kernel, kept from call to call.
 
-    Making a view costs about as much as the arithmetic of a small layer,
-    and an n-class table needs 2n + 3n of them. The kernel returns fresh
-    arrays, so every call for blocks of that size shares the one set that
-    :func:`_table_buffers` keeps; they must not serve two calls at once, so
-    the kernel is not thread-safe (the CLI's workers are processes).
+    Position p of a layer-ordered table holds mask ``order[p]``: the empty
+    mask first, then every one-bit mask, and so on up to the full mask, each
+    layer ascending, and ``position`` is the inverse permutation. Layer L
+    fills positions ``start:stop``, and row j of its (L, stop - start)
+    ``preds`` holds, for each of its masks, the position of that mask with
+    its j-th lowest set bit cleared. Indices are intp up to n = 16, so a
+    gather uses them as they are (numpy would cast an int32 index array on
+    every gather); above that they are int32, which halves the largest
+    layouts. The layout arrays are read-only.
+
+    The working arrays are the layer-order denominators, values and totals,
+    and the view of them that each doubling step and each layer reads or
+    writes. Making a view costs about as much as the arithmetic of a small
+    layer, and an n-class table needs 2n + 3n of them. The kernel returns
+    fresh arrays, so every call for blocks of that size shares the one set
+    that :func:`_table_buffers` keeps; they must not serve two calls at
+    once, so the kernel is not thread-safe (the CLI's workers are processes).
     """
 
     def __init__(self, n: int):
         size = 1 << n
-        self.layout = _subset_layout(n)
+        masks = np.arange(size)
+        # A bit loop, since np.bitwise_count needs numpy 2.
+        popcounts = np.zeros(size, dtype=np.int8)
+        for i in range(n):
+            popcounts += (masks >> i) & 1
+        index_dtype = np.intp if n <= 16 else np.int32
+        self.order = np.argsort(popcounts, kind="stable").astype(index_dtype)
+        self.position = np.empty(size, dtype=index_dtype)
+        self.position[self.order] = np.arange(size, dtype=index_dtype)
+        self.order.flags.writeable = False
+        self.position.flags.writeable = False
+
         self.by_mask = np.zeros(size)
         self.doubling = [(self.by_mask[: 1 << i], self.by_mask[1 << i : 2 << i]) for i in range(n)]
         self.denom = np.empty(size)
         self.values = np.empty(size)
         self.totals = np.zeros(size)
-        self.layers = [
-            (start, stop, preds, self.totals[start:stop], self.denom[start:stop],
-             self.values[start:stop])
-            for start, stop, preds in self.layout.layers
-        ]
+        self.layers = []
+        start = 1
+        for layer in range(1, n + 1):
+            stop = start + int(np.count_nonzero(popcounts == layer))
+            layer_masks = self.order[start:stop].astype(np.intp)
+            preds = np.empty((layer, stop - start), dtype=index_dtype)
+            rest = layer_masks.copy()
+            for j in range(layer):
+                low = rest & -rest
+                preds[j] = self.position[layer_masks ^ low]
+                rest ^= low
+            preds.flags.writeable = False
+            self.layers.append(
+                (start, stop, preds, self.totals[start:stop], self.denom[start:stop],
+                 self.values[start:stop])
+            )
+            start = stop
 
 
 @lru_cache(maxsize=None)
 def _table_buffers(n: int) -> _TableBuffers:
-    """The working arrays of every n-class table, kept like the layout
-    they index with: 4 * 2^n floats, 2 MB at n = 16 and 32 MB at n = 20."""
+    """The layout and working arrays of every n-class table.
+
+    They depend on n alone, so they are built once per block size
+    (n <= ``MAX_BLOCK_SIZE`` bounds the cache). Kept bytes: the layout is
+    about 0.12 MB at n = 11, 5.2 MB at n = 16 and 50 MB at n = 20, and the
+    working arrays are 4 * 2^n floats, 2 MB at n = 16 and 32 MB at n = 20.
+    """
     return _TableBuffers(n)
 
 
@@ -265,7 +246,7 @@ def _table_values_layered(w, zbar: float):
     # denom[mask] adds the weights in ascending bit order, then zbar.
     for (lower, upper), weight in zip(space.doubling, weights):
         np.add(lower, weight, out=upper)
-    denom = space.by_mask.take(space.layout.order, out=space.denom)
+    denom = space.by_mask.take(space.order, out=space.denom)
     denom += zbar
     checked = not (
         min(weights) >= _UNCHECKED_MIN_WEIGHT and zbar + max(weights) <= _UNCHECKED_MAX_MASS
@@ -290,8 +271,7 @@ def _table_values_layered(w, zbar: float):
                     values[:stop] /= peak
                     totals[:stop] /= peak
                 log_scale += float(np.log(peak))
-    position = space.layout.position
-    return values.take(position), totals.take(position), log_scale
+    return values.take(space.position), totals.take(space.position), log_scale
 
 
 def _table_values(w, zbar: float):

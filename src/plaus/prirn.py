@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .irn import IrnScores, irn_aggregate
+from .irn import irn_aggregate
 from .samples import PosteriorSamples
 
 __all__ = ["DEFAULT_GAMMA_GRID", "PrIrnModel", "prirn_sample"]
@@ -47,14 +47,7 @@ class PrIrnModel:
         """
         if not gamma > 0:
             raise ValueError(f"gamma must be positive, got {gamma}")
-        scores = irn_aggregate(rankings)
-        return cls.from_scores(scores, gamma)
-
-    @classmethod
-    def from_scores(cls, scores: IrnScores, gamma: float) -> "PrIrnModel":
-        if not gamma > 0:
-            raise ValueError(f"gamma must be positive, got {gamma}")
-        lam_hat = scores.normalized
+        lam_hat = irn_aggregate(rankings).normalized
         return cls(
             point_estimate=lam_hat,
             gamma=float(gamma),

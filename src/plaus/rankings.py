@@ -76,7 +76,7 @@ class ClassSpace:
     risk: dict[int, int] | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.size, int) or self.size < 1:
+        if not isinstance(self.size, int) or isinstance(self.size, bool) or self.size < 1:
             raise ValueError(f"class space size must be a positive int, got {self.size!r}")
         if self.names is not None:
             object.__setattr__(self, "names", tuple(self.names))
@@ -86,9 +86,13 @@ class ClassSpace:
                 )
         if self.risk is not None:
             for cid, level in self.risk.items():
-                if not (0 <= cid < self.size):
+                # type(), not isinstance(): bool is an int, but True is no
+                # class id or risk level.
+                cid_is_int = type(cid) is int or isinstance(cid, np.integer)
+                if not cid_is_int or not (0 <= cid < self.size):
                     raise ClassIdOutOfRangeError(f"risk map references class {cid}")
-                if level not in (0, 1, 2):
+                level_is_int = type(level) is int or isinstance(level, np.integer)
+                if not level_is_int or level not in (0, 1, 2):
                     raise ValueError(f"risk level for class {cid} must be 0, 1 or 2")
 
     @cached_property
@@ -107,14 +111,17 @@ class ClassSpace:
             return str(class_id)
         return self.names[class_id]
 
+    @cached_property
+    def _ids(self) -> dict[str, int]:
+        return dict(zip(self.names or (), range(self.size)))
+
     def id_of(self, name: str) -> int:
-        """Resolve a display name back to its class id."""
-        if self.names is None:
-            raise KeyError(name)
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise KeyError(name) from None
+        """Resolve a display name back to its class id.
+
+        Raises:
+            KeyError: no class has that name, or the space has no names.
+        """
+        return self._ids[name]
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from plaus.cli import (
     reliability_tag,
 )
 from plaus.pl_likelihood import MAX_BLOCK_SIZE
+from plaus.rankings import ClassSpace
 
 DATA = Path(__file__).parent / "data"
 
@@ -196,6 +197,52 @@ def test_ingest_rejects_risk_without_full_list(tmp_path):
     )
     with pytest.raises(ParseError, match="cover every class"):
         ingest(cases, cases)
+
+
+def test_name_keyed_id_keyed_and_list_risk_maps_give_one_risk_vector(tmp_path):
+    names = ["x", "y", "z", "w"]
+    levels = [2, 0, 1, 0]
+    cases = write_lines(
+        tmp_path / "c.jsonl",
+        [
+            {"case_id": "names", "classes": names, "risk": dict(zip(names, levels))},
+            {"case_id": "named-list", "classes": names, "risk": levels},
+            {"case_id": "list", "num_classes": 4, "risk": levels},
+            {"case_id": "partial", "classes": names, "risk": {"z": 1, "x": 2}},
+        ],
+    )
+    *full, partial = [r.class_space for r in ingest(cases, write_lines(tmp_path / "a.jsonl", []))]
+    by_id = ClassSpace(size=4, risk=dict(enumerate(levels)))
+    for space in full:
+        assert space.risk == by_id.risk
+        assert np.array_equal(space.risk_levels[0], by_id.risk_levels[0])
+        assert space.risk_levels[1] == ()
+    expected_levels, missing = ClassSpace(size=4, risk={0: 2, 2: 1}).risk_levels
+    assert np.array_equal(partial.risk_levels[0], expected_levels)
+    assert partial.risk_levels[1] == missing == (1, 3)
+
+
+def test_a_large_named_case_resolves_every_name_to_its_position(tmp_path):
+    k = 2000
+    names = [f"condition-{i:04d}" for i in range(k)]
+    order = np.random.default_rng(3).permutation(k).tolist()
+    cases = write_lines(
+        tmp_path / "c.jsonl",
+        [{"case_id": "a", "classes": names, "risk": {n: i % 3 for i, n in enumerate(names)}}],
+    )
+    annotations = write_lines(
+        tmp_path / "a.jsonl",
+        [{"case_id": "a", "annotator_id": "r", "blocks": [[names[c]] for c in order]}],
+    )
+    predictions = write_lines(
+        tmp_path / "p.jsonl", [{"case_id": "a", "ranked_classes": [names[c] for c in order]}]
+    )
+    (record,) = ingest(cases, annotations, predictions)
+    space = record.class_space
+    assert [space.id_of(n) for n in names] == list(range(k))
+    assert space.risk == {i: i % 3 for i in range(k)}
+    assert record.rankings[0].blocks == tuple(frozenset({c}) for c in order)
+    assert record.prediction.ranked_classes == tuple(order)
 
 
 @pytest.mark.parametrize(
@@ -821,8 +868,12 @@ def test_simulate_writes_a_dataset(tmp_path):
     assert code == 0
 
 
-def test_simulate_validation(tmp_path):
+def test_simulate_validation(tmp_path, capsys):
     assert run_main(["simulate", "--classes", "1", "--out-dir", str(tmp_path)]) == 1
+    for flag, value in (("--blocks", "1,x"), ("--true-lambda", "1,2,z")):
+        argv = ["simulate", "--classes", "3", flag, value, "--out-dir", str(tmp_path)]
+        assert run_main(argv) == 1
+        assert f"argument {flag}: bad" in capsys.readouterr().err
     assert (
         run_main(
             [

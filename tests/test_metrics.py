@@ -45,6 +45,15 @@ def test_prediction_set_validation():
         pred.top(3)
 
 
+@pytest.mark.parametrize("ids", [(1.7, 0), (True, 0), ("1", 0), (1, None)])
+def test_prediction_set_refuses_non_integer_ids(ids):
+    # int() would have read 1.7, True and "1" as class 1
+    with pytest.raises(ValueError, match="not an integer"):
+        PredictionSet(ids)
+    ranked = PredictionSet((np.int64(1), 0)).ranked_classes
+    assert ranked == (1, 0) and all(type(c) is int for c in ranked)
+
+
 def test_certainty_label_counts_argmax():
     samples = np.array([[0.6, 0.4], [0.2, 0.8], [0.7, 0.3], [0.9, 0.1]])
     assert certainty_label(samples, 0) == 0.75

@@ -14,7 +14,6 @@ from plaus.pl_likelihood import (
     MAX_BLOCK_SIZE,
     BlockTooLargeError,
     NonPositiveWeightError,
-    _subset_layout,
     _table_buffers,
     _table_values_layered,
     _table_values_small,
@@ -200,14 +199,14 @@ def test_each_total_is_the_in_order_sum_of_its_one_bit_removals(n):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_subset_layout_lists_each_layer_and_its_one_bit_removals(n):
-    layout = _subset_layout(n)
+    layout = _table_buffers(n)
     assert len(layout.layers) == n
     # positions run through the masks by popcount, each layer ascending
     expected_order = sorted(range(1 << n), key=lambda m: (m.bit_count(), m))
     assert layout.order.tolist() == expected_order
     assert layout.order[layout.position].tolist() == list(range(1 << n))
     next_start = 1
-    for layer, (start, stop, preds) in enumerate(layout.layers, start=1):
+    for layer, (start, stop, preds, *_) in enumerate(layout.layers, start=1):
         expected = [m for m in range(1 << n) if m.bit_count() == layer]
         assert (start, stop) == (next_start, next_start + len(expected))
         assert layout.order[start:stop].tolist() == expected
@@ -316,8 +315,8 @@ def test_a_bare_sum_on_the_full_mask_layer_changes_the_table():
 
 @pytest.mark.parametrize("n, dtype", [(7, np.intp), (16, np.intp), (17, np.int32)])
 def test_subset_layout_indexes_with_intp_up_to_sixteen_classes(n, dtype):
-    layout = _subset_layout(n)
-    assert all(preds.dtype == dtype for _, _, preds in layout.layers)
+    layout = _table_buffers(n)
+    assert all(preds.dtype == dtype for _, _, preds, *_ in layout.layers)
     assert layout.order.dtype == dtype and layout.position.dtype == dtype
 
 

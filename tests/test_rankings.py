@@ -35,12 +35,33 @@ def test_class_space_risk_validation():
         ClassSpace(size=2, risk={7: 1})
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"size": True},
+        {"size": 2.0},
+        {"size": 2, "risk": {True: 1}},
+        {"size": 2, "risk": {1.0: 1}},
+        {"size": 2, "risk": {1: True}},
+        {"size": 2, "risk": {1: 1.0}},
+    ],
+)
+def test_class_space_refuses_booleans_and_floats(kwargs):
+    # bool is an int, so True would pass as size 1, class 1 or level 1
+    with pytest.raises(ValueError):
+        ClassSpace(**kwargs)
+    space = ClassSpace(size=3, risk={np.int64(1): np.int64(2)})
+    assert space.risk_levels[0].tolist() == [0.0, 2.0, 0.0]
+
+
 def test_class_space_name_lookup():
     space = ClassSpace(size=2, names=("cat", "dog"))
     assert space.name_of(1) == "dog"
     assert space.id_of("cat") == 0
     with pytest.raises(KeyError):
         space.id_of("ferret")
+    with pytest.raises(KeyError):
+        ClassSpace(size=2).id_of("0")
     assert ClassSpace(size=2).name_of(1) == "1"
 
 
