@@ -284,11 +284,11 @@ def _resolve_class(token, space: ClassSpace, where: str) -> int:
     raise ParseError(f"{where}: bad class reference {token!r}")
 
 
-def _case_of(record: dict, spaces: dict, where: str) -> str:
+def _case_of(record: dict, spaces: dict, where: str) -> tuple[str, ClassSpace]:
     case_id = str(_require(record, "case_id", where))
     if case_id not in spaces:
         raise DanglingCaseIdError(f"{where}: unknown case id {case_id!r}")
-    return case_id
+    return case_id, spaces[case_id]
 
 
 def ingest(
@@ -318,13 +318,12 @@ def ingest(
     # Per case, (ranking, score) by annotator id, in file order.
     annotations: dict[str, dict] = {case_id: {} for case_id in spaces}
     for where, record in _read_records(annotations_path):
-        case_id = _case_of(record, spaces, where)
+        case_id, space = _case_of(record, spaces, where)
         annotator = str(_require(record, "annotator_id", where))
         if annotator in annotations[case_id]:
             raise ParseError(
                 f"{where}: duplicate annotator {annotator!r} for case {case_id!r}"
             )
-        space = spaces[case_id]
         raw_blocks = _require(record, "blocks", where)
         if not isinstance(raw_blocks, list) or not all(
             isinstance(b, list) for b in raw_blocks
@@ -343,10 +342,9 @@ def ingest(
     predictions: dict[str, PredictionSet] = {}
     if predictions_path is not None:
         for where, record in _read_records(predictions_path):
-            case_id = _case_of(record, spaces, where)
+            case_id, space = _case_of(record, spaces, where)
             if case_id in predictions:
                 raise ParseError(f"{where}: duplicate prediction for case {case_id!r}")
-            space = spaces[case_id]
             raw = _require(record, "ranked_classes", where)
             if not isinstance(raw, list) or not raw:
                 raise ParseError(f"{where}: 'ranked_classes' must be a non-empty list")
