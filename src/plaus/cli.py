@@ -235,12 +235,10 @@ def _parse_class_space(record: dict, where: str) -> ClassSpace:
         names = record["classes"]
         if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
             raise ParseError(f"{where}: 'classes' must be a list of names")
-        if len(set(names)) != len(names):
-            raise ParseError(f"{where}: class names must be unique")
         size = len(names)
     elif "num_classes" in record:
         size = record["num_classes"]
-        # type(), not isinstance(), here and below: JSON true and false load as bool.
+        # type(), not isinstance(): JSON true and false load as bool.
         if type(size) is not int or size < 1:
             raise ParseError(f"{where}: 'num_classes' must be a positive integer")
     else:
@@ -255,18 +253,15 @@ def _parse_class_space(record: dict, where: str) -> ClassSpace:
     if isinstance(raw, list):
         if len(raw) != size:
             raise ParseError(f"{where}: 'risk' list must cover every class")
-        items = enumerate(raw)
+        risk = dict(enumerate(raw))
     elif isinstance(raw, dict):
-        items = raw.items()
+        risk = {_resolve_class(key, space, where): level for key, level in raw.items()}
     else:
         raise ParseError(f"{where}: 'risk' must be a list or object")
-    risk = {}
-    for key, level in items:
-        cid = _resolve_class(key, space, where)
-        if type(level) is not int or level not in (0, 1, 2):
-            raise ParseError(f"{where}: risk level must be the integer 0, 1 or 2")
-        risk[cid] = level
-    return ClassSpace(size=size, names=space.names, risk=risk)
+    try:
+        return ClassSpace(size=size, names=space.names, risk=risk)
+    except ValueError as exc:
+        raise ParseError(f"{where}: {exc}") from None
 
 
 def _resolve_class(token, space: ClassSpace, where: str) -> int:

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .irn import AllZeroMassError, irn_aggregate
-from .rankings import ClassSpace, PartialRanking, to_soft_permutation
+from .rankings import ClassSpace, PartialRanking, _is_int, to_soft_permutation
 from .samples import PosteriorSamples
 
 __all__ = [
@@ -67,7 +67,7 @@ class PredictionSet:
     def __post_init__(self) -> None:
         for c in self.ranked_classes:
             # int() would truncate 1.7 and read True or "1" as class 1.
-            if not isinstance(c, (int, np.integer)) or isinstance(c, bool):
+            if not _is_int(c):
                 raise ValueError(f"class id {c!r} is not an integer")
         ids = tuple(int(c) for c in self.ranked_classes)
         if len(set(ids)) != len(ids):

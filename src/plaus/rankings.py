@@ -59,13 +59,19 @@ class CombinatorialCapError(RankingError):
     """An enumeration would exceed the configured cap."""
 
 
+def _is_int(value) -> bool:
+    """True for an int or numpy integer, but not a bool: True is an int to
+    Python, yet no class id, count or level."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ClassSpace:
     """The label universe for one case.
 
     Args:
         size: number of classes K.
-        names: optional display names, one per class id.
+        names: optional display names, distinct, one per class id.
         risk: optional risk level per class id (0 low, 1 medium, 2 high).
             May cover only part of the space; metrics that need risk check
             coverage themselves.
@@ -76,7 +82,7 @@ class ClassSpace:
     risk: dict[int, int] | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.size, int) or isinstance(self.size, bool) or self.size < 1:
+        if type(self.size) is not int or self.size < 1:
             raise ValueError(f"class space size must be a positive int, got {self.size!r}")
         if self.names is not None:
             object.__setattr__(self, "names", tuple(self.names))
@@ -84,16 +90,14 @@ class ClassSpace:
                 raise ValueError(
                     f"expected {self.size} names, got {len(self.names)}"
                 )
+            if len(self._ids) != self.size:
+                raise ValueError("class names must be unique")
         if self.risk is not None:
             for cid, level in self.risk.items():
-                # type(), not isinstance(): bool is an int, but True is no
-                # class id or risk level.
-                cid_is_int = type(cid) is int or isinstance(cid, np.integer)
-                if not cid_is_int or not (0 <= cid < self.size):
+                if not _is_int(cid) or not (0 <= cid < self.size):
                     raise ClassIdOutOfRangeError(f"risk map references class {cid}")
-                level_is_int = type(level) is int or isinstance(level, np.integer)
-                if not level_is_int or level not in (0, 1, 2):
-                    raise ValueError(f"risk level for class {cid} must be 0, 1 or 2")
+                if not _is_int(level) or level not in (0, 1, 2):
+                    raise ValueError("risk level must be the integer 0, 1 or 2")
 
     @cached_property
     def risk_levels(self) -> tuple[np.ndarray, tuple[int, ...]] | None:
@@ -113,6 +117,8 @@ class ClassSpace:
 
     @cached_property
     def _ids(self) -> dict[str, int]:
+        # Built in __post_init__ for a named space, where it also checks
+        # that the names are unique.
         return dict(zip(self.names or (), range(self.size)))
 
     def id_of(self, name: str) -> int:
@@ -156,7 +162,7 @@ class PartialRanking:
             if not block:
                 raise EmptyBlockError("blocks must be non-empty")
             for cid in block:
-                if not isinstance(cid, (int, np.integer)) or isinstance(cid, bool):
+                if not _is_int(cid):
                     raise ClassIdOutOfRangeError(f"class id {cid!r} is not an integer")
                 if not (0 <= cid < class_space.size):
                     raise ClassIdOutOfRangeError(

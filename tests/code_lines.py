@@ -6,7 +6,7 @@ statements that open a module, class or function, as ``ast`` finds them.
 
 Run from the repository root:
 
-    python tests/code_lines.py [DIRECTORY]
+    python tests/code_lines.py
 
 The name keeps pytest from collecting this script.
 """
@@ -18,6 +18,8 @@ import io
 import sys
 import tokenize
 from pathlib import Path
+
+_ROOT = Path(__file__).parent.parent / "src" / "plaus"
 
 _LAYOUT = {
     tokenize.COMMENT,
@@ -56,10 +58,9 @@ def code_lines(source: str) -> int:
     return len(lines - _docstring_lines(ast.parse(source)))
 
 
-def main(argv: list[str]) -> int:
-    root = Path(argv[1]) if len(argv) > 1 else Path(__file__).parent.parent / "src" / "plaus"
+def main() -> int:
     total = 0
-    for path in sorted(root.glob("*.py")):
+    for path in sorted(_ROOT.glob("*.py")):
         count = code_lines(path.read_text(encoding="utf-8"))
         total += count
         print(f"{count:6d}  {path.name}")
@@ -68,4 +69,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    sys.exit(main())

@@ -246,6 +246,24 @@ def test_a_large_named_case_resolves_every_name_to_its_position(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "case, message",
+    [
+        ({"classes": ["x", "y", "x"]}, "class names must be unique"),
+        ({"classes": ["x", "y"], "risk": {"y": 3}}, "risk level must be the integer 0, 1 or 2"),
+        ({"num_classes": 2, "risk": [0, "1"]}, "risk level must be the integer 0, 1 or 2"),
+    ],
+    ids=["duplicate-names", "named-risk-level", "list-risk-level"],
+)
+def test_ingest_reports_class_space_errors_at_the_case_line(tmp_path, case, message):
+    # ClassSpace owns these rules; ingest adds the file and line
+    cases = write_lines(tmp_path / "c.jsonl", [{"case_id": "a", **case}])
+    annotations = write_lines(tmp_path / "a.jsonl", [])
+    with pytest.raises(ParseError) as info:
+        ingest(cases, annotations)
+    assert str(info.value) == f"{cases}:1: {message}"
+
+
+@pytest.mark.parametrize(
     "case, annotation",
     [
         ({"num_classes": True}, {}),
