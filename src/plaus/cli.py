@@ -233,7 +233,7 @@ def _parse_class_space(record: dict, where: str) -> ClassSpace:
     names = None
     if "classes" in record:
         names = record["classes"]
-        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        if not isinstance(names, list) or not set(map(type, names)) <= {str}:
             raise ParseError(f"{where}: 'classes' must be a list of names")
         size = len(names)
     elif "num_classes" in record:

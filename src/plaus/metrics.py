@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .irn import AllZeroMassError, irn_aggregate
-from .rankings import ClassSpace, PartialRanking, _is_int, to_soft_permutation
+from .rankings import ClassSpace, PartialRanking, _all_ints, to_soft_permutation
 from .samples import PosteriorSamples
 
 __all__ = [
@@ -65,10 +65,9 @@ class PredictionSet:
     case_id: str | None = None
 
     def __post_init__(self) -> None:
-        for c in self.ranked_classes:
-            # int() would truncate 1.7 and read True or "1" as class 1.
-            if not _is_int(c):
-                raise ValueError(f"class id {c!r} is not an integer")
+        # int() would truncate 1.7 and read True or "1" as class 1.
+        if not _all_ints(*self.ranked_classes):
+            raise ValueError(f"{self.ranked_classes} holds a class id that is not an integer")
         ids = tuple(int(c) for c in self.ranked_classes)
         if len(set(ids)) != len(ids):
             raise ValueError("ranked_classes must be distinct")

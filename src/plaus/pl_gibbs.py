@@ -66,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pl_likelihood import _check_block_size, _table_values
-from .rankings import ClassSpace, _is_int
+from .rankings import ClassSpace, _all_ints
 from .samples import PosteriorSamples
 
 __all__ = [
@@ -104,7 +104,7 @@ class GibbsConfig:
             raise ValueError("alpha and beta must be positive")
         for name in ("iterations", "burn_in", "thinning", "repetitions"):
             value = getattr(self, name)
-            if not _is_int(value):
+            if not _all_ints(value):
                 raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .rankings import PartialRanking, _is_int
+from .rankings import PartialRanking, _all_ints
 
 __all__ = [
     "BlockTooLargeError",
@@ -379,6 +379,6 @@ def pl_log_likelihood(lam, rankings, repetitions: int = 1) -> float:
     ``repetitions`` models reliability by counting each annotation that many
     times, sharpening the likelihood around its maximum.
     """
-    if not (_is_int(repetitions) and repetitions >= 1):
+    if not (_all_ints(repetitions) and repetitions >= 1):
         raise ValueError(f"repetitions must be a positive integer, got {repetitions!r}")
     return repetitions * sum(pl_partial_ranking_log_prob(lam, r) for r in rankings)

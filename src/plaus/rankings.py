@@ -59,10 +59,13 @@ class CombinatorialCapError(RankingError):
     """An enumeration would exceed the configured cap."""
 
 
-def _is_int(value) -> bool:
-    """True for an int or numpy integer, but not a bool: True is an int to
-    Python, yet no class id, count or level."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def _all_ints(*values) -> bool:
+    """True if every value is an int or numpy integer and none is a bool:
+    True is an int to Python, yet no class id, count or level. Each distinct
+    type is checked once, so a whole risk map costs C-level passes."""
+    return all(
+        t is not bool and issubclass(t, (int, np.integer)) for t in set(map(type, values))
+    )
 
 
 @dataclass(frozen=True)
@@ -93,11 +96,15 @@ class ClassSpace:
             if len(self._ids) != self.size:
                 raise ValueError("class names must be unique")
         if self.risk is not None:
-            for cid, level in self.risk.items():
-                if not _is_int(cid) or not (0 <= cid < self.size):
-                    raise ClassIdOutOfRangeError(f"risk map references class {cid}")
-                if not _is_int(level) or level not in (0, 1, 2):
-                    raise ValueError("risk level must be the integer 0, 1 or 2")
+            ids, levels = self.risk.keys(), self.risk.values()
+            if not (
+                _all_ints(*ids) and 0 <= min(ids, default=0) and max(ids, default=0) < self.size
+            ):
+                raise ClassIdOutOfRangeError(
+                    f"risk map class ids must be integers in [0, {self.size})"
+                )
+            if not _all_ints(*levels) or not set(levels) <= {0, 1, 2}:
+                raise ValueError("risk level must be the integer 0, 1 or 2")
 
     @cached_property
     def risk_levels(self) -> tuple[np.ndarray, tuple[int, ...]] | None:
@@ -161,9 +168,9 @@ class PartialRanking:
             block = frozenset(raw)
             if not block:
                 raise EmptyBlockError("blocks must be non-empty")
+            if not _all_ints(*block):
+                raise ClassIdOutOfRangeError(f"block {set(block)} holds a non-integer class id")
             for cid in block:
-                if not _is_int(cid):
-                    raise ClassIdOutOfRangeError(f"class id {cid!r} is not an integer")
                 if not (0 <= cid < class_space.size):
                     raise ClassIdOutOfRangeError(
                         f"class id {cid} outside [0, {class_space.size})"
