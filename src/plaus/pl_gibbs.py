@@ -102,10 +102,11 @@ class GibbsConfig:
     def __post_init__(self) -> None:
         if not self.alpha > 0 or not self.beta > 0:
             raise ValueError("alpha and beta must be positive")
-        for name in ("iterations", "burn_in", "thinning", "repetitions"):
-            value = getattr(self, name)
-            if not _all_ints(value):
-                raise ValueError(f"{name} must be an integer, not {value!r}")
+        counts = (self.iterations, self.burn_in, self.thinning, self.repetitions)
+        if not _all_ints(*counts):
+            raise ValueError(
+                f"iterations, burn_in, thinning and repetitions must be integers, got {counts}"
+            )
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if not (0 <= self.burn_in < self.iterations):

@@ -63,8 +63,9 @@ def _all_ints(*values) -> bool:
     """True if every value is an int or numpy integer and none is a bool:
     True is an int to Python, yet no class id, count or level. Each distinct
     type is checked once, so a whole risk map costs C-level passes."""
-    return all(
-        t is not bool and issubclass(t, (int, np.integer)) for t in set(map(type, values))
+    types = set(map(type, values))
+    return types <= {int} or (
+        bool not in types and all(issubclass(t, (int, np.integer)) for t in types)
     )
 
 
@@ -164,12 +165,14 @@ class PartialRanking:
     def __init__(self, blocks, class_space: ClassSpace) -> None:
         canonical = []
         seen: set[int] = set()
-        for raw in blocks:
-            block = frozenset(raw)
+        frozen = [frozenset(raw) for raw in blocks]
+        if not _all_ints(*itertools.chain.from_iterable(frozen)):
+            raise ClassIdOutOfRangeError(
+                f"blocks {[set(b) for b in frozen]} hold a non-integer class id"
+            )
+        for block in frozen:
             if not block:
                 raise EmptyBlockError("blocks must be non-empty")
-            if not _all_ints(*block):
-                raise ClassIdOutOfRangeError(f"block {set(block)} holds a non-integer class id")
             for cid in block:
                 if not (0 <= cid < class_space.size):
                     raise ClassIdOutOfRangeError(

@@ -62,7 +62,7 @@ def test_class_space_name_lookup():
         space.id_of("ferret")
     with pytest.raises(KeyError):
         ClassSpace(size=2).id_of("0")
-    # the first id of a repeated name was the old answer; now there is none
+    # a repeated name would have no one id
     with pytest.raises(ValueError, match="^class names must be unique$"):
         ClassSpace(size=2, names=("cat", "cat"))
     assert ClassSpace(size=2).name_of(1) == "1"
