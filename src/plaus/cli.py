@@ -243,23 +243,18 @@ def _parse_class_space(record: dict, where: str) -> ClassSpace:
             raise ParseError(f"{where}: 'num_classes' must be a positive integer")
     else:
         raise ParseError(f"{where}: need 'classes' or 'num_classes'")
-    try:
-        space = ClassSpace(size=size, names=tuple(names) if names else None)
-    except ValueError as exc:
-        raise ParseError(f"{where}: {exc}") from None
-    if "risk" not in record:
-        return space
-    raw = record["risk"]
-    if isinstance(raw, list):
-        if len(raw) != size:
+    # JSON object keys are strings, so the space resolves them as names.
+    risk = record.get("risk")
+    if isinstance(risk, list):
+        if len(risk) != size:
             raise ParseError(f"{where}: 'risk' list must cover every class")
-        risk = dict(enumerate(raw))
-    elif isinstance(raw, dict):
-        risk = {_resolve_class(key, space, where): level for key, level in raw.items()}
-    else:
+        risk = dict(enumerate(risk))
+    elif "risk" in record and not isinstance(risk, dict):
         raise ParseError(f"{where}: 'risk' must be a list or object")
     try:
-        return ClassSpace(size=size, names=space.names, risk=risk)
+        return ClassSpace(size=size, names=tuple(names) if names else None, risk=risk)
+    except KeyError as exc:
+        raise UnknownClassNameError(f"{where}: unknown class name {exc.args[0]!r}") from None
     except ValueError as exc:
         raise ParseError(f"{where}: {exc}") from None
 

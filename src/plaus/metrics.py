@@ -5,7 +5,10 @@ each sample proposes a full ordering of the classes (by sorting its
 plausibilities, ties to the lower id) and classical quantities such as top-k
 accuracy or prefix overlap are averaged across samples. Feeding a point-mass
 posterior therefore reproduces the classical metric exactly, which is the
-reduction the test suite pins down.
+reduction the test suite pins down. Every function here that takes samples
+takes a :class:`PosteriorSamples`, or an (M, K) matrix that would make one:
+finite, non-negative rows that sum to one within 1e-9. Any other matrix is
+refused with the ValueError that :class:`PosteriorSamples` raises.
 
 Rank similarity between two partial rankings is computed from their soft
 permutation matrices: average overlap of prefixes extends to tied and
@@ -92,12 +95,12 @@ def _check_prediction(prediction: PredictionSet, num_classes: int) -> None:
 
 
 def _sample_matrix(samples) -> np.ndarray:
-    if isinstance(samples, PosteriorSamples):
-        return samples.samples
-    arr = np.asarray(samples, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError("expected an (M, K) sample array")
-    return arr
+    """The (M, K) matrix of ``samples``. Any other matrix is checked by
+    building a :class:`PosteriorSamples` of it, which raises its ValueError,
+    so every kernel may assume finite, non-negative rows that sum to one."""
+    if not isinstance(samples, PosteriorSamples):
+        samples = PosteriorSamples(samples, model="")
+    return samples.samples
 
 
 # Deepest selection done by repeated argmax; deeper ones sort the whole row.
@@ -109,23 +112,19 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 def _top_indices(arr: np.ndarray, k: int) -> np.ndarray:
     """Per-row indices of the k largest entries, ties to the lower id.
 
-    Equals ``np.argsort(-arr, axis=1, kind="stable")[:, :k]``. Up to
-    ``_SELECT_MAX_DEPTH`` it takes k argmax passes, each masking its pick with
-    -inf; argmax returns the first maximum, so ties go to the lower id. Rows
-    that would pick a -inf or NaN entry fall back to the sort.
+    Equals ``np.argsort(-arr, axis=1, kind="stable")[:, :k]`` for finite
+    rows and k up to their width. Up to ``_SELECT_MAX_DEPTH`` it takes k
+    argmax passes, each masking its pick with -inf; argmax returns the first
+    maximum, so ties go to the lower id.
     """
     if k > _SELECT_MAX_DEPTH:
         return np.argsort(-arr, axis=1, kind="stable")[:, :k]
     work = arr.astype(float)
     rows = np.arange(work.shape[0])
     order = np.empty((work.shape[0], k), dtype=np.intp)
-    picked = np.empty((work.shape[0], k))
     for i in range(k):
         order[:, i] = work.argmax(axis=1)
-        picked[:, i] = work[rows, order[:, i]]
         work[rows, order[:, i]] = -np.inf
-    if not np.all(picked > -np.inf):
-        return np.argsort(-arr, axis=1, kind="stable")[:, :k]
     return order
 
 
@@ -136,16 +135,6 @@ def _top_columns(arr: np.ndarray, k: int, order: np.ndarray | None) -> np.ndarra
     if order.shape[1] < k:
         raise ValueError(f"order holds {order.shape[1]} classes per sample, need {k}")
     return order[:, :k]
-
-
-def _sorted_sets(top: np.ndarray, k: int) -> np.ndarray:
-    """``np.sort(top, axis=1)`` for class ids below k, in one flat sort:
-    offsetting row r by r * k keeps the rows apart. Rows of one id are
-    returned as they are."""
-    if top.shape[1] < 2:
-        return top
-    offsets = np.arange(0, top.shape[0] * k, k)[:, None]
-    return np.sort((top + offsets).ravel()).reshape(top.shape) - offsets
 
 
 def certainty_label(samples, label: int) -> float:
@@ -171,7 +160,7 @@ def annotation_certainty_hits(samples, j: int, *, order=None) -> np.ndarray:
     m, k = arr.shape
     if not (1 <= j <= k):
         raise ValueError(f"j must lie in [1, {k}]")
-    sets = _sorted_sets(_top_columns(arr, j, order), k)
+    sets = np.sort(_top_columns(arr, j, order), axis=1)
     # Base-k digits of the sorted set, so codes order as the sets do
     # lexicographically. Before a digit could overflow int64, the codes are
     # replaced by their dense ranks, which keeps that order.
@@ -218,7 +207,7 @@ def ua_set_hits(samples, prediction: PredictionSet, k: int, *, order=None) -> np
     arr = _sample_matrix(samples)
     _check_prediction(prediction, arr.shape[1])
     target = np.sort(np.asarray(prediction.top(k), dtype=np.int64))
-    sets = _sorted_sets(_top_columns(arr, k, order), arr.shape[1])
+    sets = np.sort(_top_columns(arr, k, order), axis=1)
     return np.all(sets == target, axis=1).astype(float)
 
 
@@ -376,27 +365,18 @@ def _risk_pass(samples, class_space: ClassSpace):
     between the two orders by at most 2 gamma_K A, and where a row's two
     largest products lie more than 4 gamma_K A apart (the factor two absorbs
     the rounding of A itself), both orders pick the same level. Every other
-    row, including any row with a non-finite entry, is decided again from
-    the ordered sums. For :class:`PosteriorSamples`, whose entries are
-    finite and non-negative, A is the sum of the pooled masses; a raw matrix
-    pays one more pass for it.
+    row is decided again from the ordered sums. The samples' entries are
+    finite and non-negative, so A is the sum of the pooled masses.
     """
     arr, risk = _risk_inputs(samples, class_space)
     m, k = arr.shape
     pooled = np.empty((3, m))
-    # A non-finite entry times a zero of another level's mask is NaN; such
-    # rows fail the margin test below and are summed in order instead.
-    with np.errstate(invalid="ignore", over="ignore"):
-        for level in range(3):
-            np.matmul(arr, (risk == level).astype(float), out=pooled[level])
-        low, high = np.minimum(pooled[0], pooled[1]), np.maximum(pooled[0], pooled[1])
-        gap = np.maximum(high, pooled[2]) - np.maximum(low, np.minimum(high, pooled[2]))
-        if isinstance(samples, PosteriorSamples):
-            mass = pooled.sum(axis=0)
-        else:
-            mass = np.abs(arr).sum(axis=1)
+    for level in range(3):
+        np.matmul(arr, (risk == level).astype(float), out=pooled[level])
+    low, high = np.minimum(pooled[0], pooled[1]), np.maximum(pooled[0], pooled[1])
+    gap = np.maximum(high, pooled[2]) - np.maximum(low, np.minimum(high, pooled[2]))
     gamma = k * _UNIT_ROUNDOFF / (1 - k * _UNIT_ROUNDOFF)
-    rows = np.flatnonzero(~((gap > 4 * gamma * mass) & (gap < np.inf)))
+    rows = np.flatnonzero(gap <= 4 * gamma * pooled.sum(axis=0))
     levels = pooled.argmax(axis=0)
     if rows.size:
         levels[rows] = _ordered_level_sums(arr, risk, rows).argmax(axis=1)

@@ -346,10 +346,11 @@ def pl_partial_ranking_log_prob(lam, ranking: PartialRanking) -> float:
     """Log probability that the model produces a given partial ranking.
 
     Sums the full-ranking probability over every compatible ordering, in
-    O(2^n) per block via :func:`subset_recursion` rather than by
-    enumeration. The trailing block of the completed partition contributes
-    probability one and is skipped, so a ranking with no blocks has log
-    probability zero.
+    O(2^n) per block by the recursion that :func:`subset_recursion`
+    tabulates, rather than by enumeration. The weights are checked once.
+    The trailing block of the completed partition contributes probability
+    one and is skipped, so a ranking with no blocks has log probability
+    zero.
 
     Raises:
         BlockTooLargeError: some non-trailing block exceeds the cap.
@@ -367,8 +368,10 @@ def pl_partial_ranking_log_prob(lam, ranking: PartialRanking) -> float:
     later_mass = float(lam[list(parts[-1])].sum())
     for block in reversed(parts[:-1]):
         members = sorted(block)
-        table = subset_recursion(members, later_mass, lam)
-        total += float(np.sum(np.log(lam[members]))) + table.log_value(table.full_mask)
+        _check_block_size(len(members))
+        values, _, log_scale = _table_values(lam[members], later_mass)
+        # R of the whole block, as SubsetTable.log_value reads it.
+        total += float(np.sum(np.log(lam[members]))) + (float(np.log(values[-1])) + log_scale)
         later_mass += float(lam[members].sum())
     return total
 

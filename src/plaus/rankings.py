@@ -77,8 +77,12 @@ class ClassSpace:
         size: number of classes K.
         names: optional display names, distinct, one per class id.
         risk: optional risk level per class id (0 low, 1 medium, 2 high).
-            May cover only part of the space; metrics that need risk check
-            coverage themselves.
+            A named space also takes a class name as the key, and holds the
+            map by id. May cover only part of the space; metrics that need
+            risk check coverage themselves.
+
+    Raises:
+        KeyError: a risk key is a string that names no class.
     """
 
     size: int
@@ -97,7 +101,11 @@ class ClassSpace:
             if len(self._ids) != self.size:
                 raise ValueError("class names must be unique")
         if self.risk is not None:
-            ids, levels = self.risk.keys(), self.risk.values()
+            risk = {self.id_of(c) if isinstance(c, str) else c: v for c, v in self.risk.items()}
+            if len(risk) != len(self.risk):
+                raise ValueError("risk map gives a class two levels")
+            object.__setattr__(self, "risk", risk)
+            ids, levels = risk.keys(), risk.values()
             if not (
                 _all_ints(*ids) and 0 <= min(ids, default=0) and max(ids, default=0) < self.size
             ):

@@ -222,6 +222,34 @@ def test_name_keyed_id_keyed_and_list_risk_maps_give_one_risk_vector(tmp_path):
     assert partial.risk_levels[1] == missing == (1, 3)
 
 
+def test_a_named_case_builds_one_class_space(tmp_path, monkeypatch):
+    # the space that holds the risk map also resolves its names, so the
+    # case's name index is built once
+    built = []
+    real_post_init = ClassSpace.__post_init__
+
+    def counting_post_init(self):
+        built.append(self.size)
+        real_post_init(self)
+
+    monkeypatch.setattr(ClassSpace, "__post_init__", counting_post_init)
+    names = ["x", "y", "z"]
+    cases = write_lines(
+        tmp_path / "c.jsonl", [{"case_id": "a", "classes": names, "risk": {"z": 2, "x": 0}}]
+    )
+    annotations = write_lines(
+        tmp_path / "a.jsonl", [{"case_id": "a", "annotator_id": "r", "blocks": [["y"]]}]
+    )
+    (record,) = ingest(cases, annotations)
+    assert built == [3]
+    assert record.class_space.risk == {2: 2, 0: 0}
+    unknown = write_lines(
+        tmp_path / "u.jsonl", [{"case_id": "a", "classes": names, "risk": {"q": 1}}]
+    )
+    with pytest.raises(UnknownClassNameError, match=r"u\.jsonl:1: unknown class name 'q'$"):
+        ingest(unknown, annotations)
+
+
 def test_a_large_named_case_resolves_every_name_to_its_position(tmp_path):
     k = 2000
     names = [f"condition-{i:04d}" for i in range(k)]

@@ -177,13 +177,6 @@ def test_top_indices_equal_the_stable_argsort_prefix(seed, m, k):
         assert_array_equal(_top_indices(arr, depth), expected)
 
 
-def test_top_indices_fall_back_on_non_finite_rows():
-    arr = np.array([[-np.inf, -np.inf, 0.5], [np.nan, 0.2, 0.2], [np.inf, 0.0, np.inf]])
-    for depth in (1, 2, 3, 4):
-        expected = np.argsort(-arr, axis=1, kind="stable")[:, :depth]
-        assert_array_equal(_top_indices(arr, depth), expected)
-
-
 def test_kernels_slice_a_shared_order():
     rng = np.random.default_rng(3)
     samples = rng.dirichlet(np.full(6, 0.3), size=50)
@@ -247,9 +240,42 @@ def test_case_metrics_leave_out_cutoffs_deeper_than_the_prediction_or_space():
     # a two-class space: top-j certainty stops at j = 2, and so does any
     # prediction on it, so k = 3 is left out
     pair = ClassSpace(size=2)
-    scalars, _ = case_metrics(samples[:, :2], pair, PredictionSet((1, 0)), (1, 3), 2)
+    two = samples[:, :2] / samples[:, :2].sum(axis=1, keepdims=True)
+    scalars, _ = case_metrics(two, pair, PredictionSet((1, 0)), (1, 3), 2)
     assert sorted(scalars) == [*certainty[:2], "ua_average_overlap", *top[::2]]
     assert sorted(case_metrics(samples, space, None, (1,), 1)[0]) == certainty
+
+
+_INVALID_MATRICES = {
+    "nan": ([[0.5, np.nan, 0.5], [0.2, 0.3, 0.5]], "samples must be finite"),
+    "negative": ([[0.6, -0.1, 0.5], [0.2, 0.3, 0.5]], "samples must be non-negative"),
+    "off-simplex": ([[0.5, 0.3, 0.2 + 1e-6], [0.2, 0.3, 0.5]], "sample rows must sum to 1"),
+}
+_SAMPLE_SCORERS = {
+    "certainty_label": lambda samples: certainty_label(samples, 0),
+    "ua_topk_accuracy": lambda samples: ua_topk_accuracy(samples, PredictionSet((0, 1)), 1),
+    "risk_metrics": lambda samples: risk_metrics(
+        samples, ClassSpace(size=3, risk={0: 0, 1: 1, 2: 2})
+    ),
+    "case_metrics": lambda samples: case_metrics(
+        samples, ClassSpace(size=3, risk={0: 0, 1: 1, 2: 2}), PredictionSet((0, 1)), (1, 2), 2
+    ),
+}
+
+
+@pytest.mark.parametrize("scorer", sorted(_SAMPLE_SCORERS))
+@pytest.mark.parametrize("matrix", sorted(_INVALID_MATRICES))
+def test_metrics_refuse_a_matrix_posterior_samples_refuses(scorer, matrix):
+    # every kernel assumes finite, non-negative rows that sum to one, so a
+    # bare matrix meets the same checks as a PosteriorSamples, with its message
+    rows, message = _INVALID_MATRICES[matrix]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}") as refused:
+        PosteriorSamples(np.array(rows), model="t")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(refused.value))}$"):
+        _SAMPLE_SCORERS[scorer](np.array(rows))
+    valid = np.array(rows)
+    valid[0] = [0.5, 0.3, 0.2]
+    _SAMPLE_SCORERS[scorer](valid)
 
 
 def test_posterior_samples_reject_non_finite_entries():
@@ -587,28 +613,28 @@ def test_risk_pass_levels_equal_the_ordered_sums(seed):
     gaps = np.abs(pooled[:, 0] - pooled[:, 1])
     assert (gaps == 0).any() and ((gaps > 0) & (gaps <= 2 * np.spacing(pooled[:, 0]))).any()
 
+    # a matrix that no PosteriorSamples would hold is refused, not scored
     raw = arr * 1e3
-    raw[:, -8:] *= -1.0  # a raw matrix may hold negative entries
     raw[0, 0], raw[1, 30], raw[2, 0], raw[3, [1, 13]] = np.nan, np.inf, -np.inf, (np.inf, -np.inf)
+    with pytest.raises(ValueError, match="^samples must be finite$"):
+        _risk_pass(raw, space)
     clear = np.zeros((5, arr.shape[1]))
     clear[:, -1] = 1.0
-    for matrix, wrap in ((normalized, lambda a: PosteriorSamples(a, model="t")), (raw, np.asarray)):
-        expected = _ordered_risk_levels(matrix, risk)
-        # the expected risk of a row holding inf is NaN, with numpy's warning
-        with np.errstate(invalid="ignore"):
-            levels, modal, expected_risk = _risk_pass(wrap(matrix), space)
-            assert_array_equal(expected_risk, matrix @ risk.astype(float))
-            assert_array_equal(levels, expected)
-            assert modal == np.bincount(expected, minlength=3).argmax()
-            # one sample alone, and one planted sample among clear ones, where
-            # numpy sums a lone row pairwise but several rows in column order
-            for row in range(40):
-                alone = matrix[row : row + 1]
-                among = np.concatenate([clear, alone, clear])
-                for block in (alone, among):
-                    assert_array_equal(
-                        _risk_pass(wrap(block), space)[0], _ordered_risk_levels(block, risk)
-                    )
+    for wrap in (lambda a: PosteriorSamples(a, model="t"), np.asarray):
+        expected = _ordered_risk_levels(normalized, risk)
+        levels, modal, expected_risk = _risk_pass(wrap(normalized), space)
+        assert_array_equal(expected_risk, normalized @ risk.astype(float))
+        assert_array_equal(levels, expected)
+        assert modal == np.bincount(expected, minlength=3).argmax()
+        # one sample alone, and one planted sample among clear ones, where
+        # numpy sums a lone row pairwise but several rows in column order
+        for row in range(40):
+            alone = normalized[row : row + 1]
+            among = np.concatenate([clear, alone, clear])
+            for block in (alone, among):
+                assert_array_equal(
+                    _risk_pass(wrap(block), space)[0], _ordered_risk_levels(block, risk)
+                )
 
 
 def test_pooled_risk_certainty_can_undercut_label_certainty():

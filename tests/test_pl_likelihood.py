@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -22,7 +22,7 @@ from plaus.pl_likelihood import (
     pl_partial_ranking_log_prob,
     subset_recursion,
 )
-from plaus.rankings import ClassSpace, PartialRanking
+from plaus.rankings import ClassSpace, PartialRanking, enumerate_compatible_permutations
 from plaus.sim_oracle import brute_force_partial_prob
 
 
@@ -82,6 +82,56 @@ def test_recursion_matches_enumeration(case):
     lam, ranking = case
     dp = math.exp(pl_partial_ranking_log_prob(lam, ranking))
     assert_allclose(dp, brute_force_partial_prob(lam, ranking), atol=1e-10)
+
+
+def _exact_partial_prob(lam, ranking) -> Fraction:
+    # every compatible full ordering's probability, in rationals; a float
+    # converts to a Fraction exactly
+    weights = [Fraction(float(w)) for w in lam]
+    total = Fraction(0)
+    for sigma in enumerate_compatible_permutations(ranking):
+        rest = sum(weights[c] for c in sigma)
+        term = Fraction(1)
+        for c in sigma:
+            term *= weights[c] / rest
+            rest -= weights[c]
+        total += term
+    return total
+
+
+# Relative error bound of the DP for weights in [0.05, 5], K <= 5 and tied
+# blocks of at most 3, in units of u = 2^-53, to first order:
+# - Up to the logs every quantity is a sum, product or quotient of positive
+#   floats, so it carries relative error at most N u over a path of N
+#   roundings. zbar takes at most K - 1 = 4 additions; a layer-L entry adds
+#   L - 1 totals, L weights to zbar and divides once. A 3-class block's R
+#   therefore ends 6, 14 and 24 roundings deep: at most 24 u per block and
+#   5 * 24 = 120 u over the blocks.
+# - Denominators lie in [0.05, 25] and R(block) sums n! products of n
+#   reciprocals, so |log R| <= n log 25 + log n!; with |log w| <= log 20,
+#   the at most 2K = 10 logs summed have absolute values adding to at most
+#   5 log 25 + log 3! + 5 log 20 < 33.
+# - Each log rounds to within 2 u of its value, 66 u in all, and summing ten
+#   terms adds at most 10 u * 33 = 330 u.
+# - exp turns the log's absolute error into a relative one, plus u of its
+#   own. The total, about 517 u, rounds up to 2^10 u.
+_EXACT_RTOL = 2.0**10 * 2.0**-53
+
+
+@example(
+    (
+        np.array([0.13117623367200737, 0.05914475088811405, 0.684952666426423, 1.1e-28]),
+        PartialRanking([[0], [1, 2]], ClassSpace(size=4)),
+    )
+)
+@given(weighted_rankings(max_classes=5, max_block=3))
+def test_recursion_matches_an_exact_rational_sum(case):
+    # the trailing 1e-28 weight enters only zbar, where subtracting masses
+    # from a total would leave rounding error of its own size
+    lam, ranking = case
+    exact = _exact_partial_prob(lam, ranking)
+    dp = Fraction(math.exp(pl_partial_ranking_log_prob(lam, ranking)))
+    assert abs(dp - exact) <= Fraction(_EXACT_RTOL) * exact
 
 
 def test_a_tiny_unranked_mass_keeps_every_zbar_non_negative():

@@ -54,6 +54,18 @@ def test_class_space_refuses_booleans_and_floats(kwargs):
     assert space.risk_levels[0].tolist() == [0.0, 2.0, 0.0]
 
 
+def test_a_named_space_takes_its_risk_map_by_name():
+    space = ClassSpace(size=3, names=("a", "b", "c"), risk={"c": 2, 0: 1})
+    assert space.risk == {2: 2, 0: 1}
+    assert space.risk_levels[0].tolist() == [1.0, 0.0, 2.0]
+    with pytest.raises(KeyError, match="'d'"):
+        ClassSpace(size=3, names=("a", "b", "c"), risk={"d": 0})
+    with pytest.raises(KeyError, match="'0'"):
+        ClassSpace(size=3, risk={"0": 0})
+    with pytest.raises(ValueError, match="two levels"):
+        ClassSpace(size=3, names=("a", "b", "c"), risk={"a": 0, 0: 1})
+
+
 def test_class_space_name_lookup():
     space = ClassSpace(size=2, names=("cat", "dog"))
     assert space.name_of(1) == "dog"
