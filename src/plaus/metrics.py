@@ -103,8 +103,9 @@ def _sample_matrix(samples) -> np.ndarray:
     return samples.samples
 
 
-# Deepest selection done by repeated argmax; deeper ones sort the whole row.
-_SELECT_MAX_DEPTH = 8
+# Rows of a selection block hold about this many entries, so a block stays
+# in cache across its k argmax passes.
+_BLOCK_ENTRIES = 2**15
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -113,18 +114,19 @@ def _top_indices(arr: np.ndarray, k: int) -> np.ndarray:
     """Per-row indices of the k largest entries, ties to the lower id.
 
     Equals ``np.argsort(-arr, axis=1, kind="stable")[:, :k]`` for finite
-    rows and k up to their width. Up to ``_SELECT_MAX_DEPTH`` it takes k
-    argmax passes, each masking its pick with -inf; argmax returns the first
-    maximum, so ties go to the lower id.
+    rows and k up to their width. Each block of rows is copied once and
+    takes k argmax passes, each masking its picks with -inf; argmax returns
+    the first maximum, so ties go to the lower id.
     """
-    if k > _SELECT_MAX_DEPTH:
-        return np.argsort(-arr, axis=1, kind="stable")[:, :k]
-    work = arr.astype(float)
-    rows = np.arange(work.shape[0])
-    order = np.empty((work.shape[0], k), dtype=np.intp)
-    for i in range(k):
-        order[:, i] = work.argmax(axis=1)
-        work[rows, order[:, i]] = -np.inf
+    m, width = arr.shape
+    step = max(1, _BLOCK_ENTRIES // width)
+    order = np.empty((m, k), dtype=np.intp)
+    for start in range(0, m, step):
+        work = arr[start : start + step].astype(float, order="C")
+        flat, offsets = work.reshape(-1), np.arange(0, work.size, width)
+        for i in range(k):
+            order[start : start + step, i] = best = work.argmax(axis=1)
+            flat[offsets + best] = -np.inf
     return order
 
 
@@ -142,7 +144,7 @@ def certainty_label(samples, label: int) -> float:
     arr = _sample_matrix(samples)
     if not (0 <= label < arr.shape[1]):
         raise ValueError(f"label {label} outside [0, {arr.shape[1]})")
-    return float(np.mean(arr.argmax(axis=1) == label))
+    return float(np.mean(_top_indices(arr, 1)[:, 0] == label))
 
 
 def annotation_certainty_hits(samples, j: int, *, order=None) -> np.ndarray:
@@ -190,7 +192,7 @@ def ua_topk_hits(samples, prediction: PredictionSet, k: int, *, order=None) -> n
     """
     arr = _sample_matrix(samples)
     _check_prediction(prediction, arr.shape[1])
-    best = arr.argmax(axis=1) if order is None else order[:, 0]
+    best = _top_columns(arr, 1, order)[:, 0]
     hits = np.zeros(best.shape, dtype=bool)
     for candidate in prediction.top(k):
         hits |= best == candidate
@@ -357,22 +359,23 @@ def _risk_pass(samples, class_space: ClassSpace):
     argmaxes break ties to the lower level, and a level's mass is defined
     as the in-order sum over its columns (:func:`_ordered_level_sums`).
 
-    Each level is pooled here with a matrix-vector product against its
-    column mask, which adds the same terms in another order. Summed in any
+    The levels are pooled here with one product against the (3, K) level
+    indicator, which adds the same terms in another order. Summed in any
     order, K terms land within gamma_K A of their exact sum, where
     gamma_K = K u / (1 - K u), u is the unit roundoff and A the sum of the
     terms' absolute values. The gap between two levels can therefore differ
     between the two orders by at most 2 gamma_K A, and where a row's two
-    largest products lie more than 4 gamma_K A apart (the factor two absorbs
-    the rounding of A itself), both orders pick the same level. Every other
-    row is decided again from the ordered sums. The samples' entries are
-    finite and non-negative, so A is the sum of the pooled masses.
+    largest pooled masses lie more than 4 gamma_K A apart (the factor two
+    absorbs the rounding of A itself), both orders pick the same level.
+    Every other row is decided again from the ordered sums. The samples'
+    entries are finite and non-negative, so A is the sum of the pooled
+    masses.
     """
     arr, risk = _risk_inputs(samples, class_space)
-    m, k = arr.shape
-    pooled = np.empty((3, m))
-    for level in range(3):
-        np.matmul(arr, (risk == level).astype(float), out=pooled[level])
+    k = arr.shape[1]
+    # (3, M) pooled masses. einsum, not a BLAS product, which would touch a
+    # second thread's buffers: about 2 MB more peak memory at (1000, 400).
+    pooled = np.einsum("mk,lk->ml", arr, (np.arange(3)[:, None] == risk).astype(float)).T
     low, high = np.minimum(pooled[0], pooled[1]), np.maximum(pooled[0], pooled[1])
     gap = np.maximum(high, pooled[2]) - np.maximum(low, np.minimum(high, pooled[2]))
     gamma = k * _UNIT_ROUNDOFF / (1 - k * _UNIT_ROUNDOFF)

@@ -8,10 +8,12 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import partial_rankings
 from plaus.metrics import (
-    _SELECT_MAX_DEPTH,
+    _BLOCK_ENTRIES,
     MissingRiskMappingError,
+    _ordered_level_sums,
     _overlap_curve,
     _risk_inputs,
+    _risk_pass,
     _top_indices,
     PredictionSet,
     annotation_certainty_hits,
@@ -125,8 +127,8 @@ def test_modal_set_codes_stay_ordered_past_int64(seed):
     samples = np.zeros((m, k))
     hot = rng.choice(k, size=9, replace=False)
     samples[:, hot] = rng.dirichlet(np.full(9, 0.3), size=m)
-    order = _top_indices(samples, _SELECT_MAX_DEPTH)
-    for j in range(1, _SELECT_MAX_DEPTH + 1):
+    order = _top_indices(samples, 8)
+    for j in range(1, 9):
         assert_array_equal(
             annotation_certainty_hits(samples, j, order=order),
             _lexsort_modal_hits(samples, j, order),
@@ -163,10 +165,10 @@ def test_modal_set_tie_goes_to_the_lowest_set():
     assert_array_equal(_unique_modal_hits(samples, 2), expected)
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(1, _SELECT_MAX_DEPTH + 4))
+@given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(1, 12))
 def test_top_indices_equal_the_stable_argsort_prefix(seed, m, k):
     # few distinct values make exact ties common; zero columns and one-hot
-    # rows are the PrIRN and point-mass shapes; depths past the cutoff sort
+    # rows are the PrIRN and point-mass shapes
     rng = np.random.default_rng(seed)
     arr = rng.choice([0.0, 0.1, 0.25, 0.5], size=(m, k))
     arr[:, rng.random(k) < 0.3] = 0.0
@@ -175,6 +177,21 @@ def test_top_indices_equal_the_stable_argsort_prefix(seed, m, k):
     for depth in range(1, k + 1):
         expected = np.argsort(-arr, axis=1, kind="stable")[:, :depth]
         assert_array_equal(_top_indices(arr, depth), expected)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_top_indices_equal_the_stable_argsort_at_every_depth(seed):
+    # K = 4 fits one block; K = 10,000 puts three rows in a block, so the
+    # 20 rows span seven blocks, the last one short. Few distinct values and
+    # zero columns tie exactly in every row.
+    rng = np.random.default_rng(seed)
+    for m, k, depths in ((50, 4, range(1, 5)), (20, 10_000, (1, 2, 5, 33, 9_999, 10_000))):
+        arr = rng.choice([0.0, 0.1, 0.25, 0.5], size=(m, k))
+        arr[:, rng.random(k) < 0.2] = 0.0
+        assert (m * k > 2 * _BLOCK_ENTRIES) == (k > 4)
+        expected = np.argsort(-arr, axis=1, kind="stable")
+        for depth in depths:
+            assert_array_equal(_top_indices(arr, depth), expected[:, :depth])
 
 
 def test_kernels_slice_a_shared_order():
@@ -194,12 +211,12 @@ def test_kernels_slice_a_shared_order():
 
 
 @pytest.mark.parametrize("seed", range(3))
-@pytest.mark.parametrize("depth", [4, _SELECT_MAX_DEPTH, _SELECT_MAX_DEPTH + 2])
+@pytest.mark.parametrize("depth", [4, 8, 10])
 def test_case_metrics_equal_each_kernel_called_alone(seed, depth):
     # three distinct values over twelve classes make exact ties in every
-    # row; the deepest cutoff selects past _SELECT_MAX_DEPTH on one side
+    # row; the cutoffs reach from one class to ten
     rng = np.random.default_rng(seed)
-    k = _SELECT_MAX_DEPTH + 4
+    k = 12
     raw = rng.choice([0.1, 0.25, 0.5], size=(60, k))
     samples = PosteriorSamples(raw / raw.sum(axis=1, keepdims=True), model="t")
     pred = PredictionSet(tuple(rng.permutation(k)[:depth].tolist()))
@@ -604,8 +621,6 @@ def _planted_risk_rows(rng, m, n=12):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_risk_pass_levels_equal_the_ordered_sums(seed):
-    from plaus.metrics import _risk_pass
-
     rng = np.random.default_rng(seed)
     arr, risk, space = _planted_risk_rows(rng, 400)
     normalized = arr / arr.sum(axis=1, keepdims=True)
@@ -625,6 +640,8 @@ def test_risk_pass_levels_equal_the_ordered_sums(seed):
         levels, modal, expected_risk = _risk_pass(wrap(normalized), space)
         assert_array_equal(expected_risk, normalized @ risk.astype(float))
         assert_array_equal(levels, expected)
+        every_row = np.arange(len(normalized))
+        assert_array_equal(levels, _ordered_level_sums(normalized, risk, every_row).argmax(axis=1))
         assert modal == np.bincount(expected, minlength=3).argmax()
         # one sample alone, and one planted sample among clear ones, where
         # numpy sums a lone row pairwise but several rows in column order
