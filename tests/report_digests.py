@@ -14,6 +14,11 @@ Regenerate the committed file (only for a change meant to move report
 bytes), from the repository root:
 
     PYTHONPATH=src python tests/report_digests.py --write
+
+List the (entry, file) pairs whose reports differ from the committed file,
+one a line, without writing it:
+
+    PYTHONPATH=src python tests/report_digests.py --diff
 """
 
 from __future__ import annotations
@@ -183,6 +188,24 @@ def run_matrix() -> dict[str, dict]:
     return results
 
 
+def differences(got: dict, committed: dict) -> list[str]:
+    """One line for each report file whose digest differs between two runs
+    of the matrix, a file only one of them wrote included: the entry's name
+    and the file's. An entry whose exit code or stderr differs adds the
+    line "<entry> exit_code" or "<entry> stderr"."""
+    lines = []
+    for name in sorted(set(got) | set(committed)):
+        ours, theirs = got.get(name, {}), committed.get(name, {})
+        files, committed_files = ours.get("files", {}), theirs.get("files", {})
+        lines += [
+            f"{name} {file}"
+            for file in sorted(set(files) | set(committed_files))
+            if files.get(file) != committed_files.get(file)
+        ]
+        lines += [f"{name} {key}" for key in ("exit_code", "stderr") if ours.get(key) != theirs.get(key)]
+    return lines
+
+
 def versions() -> dict[str, str]:
     return {
         "python": platform.python_version(),
@@ -193,8 +216,17 @@ def versions() -> dict[str, str]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--write", action="store_true", help=f"overwrite {DIGESTS}")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--write", action="store_true", help=f"overwrite {DIGESTS}")
+    mode.add_argument(
+        "--diff", action="store_true", help=f"list the reports that differ from {DIGESTS}"
+    )
     args = parser.parse_args(argv)
+    if args.diff:
+        with open(DIGESTS, encoding="utf-8") as handle:
+            moved = differences(run_matrix(), json.load(handle)["runs"])
+        sys.stdout.writelines(line + "\n" for line in moved)
+        return 1 if moved else 0
     document = {"made_with": versions(), "runs": run_matrix()}
     text = json.dumps(document, indent=1, sort_keys=True) + "\n"
     if args.write:
