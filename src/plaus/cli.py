@@ -821,6 +821,8 @@ def _cmd_reports(args) -> int:
     configs = [RunConfig(model=model, **settings) for model in args.models]
     if not configs:
         raise ConfigError("--model names no model")
+    if len(set(args.models)) != len(args.models):
+        raise ConfigError(f"model list repeats a value: {list(args.models)}")
     if args.workers < 1:
         raise ConfigError("workers must be >= 1")
     predictions = getattr(args, "predictions", None)
@@ -845,6 +847,8 @@ def _cmd_simulate(args) -> int:
         raise ConfigError("need at least one case")
     if args.true_lambda is not None and len(args.true_lambda) != args.classes:
         raise ConfigError("--true-lambda length must match --classes")
+    if not 0 < args.lambda_alpha < np.inf:
+        raise ConfigError("--lambda-alpha must be positive and finite")
     out_dir = _out_dir(args)
     os.makedirs(out_dir, exist_ok=True)
 

@@ -378,6 +378,9 @@ def test_repeated_grid_values_exit_one_before_ingest(tmp_path, capsys):
     assert "reliability grid repeats a value: [10, 10]" in capsys.readouterr().err
     assert run_main(base + ["--model", "irn", "--k-grid", "2,2"]) == 1
     assert "k grid repeats a value: [2, 2]" in capsys.readouterr().err
+    # a repeated model would run twice and be listed twice in the manifest
+    assert run_main(base + ["--model", "prirn,irn,prirn"]) == 1
+    assert "model list repeats a value: ['prirn', 'irn', 'prirn']" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -937,3 +940,12 @@ def test_simulate_validation(tmp_path, capsys):
         )
         == 1
     )
+    # a Dirichlet concentration of 0 draws all-zero weights and a negative
+    # one fails inside numpy; both are refused before anything is written
+    capsys.readouterr()
+    out = tmp_path / "alpha"
+    for alpha in ("0", "-1", "inf"):
+        argv = ["simulate", "--classes", "3", "--lambda-alpha", alpha, "--out-dir", str(out)]
+        assert run_main(argv) == 1
+        assert "--lambda-alpha must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
