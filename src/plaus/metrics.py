@@ -26,7 +26,7 @@ import numpy as np
 
 from .irn import AllZeroMassError, irn_aggregate
 from .rankings import ClassSpace, PartialRanking, _all_ints, to_soft_permutation
-from .samples import PosteriorSamples
+from .samples import _SIMPLEX_ATOL, PosteriorSamples
 
 __all__ = [
     "MissingRiskMappingError",
@@ -511,7 +511,10 @@ class MetricReport:
             i.e. the metric is averaged over cases within each sample index
             first and the spread of those M values is reported.
         histogram_counts: histogram of the M per-sample dataset means.
-        histogram_edges: bin edges on [0, 1].
+        histogram_edges: bin edges on [0, 1], or on [0, 2] for
+            ``expected_risk_mean``, whose values are risk levels; its
+            values above 2 by at most the samples' row-sum tolerance
+            count in the last bin.
         provenance: model tag, reliability, seed and friends.
     """
 
@@ -525,18 +528,25 @@ class MetricReport:
     provenance: dict
 
 
-@lru_cache(maxsize=None)
-def _histogram_edges(bins: int) -> np.ndarray:
-    """Read-only bin edges on [0, 1], as ``np.histogram`` makes them.
+# A metric's histogram range where it is not [0, 1]: (upper edge, largest
+# value counted, in the last bin). A sample's expected risk level weights
+# levels up to 2 by plausibilities that sum to one within the samples'
+# tolerance, so it may pass 2 by as much.
+_HISTOGRAM_RANGE = {"expected_risk_mean": (2.0, 2.0 * (1.0 + _SIMPLEX_ATOL))}
 
-    A value v in [0, 1] falls in bin i when edges[i] <= v < edges[i + 1],
-    and 1 falls in the last bin; ``np.histogram`` places values the same
+
+@lru_cache(maxsize=None)
+def _histogram_edges(bins: int, upper: float = 1.0) -> np.ndarray:
+    """Read-only bin edges on [0, upper], as ``np.histogram`` makes them.
+
+    A value v in [0, upper] falls in bin i when edges[i] <= v < edges[i + 1],
+    and upper falls in the last bin; ``np.histogram`` places values the same
     way and drops the rest. The number of interior edges at or below v is
     that i. Callers that hand the edges out copy them.
     """
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    edges = np.linspace(0.0, 1.0, bins + 1)
+    edges = np.linspace(0.0, upper, bins + 1)
     edges.flags.writeable = False
     return edges
 
@@ -555,7 +565,8 @@ def summarize_metric(
         case_ids: length-N identifiers.
         per_sample_values: (N, M) array; every case must carry the same
             number of samples so the per-sample dataset mean is defined.
-        bins: histogram bins on [0, 1].
+        bins: histogram bins on [0, 1], or on [0, 2] for
+            ``expected_risk_mean``.
         provenance: carried through untouched.
     """
     values = np.asarray(per_sample_values, dtype=float)
@@ -564,8 +575,9 @@ def summarize_metric(
         raise ValueError("per_sample_values must be (num_cases, num_samples)")
     per_case = values.mean(axis=1)
     dataset_per_sample = values.mean(axis=0)
-    edges = _histogram_edges(operator.index(bins))
-    inside = dataset_per_sample[(dataset_per_sample >= 0.0) & (dataset_per_sample <= 1.0)]
+    upper, last = _HISTOGRAM_RANGE.get(metric, (1.0, 1.0))
+    edges = _histogram_edges(operator.index(bins), upper)
+    inside = dataset_per_sample[(dataset_per_sample >= 0.0) & (dataset_per_sample <= last)]
     bin_of = np.searchsorted(edges[1:-1], inside, side="right")
     counts = np.bincount(bin_of, minlength=edges.size - 1)
     return MetricReport(

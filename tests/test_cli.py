@@ -830,6 +830,37 @@ def test_evaluate_pools_risk_levels_once_per_unit(tmp_path, monkeypatch):
             "expected_risk_max", "ua_risk_match"} <= {r["metric"] for r in rows}
 
 
+def test_expected_risk_histograms_hold_every_sample_of_a_high_risk_case(tmp_path):
+    # every ranked class is high risk, so each sample's expected risk lies
+    # near 2, past the [0, 1] range of the other metrics' histograms
+    cases = write_lines(
+        tmp_path / "cases.jsonl",
+        [{"case_id": "h", "classes": ["a", "b", "c"], "risk": {"a": 2, "b": 2, "c": 0}}],
+    )
+    annotations = write_lines(
+        tmp_path / "annotations.jsonl",
+        [
+            {"case_id": "h", "annotator_id": f"r{i}", "blocks": blocks}
+            for i, blocks in enumerate([[["a"], ["b"]], [["b"]], [["a", "b"]]])
+        ],
+    )
+    predictions = write_lines(tmp_path / "predictions.jsonl", [{"case_id": "h", "ranked_classes": ["a"]}])
+    out = tmp_path / "out"
+    code = run_main(
+        ["evaluate", "--cases", cases, "--annotations", annotations, "--predictions", predictions,
+         "--model", "prirn,pl", "--samples", "200", "--out-dir", str(out)]
+    )
+    assert code == 0
+    files = read_report(str(out))["files"]
+    for model in ("prirn", "pl"):
+        rows = [r for r in files[f"summary_{model}.jsonl"] if r["metric"] == "expected_risk_mean"]
+        assert len(rows) == len(default_reliability_grid(model))
+        for row in rows:
+            assert row["mean"] > 1.0
+            assert sum(row["histogram_counts"]) == 200
+            assert row["histogram_edges"][0] == 0.0 and row["histogram_edges"][-1] == 2.0
+
+
 def test_bad_data_exits_two(tmp_path):
     cases = tmp_path / "cases.jsonl"
     cases.write_text("{not json\n")

@@ -776,6 +776,28 @@ def test_summarize_metric_histogram_matches_numpy(bins):
     assert_array_equal(other.histogram_edges, np_edges)
 
 
+@pytest.mark.parametrize("bins", [1, 3, 20])
+def test_expected_risk_histogram_spans_every_risk_level(bins):
+    # expected risk levels are binned on [0, 2]; a value above 2 by at most
+    # the samples' row-sum tolerance of 1e-9 (relative) counts as 2, and
+    # anything further out is dropped
+    edges = np.linspace(0.0, 2.0, bins + 1)
+    near_two = [np.nextafter(2.0, 3.0), 2.0 * (1 + 1e-9)]
+    probes = np.concatenate(
+        [edges, np.nextafter(edges[1:], -1.0), np.nextafter(edges[:-1], 3.0), near_two]
+    )
+    outside = [-0.5, -np.nextafter(0.0, 1.0), 2.0 * (1 + 2e-9), 2.5]
+    rng = np.random.default_rng(bins)
+    inside = np.concatenate([probes, 2.0 * rng.random(200)])
+    values = np.concatenate([inside, outside])[None, :]
+    report = summarize_metric("expected_risk_mean", ["a"], values, bins=bins)
+    counts, np_edges = np.histogram(np.minimum(inside, 2.0), bins=bins, range=(0.0, 2.0))
+    assert_array_equal(report.histogram_counts, counts)
+    assert report.histogram_counts.sum() == inside.size
+    assert_array_equal(report.histogram_edges, np_edges)
+    assert report.histogram_edges[-1] == 2.0
+
+
 def test_summarize_metric_constant_values_have_zero_sd():
     report = summarize_metric("flat", ["a"], np.full((1, 10), 0.3))
     assert report.sample_sd <= 1e-12
