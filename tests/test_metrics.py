@@ -180,18 +180,18 @@ def test_top_indices_equal_the_stable_argsort_prefix(seed, m, k):
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_top_indices_equal_the_stable_argsort_at_every_depth(seed):
-    # K = 4 fits one block; K = 10,000 puts three rows in a block, so the
-    # 20 rows span seven blocks, the last one short. Few distinct values and
-    # zero columns tie exactly in every row.
+def test_top_indices_equal_the_stable_argsort_across_row_blocks(seed):
+    # K = 10,000 puts three rows in a selection block, so 20 rows span seven
+    # blocks, the last one short (narrow matrices, one block each, are the
+    # test above). Few distinct values and zero columns tie in every row.
     rng = np.random.default_rng(seed)
-    for m, k, depths in ((50, 4, range(1, 5)), (20, 10_000, (1, 2, 5, 33, 9_999, 10_000))):
-        arr = rng.choice([0.0, 0.1, 0.25, 0.5], size=(m, k))
-        arr[:, rng.random(k) < 0.2] = 0.0
-        assert (m * k > 2 * _BLOCK_ENTRIES) == (k > 4)
-        expected = np.argsort(-arr, axis=1, kind="stable")
-        for depth in depths:
-            assert_array_equal(_top_indices(arr, depth), expected[:, :depth])
+    m, k = 20, 10_000
+    assert m > 2 * (_BLOCK_ENTRIES // k) and m % (_BLOCK_ENTRIES // k)
+    arr = rng.choice([0.0, 0.1, 0.25, 0.5], size=(m, k))
+    arr[:, rng.random(k) < 0.2] = 0.0
+    expected = np.argsort(-arr, axis=1, kind="stable")
+    for depth in (1, 2, 5, 33, k - 1, k):
+        assert_array_equal(_top_indices(arr, depth), expected[:, :depth])
 
 
 def test_kernels_slice_a_shared_order():
