@@ -536,7 +536,7 @@ _HISTOGRAM_RANGE = {"expected_risk_mean": (2.0, 2.0 * (1.0 + _SIMPLEX_ATOL))}
 
 
 @lru_cache(maxsize=None)
-def _histogram_edges(bins: int, upper: float = 1.0) -> np.ndarray:
+def _histogram_edges(bins: int, upper: float) -> np.ndarray:
     """Read-only bin edges on [0, upper], as ``np.histogram`` makes them.
 
     A value v in [0, upper] falls in bin i when edges[i] <= v < edges[i + 1],
