@@ -102,54 +102,43 @@ class SubsetTable:
 
 @lru_cache(maxsize=None)
 def _plain_layout(n: int) -> tuple:
-    """Per popcount layer of an n-class block, ascending: for each mask, the
-    mask without its lowest bit, that bit's index and the mask's
+    """For every non-empty mask of an n-class block, ascending: the mask, the
+    mask without its highest bit, that bit's index and the mask's
     one-bit-removed masks in ascending bit order."""
-    layers: list[list] = [[] for _ in range(n)]
+    layout = []
     for mask in range(1, 1 << n):
-        low = mask & -mask
+        high = mask.bit_length() - 1
         removed = tuple(mask ^ (1 << i) for i in range(n) if mask >> i & 1)
-        layers[mask.bit_count() - 1].append((mask, mask ^ low, low.bit_length() - 1, removed))
-    return tuple(tuple(layer) for layer in layers)
+        layout.append((mask, mask ^ (1 << high), high, removed))
+    return tuple(layout)
 
 
 def _table_values_small(w, zbar: float):
-    # Plain-float subset walk; its per-mask Python work beats the gather
+    # Plain-float subset walk; its per-mask Python work beats the layered
     # kernel's per-layer numpy calls up to five tied classes and about ties
-    # with them at six.
-    # Proceeds a popcount layer at a time: a mask only reads one-bit-removed
-    # masks, so rescaling by the layer peak keeps every read on one scale.
+    # with them at six. It performs the layered kernel's operations in the
+    # same order, so the two return the same tables bit for bit: a mass adds
+    # the weights in ascending bit order, as the layered kernel's doubling
+    # does, and a total adds the one-bit-removed values in ascending bit
+    # order. It never rescales, so it serves only weights inside the
+    # unchecked range below.
     n = len(w)
     size = 1 << n
     values = [0.0] * size
     values[0] = 1.0
     totals = [0.0] * size
     subset_sum = [0.0] * size
-    log_scale = 0.0
-    for layer in _plain_layout(n):
-        peak = 0.0
-        for mask, rest, low, removed in layer:
-            mass = subset_sum[rest] + w[low]
-            subset_sum[mask] = mass
-            acc = 0.0
-            for other in removed:
-                acc += values[other]
-            totals[mask] = acc
-            v = acc / (zbar + mass)
-            values[mask] = v
-            if v > peak:
-                peak = v
-        if peak != 0.0 and not (_RESCALE_LO < peak < _RESCALE_HI):
-            # Entries many layers back can exceed float range relative to the
-            # new scale; saturate them, they are never read past this point.
-            for table in (values, totals):
-                for j in range(size):
-                    try:
-                        table[j] /= peak
-                    except OverflowError:
-                        table[j] = float("inf")
-            log_scale += float(np.log(peak))
-    return np.array(values), np.array(totals), log_scale
+    # Every mask a mask reads is smaller, so ascending masks read only
+    # finished entries.
+    for mask, rest, high, removed in _plain_layout(n):
+        mass = subset_sum[rest] + w[high]
+        subset_sum[mask] = mass
+        acc = 0.0
+        for other in removed:
+            acc += values[other]
+        totals[mask] = acc
+        values[mask] = acc / (zbar + mass)
+    return np.array(values), np.array(totals), 0.0
 
 
 # Weights inside these bounds can never trip a rescale: every table entry of
@@ -157,6 +146,11 @@ def _table_values_small(w, zbar: float):
 # inside [1e-240, 1e240], well within the rescale thresholds.
 _UNCHECKED_MIN_WEIGHT = 1e-12
 _UNCHECKED_MAX_MASS = 1e12
+
+
+def _unchecked(weights: list, zbar: float) -> bool:
+    """Whether no table of these weights can leave the rescale range."""
+    return min(weights) >= _UNCHECKED_MIN_WEIGHT and zbar + max(weights) <= _UNCHECKED_MAX_MASS
 
 
 class _TableBuffers:
@@ -248,9 +242,7 @@ def _table_values_layered(w, zbar: float):
         np.add(lower, weight, out=upper)
     denom = space.by_mask.take(space.order, out=space.denom)
     denom += zbar
-    checked = not (
-        min(weights) >= _UNCHECKED_MIN_WEIGHT and zbar + max(weights) <= _UNCHECKED_MAX_MASS
-    )
+    checked = not _unchecked(weights, zbar)
 
     values, totals = space.values, space.totals
     values[0] = 1.0  # an earlier call's rescale may have moved it
@@ -282,16 +274,25 @@ def _table_values(w, zbar: float):
     keeps, for every subset S, the sum the recursion divides by
     ``zbar + w(S)``: S's one-bit-removed values, added in ascending bit
     order, so that a block walk reads each step's total instead of adding it
-    again (``totals[0]`` is 0). On an unscaled table (``log_scale`` 0) each
-    total is that in-order sum bit for bit. A rescaled table divides its
-    totals by the same peaks as its values, so there a total may differ from
-    a walk's running sum over the rescaled values by rounding; the weights
-    of the benchmark's workloads and of the report digests never rescale.
-    Blocks of up to five classes take the plain-float kernel, wider ones the
-    layered kernel.
+    again (``totals[0]`` is 0).
+
+    Two kernels compute this one definition with the same floating-point
+    operations in the same order, so they return the same tables bit for
+    bit. The plain-float kernel is faster up to five classes, and takes such
+    a block when its weights lie in the unchecked range (every weight at
+    least ``_UNCHECKED_MIN_WEIGHT``, ``zbar`` plus the largest at most
+    ``_UNCHECKED_MAX_MASS``), where no table can leave float range. Every
+    other block takes the layered kernel, the only one that rescales. On an
+    unscaled table (``log_scale`` 0) each total is the in-order sum above
+    bit for bit. A rescaled table divides its totals by the same peaks as
+    its values, so there a total may differ from a walk's running sum over
+    the rescaled values by rounding; the weights of the benchmark's
+    workloads and of the report digests never rescale.
     """
     if len(w) <= 5:
-        return _table_values_small([float(x) for x in w], zbar)
+        weights = [float(x) for x in w]
+        if _unchecked(weights, zbar):
+            return _table_values_small(weights, zbar)
     return _table_values_layered(np.asarray(w, dtype=float), zbar)
 
 

@@ -8,13 +8,17 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import weighted_rankings
+from plaus import pl_likelihood
 from plaus.pl_likelihood import (
     _RESCALE_HI,
     _RESCALE_LO,
+    _UNCHECKED_MAX_MASS,
+    _UNCHECKED_MIN_WEIGHT,
     MAX_BLOCK_SIZE,
     BlockTooLargeError,
     NonPositiveWeightError,
     _table_buffers,
+    _table_values,
     _table_values_layered,
     _table_values_small,
     pl_full_ranking_log_prob,
@@ -185,7 +189,8 @@ def test_two_block_chains_sum_to_one():
 def test_extreme_scales_survive_both_paths():
     rng = np.random.default_rng(2)
     lam = rng.uniform(0.5, 2.0, size=10)
-    # the plain-float walk serves up to six tied classes, the gather kernel more
+    # the plain-float walk serves in-range blocks of up to five tied classes;
+    # these scales leave that range, so every table here is the layered one
     for tied in (5, 8):
         r = PartialRanking([list(range(tied))], ClassSpace(size=10))
         assert_allclose(
@@ -209,24 +214,70 @@ def test_extreme_scales_survive_both_paths():
 
 @pytest.mark.parametrize("n", [3, 6, 7, 10, 11, 13])
 def test_small_and_layered_tables_agree(n):
-    # the plain-float walk serves n <= 5 and the gather kernel n > 5; on the
-    # same weights both must tabulate the same recursion and totals
+    # the plain-float walk serves in-range blocks of n <= 5 and the layered
+    # kernel every other; on the same weights both perform the same
+    # operations in the same order, so their tables are equal bit for bit
     rng = np.random.default_rng(n)
     w = rng.uniform(0.1, 5.0, size=n)
     for zbar in (0.0, 2.5):
         small, small_totals, small_scale = _table_values_small([float(x) for x in w], zbar)
         layered, layered_totals, layered_scale = _table_values_layered(w, zbar)
-        assert_allclose(layered, small, rtol=1e-12)
-        assert_allclose(layered_totals, small_totals, rtol=1e-12)
-        assert layered_scale == small_scale
-    # weights this small push every layer below the rescale threshold
-    tiny = w * 1e-140
-    small, small_totals, small_scale = _table_values_small([float(x) for x in tiny], 0.0)
-    layered, layered_totals, layered_scale = _table_values_layered(tiny, 0.0)
-    assert small_scale != 0.0
-    assert_allclose(layered, small, rtol=1e-12)
-    assert_allclose(layered_totals, small_totals, rtol=1e-12)
-    assert layered_scale == small_scale
+        assert np.array_equal(layered, small)
+        assert np.array_equal(layered_totals, small_totals)
+        assert layered_scale == small_scale == 0.0
+
+
+_UNCHECKED_WEIGHTS = st.floats(_UNCHECKED_MIN_WEIGHT, _UNCHECKED_MAX_MASS / 2)
+
+
+@given(
+    st.lists(_UNCHECKED_WEIGHTS, min_size=1, max_size=8),
+    st.one_of(st.just(0.0), _UNCHECKED_WEIGHTS),
+)
+def test_both_kernels_build_the_same_table_in_the_unchecked_range(weights, zbar):
+    small, small_totals, small_scale = _table_values_small(weights, zbar)
+    layered, layered_totals, layered_scale = _table_values_layered(np.array(weights), zbar)
+    assert np.array_equal(small, layered)
+    assert np.array_equal(small_totals, layered_totals)
+    assert small_scale == layered_scale == 0.0
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_small_blocks_out_of_range_take_the_rescaling_layered_kernel(n):
+    # the plain-float walk never rescales; a small block whose weights leave
+    # the unchecked range gets the layered kernel's rescaled table
+    w = np.random.default_rng(n).uniform(0.1, 5.0, size=n)
+    for scale in (1e-140, 1e140):
+        values, totals, log_scale = _table_values(w * scale, 0.0)
+        expected, expected_totals, expected_scale = _reference_layered(w * scale, 0.0)
+        assert log_scale != 0.0
+        assert np.array_equal(values, expected)
+        assert np.array_equal(totals, expected_totals)
+        assert log_scale == expected_scale
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_only_in_range_blocks_of_up_to_five_take_the_plain_kernel(n, monkeypatch):
+    calls = []
+
+    def recording(w, zbar):
+        calls.append(len(w))
+        return _table_values_small(w, zbar)
+
+    monkeypatch.setattr(pl_likelihood, "_table_values_small", recording)
+    w = np.random.default_rng(n).uniform(1.0, 2.0, size=n)
+    zbar = 0.5e12
+    low = w / w.min() * _UNCHECKED_MIN_WEIGHT
+    high = w / w.max() * (_UNCHECKED_MAX_MASS - zbar)
+    for weights, below, plain in (
+        (low, 0.0, True),
+        (high, zbar, True),
+        (low / 10, 0.0, False),
+        (high * 10, zbar, False),
+    ):
+        calls.clear()
+        _table_values(weights, below)
+        assert calls == ([n] if plain and n <= 5 else [])
 
 
 @pytest.mark.parametrize("n", range(1, 14))
