@@ -355,6 +355,10 @@ def _risk_pass(samples, class_space: ClassSpace):
     """Per-sample top risk level (0 low, 1 medium, 2 high), its modal value
     and the per-sample expected risk, from one check of the risk map.
 
+    A sample's expected risk is clamped to 2, the top level: a sample's
+    entries sum to one only within the samples' row-sum tolerance, so the
+    weighted levels could pass 2 by rounding. They cannot fall below 0.
+
     A sample's top level is the argmax of its mass pooled by level; both
     argmaxes break ties to the lower level, and a level's mass is defined
     as the in-order sum over its columns (:func:`_ordered_level_sums`).
@@ -383,7 +387,8 @@ def _risk_pass(samples, class_space: ClassSpace):
     levels = pooled.argmax(axis=0)
     if rows.size:
         levels[rows] = _ordered_level_sums(arr, risk, rows).argmax(axis=1)
-    return levels, int(np.bincount(levels, minlength=3).argmax()), arr @ risk
+    expected = np.minimum(arr @ risk, 2.0)
+    return levels, int(np.bincount(levels, minlength=3).argmax()), expected
 
 
 def _risk_values(samples, class_space: ClassSpace, prediction: PredictionSet | None):
@@ -531,7 +536,8 @@ class MetricReport:
 # A metric's histogram range where it is not [0, 1]: (upper edge, largest
 # value counted, in the last bin). A sample's expected risk level weights
 # levels up to 2 by plausibilities that sum to one within the samples'
-# tolerance, so it may pass 2 by as much.
+# tolerance, so a caller's own values may pass 2 by as much (those of
+# _risk_pass are clamped to 2).
 _HISTOGRAM_RANGE = {"expected_risk_mean": (2.0, 2.0 * (1.0 + _SIMPLEX_ATOL))}
 
 

@@ -830,7 +830,7 @@ def test_evaluate_pools_risk_levels_once_per_unit(tmp_path, monkeypatch):
             "expected_risk_max", "ua_risk_match"} <= {r["metric"] for r in rows}
 
 
-def test_expected_risk_histograms_hold_every_sample_of_a_high_risk_case(tmp_path):
+def _evaluate_high_risk_case(tmp_path):
     # every ranked class is high risk, so each sample's expected risk lies
     # near 2, past the [0, 1] range of the other metrics' histograms
     cases = write_lines(
@@ -851,7 +851,11 @@ def test_expected_risk_histograms_hold_every_sample_of_a_high_risk_case(tmp_path
          "--model", "prirn,pl", "--samples", "200", "--out-dir", str(out)]
     )
     assert code == 0
-    files = read_report(str(out))["files"]
+    return read_report(str(out))["files"]
+
+
+def test_expected_risk_histograms_hold_every_sample_of_a_high_risk_case(tmp_path):
+    files = _evaluate_high_risk_case(tmp_path)
     for model in ("prirn", "pl"):
         rows = [r for r in files[f"summary_{model}.jsonl"] if r["metric"] == "expected_risk_mean"]
         assert len(rows) == len(default_reliability_grid(model))
@@ -859,6 +863,27 @@ def test_expected_risk_histograms_hold_every_sample_of_a_high_risk_case(tmp_path
             assert row["mean"] > 1.0
             assert sum(row["histogram_counts"]) == 200
             assert row["histogram_edges"][0] == 0.0 and row["histogram_edges"][-1] == 2.0
+
+
+def test_expected_risk_never_reads_above_the_top_level(tmp_path):
+    # PrIRN rows may sum to 1 + 1 ulp, which weighted 2 by 2 gave
+    # 2.0000000000000004 at every reliability of this case
+    files = _evaluate_high_risk_case(tmp_path)
+    risk_rows = [
+        row
+        for name, rows in files.items()
+        if name.startswith("metrics_")
+        for row in rows
+        if row["metric"].startswith("expected_risk_")
+    ]
+    assert {r["model"] for r in risk_rows} == {"prirn", "pl"}
+    assert len(risk_rows) == 3 * 10
+    assert max(r["value"] for r in risk_rows) == 2.0
+    for model in ("prirn", "pl"):
+        for row in files[f"summary_{model}.jsonl"]:
+            if row["metric"] == "expected_risk_mean":
+                assert row["mean"] <= 2.0
+                assert sum(row["histogram_counts"]) == row["M"] == 200
 
 
 def test_bad_data_exits_two(tmp_path):
