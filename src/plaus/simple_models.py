@@ -155,7 +155,6 @@ def score_threshold_certainty(
 
 
 def _normal_cdf(z: np.ndarray) -> np.ndarray:
-    # Imported here so that only the gaussian-scores model loads scipy.
-    from scipy.special import erf
-
-    return 0.5 * (1.0 + erf(z / math.sqrt(2.0)))
+    # math.erf per element: numpy has no erf, and the draws are few.
+    scaled = (z / math.sqrt(2.0)).tolist()
+    return 0.5 * (1.0 + np.array([math.erf(x) for x in scaled]))

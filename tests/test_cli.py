@@ -64,8 +64,8 @@ def small_dataset(tmp_path):
 
 
 def test_importing_the_cli_leaves_scipy_and_multiprocessing_unloaded():
-    # only the gaussian-scores model needs scipy and only a pool of two or
-    # more workers needs multiprocessing; every CLI run pays their import
+    # plaus needs no scipy, and only a pool of two or more workers needs
+    # multiprocessing; every CLI run would pay their import
     package_root = str(Path(plaus.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     probe = (

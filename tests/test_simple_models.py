@@ -1,12 +1,16 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
-from scipy import stats
+from scipy import special, stats
 
 from plaus.metrics import certainty_label
 from plaus.simple_models import (
     NormalScoreModel,
     dirichlet_from_counts,
+    _normal_cdf,
     score_threshold_certainty,
 )
 
@@ -99,6 +103,22 @@ def test_shift_invariance():
     base = score_threshold_certainty(scores, 3.5, num_samples=2000, seed=5)
     moved = score_threshold_certainty(scores + 250.0, 253.5, num_samples=2000, seed=5)
     assert_allclose(moved, base, atol=1e-9)
+
+
+def test_certainty_runs_without_scipy(monkeypatch):
+    # numpy is the only runtime dependency; scipy serves the tests alone
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    monkeypatch.setitem(sys.modules, "scipy.special", None)
+    value = score_threshold_certainty([5.8, 6.1, 6.4], 7.0, num_samples=2000, seed=6)
+    assert 0.5 <= value <= 1.0
+
+
+def test_normal_cdf_matches_scipy_erf():
+    # math.erf is the C library's, scipy.special.erf its own; both are
+    # within a few units in the last place of the exact value
+    z = np.concatenate([np.linspace(-40.0, 40.0, 4001), np.random.default_rng(7).normal(0, 3, 4000)])
+    expected = 0.5 * (1.0 + special.erf(z / math.sqrt(2.0)))
+    assert_allclose(_normal_cdf(z), expected, rtol=0, atol=4 * np.finfo(float).eps)
 
 
 def test_certainty_validation():
