@@ -26,7 +26,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -100,7 +100,12 @@ class DanglingCaseIdError(DataError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Settings for one model swept over its reliability grid."""
+    """Settings for one model swept over its reliability grid.
+
+    ``chain`` is the PL chain's ``GibbsConfig``, built from the ``gibbs_*``
+    fields with as many sweeps as retain exactly M samples; it owns the
+    chain's rules, and is built and checked for every model.
+    """
 
     model: str
     reliability_grid: tuple = ()
@@ -108,13 +113,13 @@ class RunConfig:
     gibbs_burn_in: int = 500
     gibbs_thinning: int = 1
     gibbs_alpha: float = 1.0
-    gibbs_beta: float = 1.0
     base_seed: int = 0
     k_grid: tuple[int, ...] = (1, 2, 3)
     overlap_depth: int = 3
     histogram_bins: int = 20
     dirichlet_prior_alpha: float = 0.01
     threshold: float | None = None
+    chain: GibbsConfig = field(init=False)
 
     def __post_init__(self) -> None:
         if self.model not in MODELS:
@@ -133,15 +138,21 @@ class RunConfig:
         ):
             raise ConfigError("pl reliabilities are positive integer repetition counts")
         if self.model in ("prirn", "dirichlet-counts") and any(
-            not r > 0 for r in self.reliability_grid
+            not 0 < r < np.inf for r in self.reliability_grid
         ):
-            raise ConfigError("reliabilities must be positive")
+            raise ConfigError("reliabilities must be positive and finite")
         if self.num_samples < 1:
             raise ConfigError("M must be >= 1")
-        if self.gibbs_burn_in < 0 or self.gibbs_thinning < 1:
-            raise ConfigError("bad gibbs burn-in or thinning")
-        if not (self.gibbs_alpha > 0 and self.gibbs_beta > 0):
-            raise ConfigError("gibbs alpha and beta must be positive")
+        try:
+            chain = GibbsConfig(
+                alpha=self.gibbs_alpha,
+                iterations=self.gibbs_burn_in + self.gibbs_thinning * self.num_samples,
+                burn_in=self.gibbs_burn_in,
+                thinning=self.gibbs_thinning,
+            )
+        except ValueError as exc:
+            raise ConfigError(f"gibbs {exc}") from None
+        object.__setattr__(self, "chain", chain)
         if not self.k_grid or any(k < 1 for k in self.k_grid):
             raise ConfigError("k grid must be non-empty positive integers")
         if len(set(self.k_grid)) < len(self.k_grid):
@@ -150,15 +161,12 @@ class RunConfig:
             raise ConfigError("overlap depth must be >= 1")
         if self.histogram_bins < 1:
             raise ConfigError("histogram bins must be >= 1")
-        if not self.dirichlet_prior_alpha > 0:
-            raise ConfigError("dirichlet prior alpha must be positive")
+        if not 0 < self.dirichlet_prior_alpha < np.inf:
+            raise ConfigError("dirichlet prior alpha must be positive and finite")
         if self.model == "gaussian-scores" and self.threshold is None:
             raise ConfigError("gaussian-scores needs --threshold")
-
-    @property
-    def gibbs_iterations(self) -> int:
-        """Sweeps needed so the chain retains exactly M samples."""
-        return self.gibbs_burn_in + self.gibbs_thinning * self.num_samples
+        if self.threshold is not None and not np.isfinite(self.threshold):
+            raise ConfigError("threshold must be finite")
 
 
 def default_reliability_grid(model: str) -> tuple:
@@ -373,16 +381,9 @@ def _posterior_for(record: CaseRecord, config: RunConfig, reliability, seed: int
             config.num_samples, seed=seed
         )
     if config.model == "pl":
-        gibbs = GibbsConfig(
-            alpha=config.gibbs_alpha,
-            beta=config.gibbs_beta,
-            iterations=config.gibbs_iterations,
-            burn_in=config.gibbs_burn_in,
-            thinning=config.gibbs_thinning,
-            repetitions=int(reliability),
-            seed=seed,
+        return gibbs_run(
+            record.rankings, replace(config.chain, repetitions=int(reliability), seed=seed)
         )
-        return gibbs_run(record.rankings, gibbs)
     # dirichlet-counts; gaussian-scores has no posterior and never gets here
     if record.class_space.size < 2:
         raise DataError("dirichlet-counts needs at least two classes")
@@ -729,7 +730,6 @@ _RUN_SETTING_FLAGS = (
     ("--gibbs-burn-in", "gibbs_burn_in", int, None),
     ("--gibbs-thinning", "gibbs_thinning", int, None),
     ("--gibbs-alpha", "gibbs_alpha", float, None),
-    ("--gibbs-beta", "gibbs_beta", float, None),
     ("--seed", "base_seed", int, "base seed"),
     ("--k-grid", "k_grid", _csv_of(int, "k grid"), "comma-separated top-k cutoffs"),
     ("--overlap-depth", "overlap_depth", int, None),

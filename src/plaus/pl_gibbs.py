@@ -6,7 +6,7 @@ ranked, and the observed partial ranking groups those positions into the
 annotator's blocks. After Caron and Doucet (2012), every ranked position j
 carries an exponential latent of rate Z_j, the weight not yet ranked there
 (1 / Z_j is the integral of exp(-Z_j t) over t > 0). With independent
-Gamma(alpha, beta) priors on the weights, all three conditionals are exact:
+Gamma(alpha, 1) priors on the weights, all three conditionals are exact:
 
   * the ordering within each tied block, given the weights, via the block's
     subset table (a trellis walk); an untied block has one ordering;
@@ -24,7 +24,7 @@ sharpens the likelihood exactly like observing the annotator repeatedly.
 The chain state is a 0/1 matrix U, one row per latent, 1 where a class is
 still unranked at the row's position: ranked there or later, or in the
 trailing block. The rates are then Z = U lambda and the weights' Gamma rate
-is beta + z U, where z holds the latents. The copies of an annotation have
+is 1 + z U, where z holds the latents. The copies of an annotation have
 the same classes unranked at every ranked position outside a tie and at a
 tie's first position, whatever their orderings, so they share one row
 there, whose latent is the sum of theirs: Gamma(repetitions) / Z_j in law.
@@ -35,7 +35,7 @@ positions counted over all annotations. A sweep is
 
   orderings:  each tie's copies walk its subset table and rewrite their rows;
   latents:    z = Gamma / (U lambda);
-  weights:    lambda = G / (beta + z U),
+  weights:    lambda = G / (1 + z U),
 
 so the weights' Markov kernel is that of the per-copy chain in
 distribution, and outside the ties a sweep's cost does not grow with the
@@ -56,7 +56,11 @@ chain's stream, draw for draw.
 
 Weights stay unnormalized inside the chain; emitted samples are projected
 onto the simplex. With no annotations the chain reproduces the prior, whose
-normalized draws are Dirichlet(alpha, ..., alpha).
+normalized draws are Dirichlet(alpha, ..., alpha). The prior's rate is fixed
+at 1. A rate beta would divide the chain's weights by beta, draw for draw,
+and scale the latents back by beta; the emitted samples are normalized, so
+it could change them only by rounding (the scale invariance Caron and
+Doucet 2012 note).
 """
 
 from __future__ import annotations
@@ -86,13 +90,14 @@ _CHUNK_DRAWS = 8192
 
 @dataclass(frozen=True)
 class GibbsConfig:
-    """Chain settings.
+    """Chain settings, and the one place their rules are checked.
 
-    Defaults keep 1500 of 2000 sweeps after a 500-sweep burn-in.
+    ``alpha`` is the shape of each weight's Gamma prior, whose rate is 1
+    (see the module docstring). Defaults keep 1500 of 2000 sweeps after a
+    500-sweep burn-in.
     """
 
     alpha: float = 1.0
-    beta: float = 1.0
     iterations: int = 2000
     burn_in: int = 500
     thinning: int = 1
@@ -100,19 +105,21 @@ class GibbsConfig:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if not self.alpha > 0 or not self.beta > 0:
-            raise ValueError("alpha and beta must be positive")
+        if not 0 < self.alpha < np.inf:
+            raise ValueError("alpha must be positive and finite")
         counts = (self.iterations, self.burn_in, self.thinning, self.repetitions)
         if not _all_ints(*counts):
             raise ValueError(
                 f"iterations, burn_in, thinning and repetitions must be integers, got {counts}"
             )
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if not (0 <= self.burn_in < self.iterations):
-            raise ValueError("burn_in must lie in [0, iterations)")
+        # The CLI sets iterations to burn_in + thinning * M, so in this order
+        # a bad thinning or burn-in is named, not the iterations it yields.
         if self.thinning < 1:
             raise ValueError("thinning must be >= 1")
+        if self.burn_in < 0:
+            raise ValueError("burn_in must be >= 0")
+        if self.iterations <= self.burn_in:
+            raise ValueError("iterations must exceed burn_in")
         if self.repetitions < 1:
             raise ValueError("repetitions must be a positive integer")
 
@@ -267,7 +274,7 @@ class GibbsSampler:
         self._rest = np.array(rest).reshape(-1, k)
 
         self.rng = np.random.default_rng(self.config.seed)
-        lam0 = self.rng.gamma(self.config.alpha, 1.0 / self.config.beta, size=self.num_classes)
+        lam0 = self.rng.gamma(self.config.alpha, 1.0, size=self.num_classes)
         self.state = GibbsState(lam=lam0, unranked=np.concatenate(unranked))
 
     # -- conditional 1: orderings ------------------------------------------
@@ -313,7 +320,7 @@ class GibbsSampler:
         state = self.state
         if state.z is None:
             raise RuntimeError("latents not sampled yet; call sample_tau first")
-        state.lam = draws / (state.z.dot(state.unranked) + self.config.beta)
+        state.lam = draws / (state.z.dot(state.unranked) + 1.0)
 
     # -- driver -------------------------------------------------------------
 

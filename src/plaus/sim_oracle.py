@@ -162,10 +162,11 @@ def grid_posterior_oracle(rankings, alpha: float = 1.0, resolution: int = 200) -
     """Posterior of the normalized weights by brute-force quadrature.
 
     Works for two or three classes only. Because the ranking likelihood
-    depends on the weights only through their direction, a Gamma(alpha, beta)
-    prior on each unnormalized weight induces a Dirichlet(alpha, ..., alpha)
-    prior on the simplex with beta dropping out; the oracle therefore weighs
-    each lattice node by Dirichlet density times likelihood and normalizes.
+    depends on the weights only through their direction, the sampler's
+    Gamma(alpha, 1) prior on each unnormalized weight induces a
+    Dirichlet(alpha, ..., alpha) prior on the simplex, as a Gamma prior of
+    any rate would; the oracle therefore weighs each lattice node by
+    Dirichlet density times likelihood and normalizes.
 
     Nodes are cell midpoints, ``(i + 0.5) / resolution`` in each barycentric
     coordinate, scaled to the simplex; equal quadrature weights. Accuracy

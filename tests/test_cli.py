@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -386,7 +387,53 @@ def test_repeated_grid_values_exit_one_before_ingest(tmp_path, capsys):
 
 def test_gibbs_iteration_budget_retains_exactly_m():
     config = RunConfig(model="pl", num_samples=250, gibbs_burn_in=100, gibbs_thinning=3)
-    assert config.gibbs_iterations == 100 + 3 * 250
+    assert config.chain.iterations == 100 + 3 * 250
+    assert config.chain.num_retained == 250
+
+
+@pytest.mark.parametrize(
+    "setting, value, name",
+    [
+        ("gibbs_thinning", 0, "thinning"),
+        ("gibbs_thinning", -1, "thinning"),
+        ("gibbs_burn_in", -1, "burn_in"),
+        ("gibbs_burn_in", -5000, "burn_in"),
+        ("gibbs_alpha", 0.0, "alpha"),
+        ("gibbs_alpha", np.inf, "alpha"),
+        ("gibbs_alpha", np.nan, "alpha"),
+    ],
+)
+@pytest.mark.parametrize("model", ["pl", "irn"])
+def test_run_config_refuses_a_bad_chain_setting_by_name(model, setting, value, name):
+    # the chain's rules live on GibbsConfig; every model's config checks them
+    with pytest.raises(ConfigError, match=f"gibbs {name}"):
+        RunConfig(model=model, **{setting: value})
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [
+        ["--model", "prirn", "--reliability", "inf"],
+        ["--model", "dirichlet-counts", "--reliability", "inf"],
+        ["--model", "dirichlet-counts", "--dirichlet-prior-alpha", "inf"],
+        ["--model", "gaussian-scores", "--threshold", "nan"],
+        ["--model", "gaussian-scores", "--threshold", "inf"],
+        ["--model", "pl", "--gibbs-alpha", "inf"],
+        ["--model", "pl", "--gibbs-beta", "2"],
+    ],
+    ids=lambda settings: " ".join(settings[1:]),
+)
+def test_non_finite_and_removed_settings_exit_one_before_ingest(tmp_path, capsys, settings):
+    # each once crashed mid-run with "samples must be finite", or wrote a
+    # NaN that is no JSON; the prior's rate is fixed, so there is no flag
+    # to set it
+    out = tmp_path / "out"
+    missing = str(tmp_path / "missing.jsonl")
+    argv = ["evaluate", "--cases", missing, "--annotations", missing,
+            "--predictions", missing, "--out-dir", str(out)]
+    assert run_main(argv + settings) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_reliability_tags():
@@ -687,6 +734,32 @@ def test_aggregate_samples_each_unit_once(small_dataset, tmp_path, monkeypatch):
     )
     assert code == 0
     assert sorted(repetitions) == [1, 1, 2, 2]  # 2 cases x 2 reliabilities
+
+
+def test_a_pl_unit_runs_the_config_chain_at_its_repetitions_and_seed(
+    small_dataset, tmp_path, monkeypatch
+):
+    cases, annotations, _ = small_dataset
+    calls = []
+    real_gibbs_run = cli.gibbs_run
+
+    def recording_gibbs_run(rankings, config):
+        calls.append(config)
+        return real_gibbs_run(rankings, config)
+
+    monkeypatch.setattr(cli, "gibbs_run", recording_gibbs_run)
+    config = RunConfig(
+        model="pl", reliability_grid=(1, 3), num_samples=20, gibbs_burn_in=10,
+        gibbs_thinning=2, gibbs_alpha=0.5, base_seed=4,
+    )
+    cli.run(config, ingest(cases, annotations), str(tmp_path / "out"))
+    expected = [
+        replace(config.chain, repetitions=r, seed=_case_seed(4, case_id, "pl", str(r)))
+        for case_id in ("a", "b")
+        for r in (1, 3)
+    ]
+    assert calls == expected
+    assert {(c.alpha, c.iterations, c.burn_in, c.thinning) for c in calls} == {(0.5, 50, 10, 2)}
 
 
 def test_evaluate_reports_an_oversized_tie_as_a_case_failure(tmp_path):

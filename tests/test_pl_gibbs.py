@@ -19,12 +19,17 @@ def make_sampler(blocks, k, **cfg):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        GibbsConfig(alpha=0.0)
-    with pytest.raises(ValueError):
-        GibbsConfig(iterations=100, burn_in=100)
+    for alpha in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="alpha"):
+            GibbsConfig(alpha=alpha)
+    for iterations in (100, 0):
+        with pytest.raises(ValueError, match="iterations must exceed burn_in"):
+            GibbsConfig(iterations=iterations, burn_in=100)
     with pytest.raises(ValueError):
         GibbsConfig(thinning=0)
+    # a zero thinning leaves no sweep past the burn-in, and is named first
+    with pytest.raises(ValueError, match="thinning"):
+        GibbsConfig(iterations=500, burn_in=500, thinning=0)
     with pytest.raises(ValueError):
         GibbsConfig(repetitions=1.5)
 
@@ -402,11 +407,11 @@ class _ReferenceSampler:
         self.num_ranked = np.repeat(num_ranked, reps)
         self.rows = np.arange(self.num_ranked.size)
         self.rng = np.random.default_rng(config.seed)
-        self.lam = self.rng.gamma(config.alpha, 1.0 / config.beta, size=k)
+        self.lam = self.rng.gamma(config.alpha, 1.0, size=k)
 
     def sweep(self):
         cfg, lam = self.config, self.lam
-        rate = np.full(self.num_classes, cfg.beta)
+        rate = np.full(self.num_classes, 1.0)
         if self.rows.size:
             keys = self.rng.standard_exponential(self.free.shape) / lam
             sigmas = np.where(self.free, keys, self.head_keys).argsort(1)
@@ -515,11 +520,11 @@ def _per_copy_loop(rankings, cfg, space):
     for order in ranked:
         shape[order] += 1
     rng = np.random.default_rng(cfg.seed)
-    lam = rng.gamma(cfg.alpha, 1.0 / cfg.beta, size=k)
+    lam = rng.gamma(cfg.alpha, 1.0, size=k)
     kept = []
     for t in range(1, cfg.iterations + 1):
         arrivals = rng.standard_exponential((len(ranked), max(map(len, ranked), default=0)))
-        rate = np.full(k, cfg.beta)
+        rate = np.full(k, 1.0)
         for order, rest, draws in zip(ranked, trailing, arrivals):
             tau = 0.0
             for j, c in enumerate(order):
@@ -616,7 +621,7 @@ class _PlainSweep:
         self.shape = np.array(shapes + weights.tolist(), dtype=float)
         self.sweep_draws = self.walk + self.shape.size
         self.rng = np.random.default_rng(cfg.seed)
-        self.lam = self.rng.gamma(cfg.alpha, 1.0 / cfg.beta, size=k)
+        self.lam = self.rng.gamma(cfg.alpha, 1.0, size=k)
 
     def unranked(self):
         """U, row by row: per annotation and block, the block's first
@@ -660,7 +665,7 @@ class _PlainSweep:
                 self.walk_ties(uniforms)
                 u = self.unranked()
                 z = draws[: len(u)] / u.dot(self.lam)
-                self.lam = draws[len(u) :] / (z.dot(u) + self.cfg.beta)
+                self.lam = draws[len(u) :] / (z.dot(u) + 1.0)
                 yield uniforms, draws, u, z, self.lam
 
 
@@ -696,7 +701,6 @@ def test_sampler_draws_as_the_reference_conditionals(case, monkeypatch):
     rankings, space = _panel(case, rng, k)
     cfg = GibbsConfig(
         alpha=(0.3, 1.0, 2.5)[case % 3],
-        beta=(1.0, 0.4, 2.5)[case // 3 % 3],
         iterations=12,
         burn_in=case % 4,
         thinning=1 + case % 2,
