@@ -6,7 +6,8 @@ the dermatology fixture in ``tests/data`` and shrunken, seeded inputs of
 the benchmark's workloads (``bench/workloads.py``), plus three tiny inputs
 written here. The matrix covers the tied and the untied Gibbs chain, the
 iid samplers, the point-mass model, the score model, a worker pool, cases
-that fail, and cutoffs deeper than a prediction. ``test_report_digests.py`` regenerates it and compares it
+that fail, cutoffs deeper than a prediction, and the files ``simulate``
+writes. ``test_report_digests.py`` regenerates it and compares it
 with ``tests/data/report_digests.json``, so a change that must leave report
 bytes alone is checked by Tier-1.
 
@@ -158,6 +159,11 @@ def _entries(work: str):
     )
     argv = _fixture_argv("certainty", os.path.join(work, "tied-walks"), inputs, "pl")
     yield "tied-walks", argv + ["--reliability", "1,3"]
+    # The simulator's case, annotation, truth and prediction files.
+    yield "simulate", [
+        "simulate", "--classes", "5", "--cases", "4", "--annotators", "3", "--blocks", "1,2",
+        "--predictions-from-truth", "--seed", "9", "--out-dir", os.path.join(work, "simulate"),
+    ]
     # A setting refused before any input is read: exit code and message.
     yield "fixture-bad-workers", _workers(_fixture_argv("evaluate", os.path.join(work, "bad")), 0)
 
