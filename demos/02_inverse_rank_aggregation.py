@@ -12,7 +12,7 @@ annotators are taken to be.
 
 import numpy as np
 
-from plaus import ClassSpace, PartialRanking, PrIrnModel, irn_aggregate
+from plaus import ClassSpace, PartialRanking, PrIrnModel, irn_aggregate, irn_single
 
 # A tiny two-annotator example over three conditions. The first annotator
 # says 0 then 1; the second says only 1. Class 2 is never ranked.
@@ -21,9 +21,8 @@ small = [
     PartialRanking([[0], [1]], space3),
     PartialRanking([[1]], space3),
 ]
-scores = irn_aggregate(small)
-print("unnormalized:", scores.unnormalized)  # (1, 1 + 1/2, 0)
-print("normalized:  ", scores.normalized)
+print("unnormalized:", sum(irn_single(r) for r in small))  # (1, 1 + 1/2, 0)
+print("normalized:  ", irn_aggregate(small))
 
 # The worked dermatology case: eight conditions, six annotators, ties and
 # short lists everywhere.
@@ -49,11 +48,11 @@ rater_blocks = [
 rankings = [PartialRanking(b, space) for b in rater_blocks]
 
 derm = irn_aggregate(rankings)
-order = np.argsort(-derm.normalized, kind="stable")
+order = np.argsort(-derm, kind="stable")
 print("\naggregated plausibilities, most plausible first:")
 for cid in order:
-    if derm.normalized[cid] > 0:
-        print(f"  {derm.normalized[cid]:6.3f}  {names[cid]}")
+    if derm[cid] > 0:
+        print(f"  {derm[cid]:6.3f}  {names[cid]}")
 
 # The point estimate hides how sure the panel is. The resampled model
 # draws plausibility vectors around it; low concentration spreads them out,

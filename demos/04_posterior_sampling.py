@@ -39,7 +39,7 @@ rankings = [PartialRanking(b, space) for b in rater_blocks]
 config = GibbsConfig(iterations=2500, burn_in=500, repetitions=1, seed=0)
 posterior = gibbs_run(rankings, config)
 mean = posterior.samples.mean(axis=0)
-print(f"{posterior.samples.shape[0]} retained samples, seed {posterior.seed}")
+print(f"{posterior.samples.shape[0]} retained samples, seed {config.seed}")
 print("\nposterior mean plausibilities:")
 for cid in np.argsort(-mean, kind="stable"):
     print(f"  {mean[cid]:6.3f}  {names[cid]}")

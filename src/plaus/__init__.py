@@ -16,9 +16,9 @@ from .rankings import (
     to_soft_permutation,
     permutation_matrix,
 )
-from .irn import IrnScores, irn_single, irn_aggregate, top1_label
+from .irn import irn_single, irn_aggregate
 from .samples import PosteriorSamples
-from .prirn import DEFAULT_GAMMA_GRID, PrIrnModel, prirn_sample
+from .prirn import DEFAULT_GAMMA_GRID, PrIrnModel
 from .pl_likelihood import (
     SubsetTable,
     subset_recursion,

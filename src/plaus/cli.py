@@ -178,9 +178,13 @@ def default_reliability_grid(model: str) -> tuple:
 
 
 def reliability_tag(value) -> str:
-    """Stable short token for file names and seed derivation."""
+    """Stable short token for file names and seed derivation. A value of
+    magnitude 2**53 or more is tagged as a float, e.g. ``1e+300``, so the
+    tag stays short."""
     if value is None:
         return "point"
+    if abs(value) >= 2**53:
+        return repr(float(value))
     if isinstance(value, float) and value.is_integer():
         return str(int(value))
     return str(value)
@@ -203,11 +207,9 @@ class CaseRecord:
 
     case_id: str
     class_space: ClassSpace
-    annotator_ids: tuple[str, ...]
     rankings: tuple[PartialRanking, ...]
     scores: tuple[float | None, ...]
     prediction: PredictionSet | None = None
-    metadata: dict = field(default_factory=dict)
 
 
 def _read_records(path: str):
@@ -302,16 +304,13 @@ def ingest(
         DanglingCaseIdError: annotation or prediction for an unknown case.
     """
     spaces: dict[str, ClassSpace] = {}
-    metadata: dict[str, dict] = {}
     for where, record in _read_records(cases_path):
         case_id = str(_require(record, "case_id", where))
         if case_id in spaces:
             raise ParseError(f"{where}: duplicate case id {case_id!r}")
         spaces[case_id] = _parse_class_space(record, where)
-        meta = record.get("metadata", {})
-        if not isinstance(meta, dict):
+        if not isinstance(record.get("metadata", {}), dict):
             raise ParseError(f"{where}: 'metadata' must be an object")
-        metadata[case_id] = meta
 
     # Per case, (ranking, score) by annotator id, in file order.
     annotations: dict[str, dict] = {case_id: {} for case_id in spaces}
@@ -333,8 +332,12 @@ def ingest(
         except RankingError as exc:
             raise ParseError(f"{where}: {exc}") from None
         score = record.get("score")
-        if score is not None and type(score) not in (int, float):
-            raise ParseError(f"{where}: 'score' must be a number")
+        # JSON reads NaN, Infinity and 1e999 as floats; a huge int would
+        # overflow float().
+        if score is not None and (
+            type(score) not in (int, float) or not abs(score) <= sys.float_info.max
+        ):
+            raise ParseError(f"{where}: 'score' must be a finite number")
         annotations[case_id][annotator] = (ranking, float(score) if score is not None else None)
 
     predictions: dict[str, PredictionSet] = {}
@@ -356,11 +359,9 @@ def ingest(
         CaseRecord(
             case_id=case_id,
             class_space=space,
-            annotator_ids=tuple(annotations[case_id]),
             rankings=tuple(r for r, _ in annotations[case_id].values()),
             scores=tuple(s for _, s in annotations[case_id].values()),
             prediction=predictions.get(case_id),
-            metadata=metadata[case_id],
         )
         for case_id, space in spaces.items()
     ]
@@ -374,8 +375,7 @@ def _posterior_for(record: CaseRecord, config: RunConfig, reliability, seed: int
     if not record.rankings or all(not r.blocks for r in record.rankings):
         raise AllZeroMassError("no annotator ranked any class")
     if config.model == "irn":
-        lam_hat = irn_aggregate(record.rankings).normalized
-        return PosteriorSamples.point_mass(lam_hat, model="irn", seed=seed)
+        return PosteriorSamples.point_mass(irn_aggregate(record.rankings))
     if config.model == "prirn":
         return PrIrnModel.fit(record.rankings, reliability).sample(
             config.num_samples, seed=seed
@@ -475,17 +475,23 @@ def _json_default(value):
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
+def _dumps(value, **options) -> str:
+    """JSON text with sorted keys. NaN and infinities, which JSON does not
+    have, raise ValueError instead of being written."""
+    return json.dumps(value, sort_keys=True, allow_nan=False, default=_json_default, **options)
+
+
 def _write_rows(path: str, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         for row in rows:
-            handle.write(json.dumps(row, sort_keys=True, default=_json_default) + "\n")
+            handle.write(_dumps(row) + "\n")
 
 
 def _write_manifest(out_dir: str, **fields) -> None:
     manifest = {"schema_version": SCHEMA_VERSION, **fields}
     path = os.path.join(out_dir, "manifest.json")
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(json.dumps(manifest, sort_keys=True, indent=2, default=_json_default) + "\n")
+        handle.write(_dumps(manifest, indent=2) + "\n")
 
 
 def read_report(directory: str) -> dict:
@@ -570,7 +576,7 @@ def run(
         units = [entries[index] for entries, _ in results if entries[index] is not None]
         case_rows = []
         scalar_stacks: dict[str, list] = {}
-        vector_stacks: dict[str, list] = {}  # (case id, per-sample vector) pairs
+        vector_stacks: dict[str, list] = {}
         for case_id, seed, scalars, vectors, _ in units:
             for metric in sorted(scalars):
                 case_rows.append(
@@ -584,7 +590,7 @@ def run(
                 )
                 scalar_stacks.setdefault(metric, []).append(scalars[metric])
             for metric, vec in vectors.items():
-                vector_stacks.setdefault(metric, []).append((case_id, vec))
+                vector_stacks.setdefault(metric, []).append(vec)
         write(f"metrics_{config.model}_{tag}.jsonl", case_rows)
         if include_aggregate:
             write(
@@ -606,13 +612,8 @@ def run(
                 "seed": config.base_seed,
             }
             if metric in vector_stacks:
-                case_ids, stacks = zip(*vector_stacks[metric])
                 report = summarize_metric(
-                    metric,
-                    case_ids,
-                    np.vstack(stacks),
-                    bins=config.histogram_bins,
-                    provenance=provenance,
+                    metric, np.vstack(vector_stacks[metric]), bins=config.histogram_bins
                 )
                 row["sample_sd"] = report.sample_sd
                 row["histogram_counts"] = report.histogram_counts
@@ -713,8 +714,9 @@ def _csv_of(convert, what: str):
 
 
 def _int_or_float(token: str):
+    """An integral value below 2**53 in magnitude as an int, else a float."""
     value = float(token)
-    return int(value) if value.is_integer() else value
+    return int(value) if value.is_integer() and abs(value) < 2**53 else value
 
 
 # Flags that set a RunConfig field: (flag, field, type, help). Defaults and

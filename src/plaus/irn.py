@@ -9,32 +9,15 @@ annotator, so prolific annotators carry more mass than terse ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .rankings import PartialRanking
 
-__all__ = ["AllZeroMassError", "IrnScores", "irn_single", "irn_aggregate", "top1_label"]
+__all__ = ["AllZeroMassError", "irn_single", "irn_aggregate"]
 
 
 class AllZeroMassError(ValueError):
     """No annotator ranked anything, so the case cannot be labeled."""
-
-
-@dataclass(frozen=True, eq=False)
-class IrnScores:
-    """Aggregated scores for one case.
-
-    Attributes:
-        unnormalized: (K,) summed inverse-rank weights.
-        normalized: (K,) same vector scaled to sum to one.
-        num_annotators: how many rankings went into the sum.
-    """
-
-    unnormalized: np.ndarray
-    normalized: np.ndarray
-    num_annotators: int
 
 
 def irn_single(ranking: PartialRanking) -> np.ndarray:
@@ -55,11 +38,16 @@ def irn_single(ranking: PartialRanking) -> np.ndarray:
     return scores
 
 
-def irn_aggregate(rankings) -> IrnScores:
+def irn_aggregate(rankings) -> np.ndarray:
     """Sum inverse-rank weights over annotators, then normalize.
+
+    The unnormalized sums are ``sum(irn_single(r) for r in rankings)``.
 
     Args:
         rankings: non-empty sequence of rankings over one shared class space.
+
+    Returns:
+        (K,) float array that sums to one.
 
     Raises:
         AllZeroMassError: every annotator left every class unranked.
@@ -77,13 +65,4 @@ def irn_aggregate(rankings) -> IrnScores:
     mass = total.sum()
     if mass == 0.0:
         raise AllZeroMassError("no annotator ranked any class")
-    return IrnScores(
-        unnormalized=total,
-        normalized=total / mass,
-        num_annotators=len(rankings),
-    )
-
-
-def top1_label(scores: np.ndarray) -> int:
-    """Index of the largest score; ties go to the lowest class id."""
-    return int(np.argmax(scores))
+    return total / mass

@@ -99,7 +99,7 @@ def _sample_matrix(samples) -> np.ndarray:
     building a :class:`PosteriorSamples` of it, which raises its ValueError,
     so every kernel may assume finite, non-negative rows that sum to one."""
     if not isinstance(samples, PosteriorSamples):
-        samples = PosteriorSamples(samples, model="")
+        samples = PosteriorSamples(samples)
     return samples.samples
 
 
@@ -447,6 +447,8 @@ def case_metrics(
     and the risk metrics all read one pooling of the samples by risk level.
     A prediction naming a class outside ``class_space`` raises ValueError.
     """
+    if not isinstance(samples, PosteriorSamples):
+        samples = PosteriorSamples(samples)  # checked here once, not by every kernel
     top_j = min(3, class_space.size)
     usable = 0
     if prediction is not None:
@@ -454,7 +456,7 @@ def case_metrics(
         usable = len(prediction.ranked_classes)
     k_grid = [k for k in k_grid if k <= usable]
     depth = overlap_depth if overlap_depth <= usable else 0
-    order = _top_indices(_sample_matrix(samples), max(top_j, depth, *k_grid))
+    order = _top_indices(samples.samples, max(top_j, depth, *k_grid))
 
     kernels = [
         (f"annotation_certainty_top{j}", annotation_certainty_hits, (j,))
@@ -492,7 +494,7 @@ def loo_agreement(rankings) -> float:
     for r, held_out in enumerate(rankings):
         rest = rankings[:r] + rankings[r + 1 :]
         try:
-            top = int(np.argmax(irn_aggregate(rest).normalized))
+            top = int(np.argmax(irn_aggregate(rest)))
         except AllZeroMassError:
             continue
         # Same trailing-block convention as the aggregation itself: the last
@@ -505,12 +507,12 @@ def loo_agreement(rankings) -> float:
 
 @dataclass(frozen=True, eq=False)
 class MetricReport:
-    """One metric summarized over a dataset.
+    """One metric summarized over a dataset. Which cases, model, reliability
+    and seed it covers is the caller's to record.
 
     Attributes:
         metric: metric name.
-        case_ids: cases in report order.
-        per_case: Monte Carlo mean per case, aligned with ``case_ids``.
+        per_case: Monte Carlo mean per case, in the caller's case order.
         mean: dataset mean of the per-case values.
         sample_sd: standard deviation across samples of the dataset mean,
             i.e. the metric is averaged over cases within each sample index
@@ -520,17 +522,14 @@ class MetricReport:
             ``expected_risk_mean``, whose values are risk levels; its
             values above 2 by at most the samples' row-sum tolerance
             count in the last bin.
-        provenance: model tag, reliability, seed and friends.
     """
 
     metric: str
-    case_ids: tuple[str, ...]
     per_case: np.ndarray
     mean: float
     sample_sd: float
     histogram_counts: np.ndarray
     histogram_edges: np.ndarray
-    provenance: dict
 
 
 # A metric's histogram range where it is not [0, 1]: (upper edge, largest
@@ -557,27 +556,19 @@ def _histogram_edges(bins: int, upper: float) -> np.ndarray:
     return edges
 
 
-def summarize_metric(
-    metric: str,
-    case_ids,
-    per_sample_values: np.ndarray,
-    bins: int = 20,
-    provenance: dict | None = None,
-) -> MetricReport:
+def summarize_metric(metric: str, per_sample_values: np.ndarray, bins: int = 20) -> MetricReport:
     """Fold per-case, per-sample metric values into a report.
 
     Args:
         metric: metric name.
-        case_ids: length-N identifiers.
-        per_sample_values: (N, M) array; every case must carry the same
-            number of samples so the per-sample dataset mean is defined.
+        per_sample_values: (N, M) array, one row per case; every case must
+            carry the same number of samples so the per-sample dataset mean
+            is defined.
         bins: histogram bins on [0, 1], or on [0, 2] for
             ``expected_risk_mean``.
-        provenance: carried through untouched.
     """
     values = np.asarray(per_sample_values, dtype=float)
-    case_ids = tuple(str(c) for c in case_ids)
-    if values.ndim != 2 or values.shape[0] != len(case_ids):
+    if values.ndim != 2:
         raise ValueError("per_sample_values must be (num_cases, num_samples)")
     per_case = values.mean(axis=1)
     dataset_per_sample = values.mean(axis=0)
@@ -588,11 +579,9 @@ def summarize_metric(
     counts = np.bincount(bin_of, minlength=edges.size - 1)
     return MetricReport(
         metric=metric,
-        case_ids=case_ids,
         per_case=per_case,
         mean=float(per_case.mean()),
         sample_sd=float(dataset_per_sample.std(ddof=0)),
         histogram_counts=counts,
         histogram_edges=edges.copy(),
-        provenance=dict(provenance or {}),
     )

@@ -234,7 +234,6 @@ class GibbsSampler:
                     raise ValueError("rankings must share one class space")
         elif class_space is None:
             raise ValueError("class_space is required when no rankings are given")
-        self.class_space = class_space
         self.num_classes = class_space.size
 
         reps = self.config.repetitions
@@ -353,12 +352,7 @@ class GibbsSampler:
         # Each row sums in the order lam.sum() would, so this is the
         # per-sweep normalization done once.
         kept /= kept.sum(axis=1, keepdims=True)
-        return PosteriorSamples(
-            samples=kept,
-            model="pl-gibbs",
-            reliability=cfg.repetitions,
-            seed=cfg.seed,
-        )
+        return PosteriorSamples(kept)
 
 
 def gibbs_run(

@@ -17,7 +17,7 @@ import numpy as np
 from .irn import irn_aggregate
 from .samples import PosteriorSamples
 
-__all__ = ["DEFAULT_GAMMA_GRID", "PrIrnModel", "prirn_sample"]
+__all__ = ["DEFAULT_GAMMA_GRID", "PrIrnModel"]
 
 # Reliability settings swept by default, loosest to tightest.
 DEFAULT_GAMMA_GRID = (10.0, 20.0, 30.0, 50.0, 100.0)
@@ -47,7 +47,7 @@ class PrIrnModel:
         """
         if not gamma > 0:
             raise ValueError(f"gamma must be positive, got {gamma}")
-        lam_hat = irn_aggregate(rankings).normalized
+        lam_hat = irn_aggregate(rankings)
         return cls(
             point_estimate=lam_hat,
             gamma=float(gamma),
@@ -70,13 +70,4 @@ class PrIrnModel:
         else:
             alpha = self.gamma * self.point_estimate[self.support]
             out[:, self.support] = rng.dirichlet(alpha, size=num_samples)
-        return PosteriorSamples(
-            samples=out, model="prirn", reliability=self.gamma, seed=seed
-        )
-
-
-def prirn_sample(
-    rankings, gamma: float, num_samples: int, seed: int | None = None
-) -> PosteriorSamples:
-    """Fit and sample in one call. See :class:`PrIrnModel`."""
-    return PrIrnModel.fit(rankings, gamma).sample(num_samples, seed)
+        return PosteriorSamples(out)

@@ -1,10 +1,11 @@
 """Container for Monte Carlo samples of plausibility vectors.
 
 Every aggregation model in this package emits its posterior as an (M, K)
-array of points on the probability simplex plus provenance (model tag,
-reliability setting, seed). Deterministic point estimates travel through the
-same container as a single-row point mass, which is what makes the
-uncertainty-adjusted metrics collapse to their classical counterparts.
+array of points on the probability simplex. Deterministic point estimates
+travel through the same container as a single-row point mass, which is what
+makes the uncertainty-adjusted metrics collapse to their classical
+counterparts. Which model, reliability and seed drew the samples is the
+caller's to record: the command line writes it on every report row.
 """
 
 from __future__ import annotations
@@ -33,19 +34,13 @@ def _raise_invalid(arr: np.ndarray) -> None:
 
 @dataclass(frozen=True, eq=False)
 class PosteriorSamples:
-    """(M, K) plausibility samples with provenance.
+    """(M, K) plausibility samples, checked once on construction.
 
     Attributes:
-        samples: rows are non-negative and sum to one.
-        model: short tag of the producing model, e.g. "pl-gibbs".
-        reliability: the reliability setting the model ran at, if any.
-        seed: RNG seed used to draw the samples, if any.
+        samples: finite, non-negative rows that sum to one within 1e-9.
     """
 
     samples: np.ndarray
-    model: str
-    reliability: float | int | None = None
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         arr = np.ascontiguousarray(np.asarray(self.samples, dtype=float))
@@ -67,17 +62,6 @@ class PosteriorSamples:
         return self.samples.shape[1]
 
     @classmethod
-    def point_mass(
-        cls,
-        vector: np.ndarray,
-        model: str,
-        reliability: float | int | None = None,
-        seed: int | None = None,
-    ) -> "PosteriorSamples":
+    def point_mass(cls, vector: np.ndarray) -> "PosteriorSamples":
         """Wrap one plausibility vector as a single-sample posterior."""
-        return cls(
-            samples=np.asarray(vector, dtype=float)[None, :],
-            model=model,
-            reliability=reliability,
-            seed=seed,
-        )
+        return cls(np.asarray(vector, dtype=float)[None, :])

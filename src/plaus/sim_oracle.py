@@ -46,14 +46,16 @@ class SimSpec:
     """Recipe for one synthetic case.
 
     Args:
-        true_lambda: ground-truth plausibilities; positive, any scale.
+        true_lambda: ground-truth plausibilities; positive and finite, any
+            scale.
         num_annotators: rankings to draw.
         block_sizes: sizes of the explicit blocks each annotator reports,
             e.g. (1, 2) for a top choice plus two tied runners-up. Must fit
             within the class count; remaining classes stay unranked.
-        sharpness: exponent applied to the weights before sampling. Values
-            above one make annotators agree more than the model that will
-            be fit to them assumes; one draws from the model itself.
+        sharpness: exponent applied to the weights before sampling,
+            positive and finite. Values above one make annotators agree
+            more than the model that will be fit to them assumes; one draws
+            from the model itself.
         seed: RNG seed.
     """
 
@@ -66,16 +68,16 @@ class SimSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "true_lambda", tuple(float(v) for v in self.true_lambda))
         object.__setattr__(self, "block_sizes", tuple(int(s) for s in self.block_sizes))
-        if any(v <= 0 for v in self.true_lambda):
-            raise ValueError("true_lambda must be strictly positive")
+        if not all(0 < v < np.inf for v in self.true_lambda):
+            raise ValueError("true_lambda must be positive and finite")
         if self.num_annotators < 1:
             raise ValueError("need at least one annotator")
         if any(s < 1 for s in self.block_sizes):
             raise ValueError("block sizes must be positive")
         if sum(self.block_sizes) > len(self.true_lambda):
             raise ValueError("block sizes exceed the class count")
-        if not self.sharpness > 0:
-            raise ValueError("sharpness must be positive")
+        if not 0 < self.sharpness < np.inf:
+            raise ValueError("sharpness must be positive and finite")
 
 
 def simulate_annotations(spec: SimSpec) -> list[PartialRanking]:
@@ -266,7 +268,7 @@ def point_mass_reduction_gap(seed: int, trials: int) -> float:
     for _ in range(trials):
         k = int(rng.integers(3, 9))
         lam = rng.dirichlet(np.ones(k))
-        point = PosteriorSamples.point_mass(lam, model="irn")
+        point = PosteriorSamples.point_mass(lam)
         m = int(rng.integers(1, k + 1))
         pred = PredictionSet(tuple(int(c) for c in rng.permutation(k)[:m]))
         order = np.argsort(-lam, kind="stable")

@@ -57,9 +57,7 @@ def dirichlet_from_counts(
     rng = np.random.default_rng(seed)
     concentration = gamma * counts + prior_alpha
     draws = rng.dirichlet(concentration, size=num_samples)
-    return PosteriorSamples(
-        samples=draws, model="dirichlet-counts", reliability=gamma, seed=seed
-    )
+    return PosteriorSamples(draws)
 
 
 @dataclass(frozen=True)
@@ -119,15 +117,12 @@ class NormalScoreModel:
 
 
 def score_threshold_certainty(
-    scores,
-    threshold: float,
-    model: NormalScoreModel | None = None,
-    num_samples: int = 1000,
-    seed: int | None = None,
+    scores, threshold: float, num_samples: int = 1000, seed: int | None = None
 ) -> float:
     """Certainty that the case's score outcome falls on one side of a cut.
 
-    Fits (or takes) the conjugate normal model, updates it on the scores,
+    Fits the conjugate normal model's default prior
+    (:meth:`NormalScoreModel.from_scores`), updates it on the scores,
     and Monte Carlo averages the probability that a new outcome lands at or
     below the threshold. The certainty is the larger of that averaged
     probability and its complement, so it lives in [0.5, 1]: symmetric
@@ -137,7 +132,6 @@ def score_threshold_certainty(
     Args:
         scores: observed scalar scores for the case.
         threshold: decision cut t for the outcome "score <= t".
-        model: prior; defaults to :meth:`NormalScoreModel.from_scores`.
         num_samples: Monte Carlo draws from the posterior.
         seed: RNG seed.
     """
@@ -146,8 +140,7 @@ def score_threshold_certainty(
         raise ValueError("need at least one score")
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
-    prior = model if model is not None else NormalScoreModel.from_scores(scores)
-    post = prior.posterior(scores)
+    post = NormalScoreModel.from_scores(scores).posterior(scores)
     mu, var = post.sample_parameters(num_samples, seed)
     z = (threshold - mu) / np.sqrt(var)
     p_below = float(np.mean(_normal_cdf(z)))

@@ -95,7 +95,6 @@ def test_ingest_joins_files_in_case_order(small_dataset):
     first = records[0]
     assert isinstance(first, CaseRecord)
     assert first.class_space.names == ("x", "y", "z")
-    assert first.annotator_ids == ("r1", "r2")
     assert first.rankings[0].blocks == (frozenset({0}), frozenset({1}))
     assert first.prediction.ranked_classes == (0, 1)
     assert records[1].class_space.names is None
@@ -114,7 +113,6 @@ def test_ingest_derm_fixture():
     assert len(record.rankings) == 6
     assert [len(r.blocks) for r in record.rankings] == [3, 2, 2, 1, 1, 3]
     assert record.prediction.ranked_classes == (1, 5, 2)
-    assert record.metadata == {"source": "demo"}
 
 
 def test_ingest_reports_line_numbers(tmp_path):
@@ -292,6 +290,14 @@ def test_ingest_reports_class_space_errors_at_the_case_line(tmp_path, case, mess
     assert str(info.value) == f"{cases}:1: {message}"
 
 
+def test_ingest_refuses_metadata_that_is_not_an_object(tmp_path):
+    # metadata is not kept, but its form is still checked
+    cases = write_lines(tmp_path / "c.jsonl", [{"case_id": "a", "num_classes": 2, "metadata": ["x"]}])
+    with pytest.raises(ParseError) as info:
+        ingest(cases, write_lines(tmp_path / "a.jsonl", []))
+    assert str(info.value) == f"{cases}:1: 'metadata' must be an object"
+
+
 @pytest.mark.parametrize(
     "case, annotation",
     [
@@ -320,6 +326,30 @@ def test_ingest_refuses_booleans_and_non_integer_risk_levels(tmp_path, capsys, c
     assert run_main(argv + ["--model", "irn,gaussian-scores", "--threshold", "0.5"]) == 2
     assert where in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "score",
+    ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400],
+    ids=["nan", "inf", "-inf", "1e999", "huge-int"],
+)
+def test_ingest_refuses_a_non_finite_score(tmp_path, capsys, score):
+    # json reads each as a number; the score model once crashed on them with
+    # an uncaught ValueError
+    cases = write_lines(tmp_path / "c.jsonl", [{"case_id": "a", "num_classes": 2}])
+    annotations = tmp_path / "a.jsonl"
+    annotations.write_text(
+        '{"case_id": "a", "annotator_id": "r0", "blocks": [[0]], "score": 0.2}\n'
+        f'{{"case_id": "a", "annotator_id": "r1", "blocks": [[1]], "score": {score}}}\n'
+    )
+    message = f"{annotations}:2: 'score' must be a finite number"
+    with pytest.raises(ParseError) as info:
+        ingest(cases, str(annotations))
+    assert str(info.value) == message
+    argv = ["certainty", "--cases", cases, "--annotations", str(annotations),
+            "--model", "gaussian-scores", "--threshold", "0.5", "--out-dir", str(tmp_path / "out")]
+    assert run_main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # -- configuration ----------------------------------------------------------
@@ -441,6 +471,24 @@ def test_reliability_tags():
     assert reliability_tag(20.0) == "20"
     assert reliability_tag(2) == "2"
     assert reliability_tag(12.5) == "12.5"
+
+
+def test_a_huge_reliability_keeps_a_short_tag(small_dataset, tmp_path):
+    # 1e300 once became a 301-digit int, and its file name was too long
+    assert cli._int_or_float("1e300") == 1e300
+    assert isinstance(cli._int_or_float("1e300"), float)
+    assert isinstance(cli._int_or_float(str(2.0**53)), float)
+    assert cli._int_or_float(str(2.0**53 - 1)) == 2**53 - 1
+    assert reliability_tag(1e300) == "1e+300"
+    assert reliability_tag(2**53) == reliability_tag(2.0**53) == "9007199254740992.0"
+    assert reliability_tag(2.0**53 - 1) == "9007199254740991"
+    cases, annotations, _ = small_dataset
+    out = tmp_path / "out"
+    argv = ["certainty", "--cases", cases, "--annotations", annotations, "--model", "prirn",
+            "--reliability", "1e300", "--samples", "20", "--out-dir", str(out)]
+    assert run_main(argv) == 0
+    rows = read_report(str(out))["files"]["metrics_prirn_1e+300.jsonl"]
+    assert {row["reliability"] for row in rows} == {1e300}
 
 
 def test_case_seeds_are_stable_and_distinct():
@@ -1078,3 +1126,26 @@ def test_simulate_validation(tmp_path, capsys):
         assert run_main(argv) == 1
         assert "--lambda-alpha must be positive and finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [["--true-lambda", "1,inf,2"], ["--true-lambda", "1,nan,2"], ["--sharpness", "inf"]],
+    ids=lambda settings: " ".join(settings),
+)
+def test_simulate_refuses_non_finite_weights_and_sharpness(tmp_path, capsys, settings):
+    # each once exited 0: the weights wrote Infinity or NaN into truth.jsonl,
+    # and an infinite sharpness gave every annotator the same ranking
+    out = tmp_path / "sim"
+    argv = ["simulate", "--classes", "3", "--cases", "1", "--out-dir", str(out)]
+    assert run_main(argv + settings) == 1
+    assert "must be positive and finite" in capsys.readouterr().err
+    assert not (out / "truth.jsonl").exists()
+
+
+def test_report_writers_refuse_nan(tmp_path):
+    # NaN and Infinity are not JSON
+    with pytest.raises(ValueError):
+        cli._write_rows(str(tmp_path / "rows.jsonl"), [{"value": float("nan")}])
+    with pytest.raises(ValueError):
+        cli._write_manifest(str(tmp_path), sharpness=np.float64("inf"))

@@ -218,7 +218,7 @@ def test_case_metrics_equal_each_kernel_called_alone(seed, depth):
     rng = np.random.default_rng(seed)
     k = 12
     raw = rng.choice([0.1, 0.25, 0.5], size=(60, k))
-    samples = PosteriorSamples(raw / raw.sum(axis=1, keepdims=True), model="t")
+    samples = PosteriorSamples(raw / raw.sum(axis=1, keepdims=True))
     pred = PredictionSet(tuple(rng.permutation(k)[:depth].tolist()))
     space = ClassSpace(size=k, risk={c: int(rng.integers(0, 3)) for c in range(k)})
     k_grid = (1, 3, depth)
@@ -263,6 +263,28 @@ def test_case_metrics_leave_out_cutoffs_deeper_than_the_prediction_or_space():
     assert sorted(case_metrics(samples, space, None, (1,), 1)[0]) == certainty
 
 
+def test_case_metrics_check_a_bare_matrix_once(monkeypatch):
+    # every kernel once wrapped the matrix in a new PosteriorSamples of its own
+    checks = []
+    post_init = PosteriorSamples.__post_init__
+    monkeypatch.setattr(
+        PosteriorSamples, "__post_init__", lambda self: checks.append(1) or post_init(self)
+    )
+    rng = np.random.default_rng(0)
+    matrix = rng.dirichlet(np.ones(6), size=100)
+    space = ClassSpace(size=6, risk=dict(enumerate([0, 1, 2, 0, 1, 2])))
+    pred = PredictionSet((0, 1, 2))
+    got = case_metrics(matrix, space, pred, (1, 2, 3), 3)
+    assert len(checks) == 1
+    wrapped = PosteriorSamples(matrix)
+    checks.clear()
+    expected = case_metrics(wrapped, space, pred, (1, 2, 3), 3)
+    assert len(checks) == 0
+    assert got[0] == expected[0]
+    for name, values in expected[1].items():
+        assert_array_equal(got[1][name], values)
+
+
 _INVALID_MATRICES = {
     "nan": ([[0.5, np.nan, 0.5], [0.2, 0.3, 0.5]], "samples must be finite"),
     "negative": ([[0.6, -0.1, 0.5], [0.2, 0.3, 0.5]], "samples must be non-negative"),
@@ -287,7 +309,7 @@ def test_metrics_refuse_a_matrix_posterior_samples_refuses(scorer, matrix):
     # bare matrix meets the same checks as a PosteriorSamples, with its message
     rows, message = _INVALID_MATRICES[matrix]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}") as refused:
-        PosteriorSamples(np.array(rows), model="t")
+        PosteriorSamples(np.array(rows))
     with pytest.raises(ValueError, match=f"^{re.escape(str(refused.value))}$"):
         _SAMPLE_SCORERS[scorer](np.array(rows))
     valid = np.array(rows)
@@ -298,9 +320,9 @@ def test_metrics_refuse_a_matrix_posterior_samples_refuses(scorer, matrix):
 def test_posterior_samples_reject_non_finite_entries():
     # every comparison with NaN is False, so the sign and sum checks let it by
     with pytest.raises(ValueError, match="finite"):
-        PosteriorSamples(np.array([[np.nan, 0.5, 0.5]]), model="test")
+        PosteriorSamples(np.array([[np.nan, 0.5, 0.5]]))
     with pytest.raises(ValueError, match="finite"):
-        PosteriorSamples(np.array([[np.inf, 0.0]]), model="test")
+        PosteriorSamples(np.array([[np.inf, 0.0]]))
 
 
 @pytest.mark.parametrize(
@@ -318,18 +340,18 @@ def test_posterior_samples_reject_non_finite_entries():
 def test_posterior_samples_name_the_first_check_that_fails(rows, message):
     # checks run in order: finite, non-negative, on the simplex
     with pytest.raises(ValueError, match=f"^{message}$"):
-        PosteriorSamples(np.array(rows), model="test")
+        PosteriorSamples(np.array(rows))
 
 
 def test_posterior_samples_hold_rows_to_the_simplex():
     rows = np.array([[0.2, 0.3, 0.5], [0.6, 0.3, 0.1]])
     with pytest.raises(ValueError, match="sum to 1"):
-        PosteriorSamples(rows * np.array([[1.0], [1.01]]), model="test")
+        PosteriorSamples(rows * np.array([[1.0], [1.01]]))
     with pytest.raises(ValueError, match="non-negative"):
-        PosteriorSamples(np.array([[1.1, -0.1]]), model="test")
+        PosteriorSamples(np.array([[1.1, -0.1]]))
     near = rows.copy()
     near[0, 0] += 5e-10
-    assert PosteriorSamples(near, model="test").num_samples == 2
+    assert PosteriorSamples(near).num_samples == 2
 
 
 def test_ua_topk_against_hand_counts():
@@ -451,7 +473,7 @@ def test_average_overlap_hand_value():
 
 def test_point_mass_reduces_to_classical_metrics():
     lam = np.array([0.1, 0.5, 0.15, 0.25])
-    point = PosteriorSamples.point_mass(lam, model="irn")
+    point = PosteriorSamples.point_mass(lam)
     pred = PredictionSet((1, 3, 0))
     order = np.argsort(-lam, kind="stable")
     assert ua_topk_accuracy(point, pred, 1) == 1.0
@@ -635,7 +657,7 @@ def test_risk_pass_levels_equal_the_ordered_sums(seed):
         _risk_pass(raw, space)
     clear = np.zeros((5, arr.shape[1]))
     clear[:, -1] = 1.0
-    for wrap in (lambda a: PosteriorSamples(a, model="t"), np.asarray):
+    for wrap in (lambda a: PosteriorSamples(a), np.asarray):
         expected = _ordered_risk_levels(normalized, risk)
         levels, modal, expected_risk = _risk_pass(wrap(normalized), space)
         assert_array_equal(expected_risk, normalized @ risk.astype(float))
@@ -745,8 +767,7 @@ def test_loo_needs_two_annotators():
 
 def test_summarize_metric_shapes_and_moments():
     values = np.array([[1.0, 0.0, 1.0, 1.0], [0.0, 0.0, 1.0, 1.0]])
-    report = summarize_metric("demo", ["a", "b"], values, bins=4)
-    assert report.case_ids == ("a", "b")
+    report = summarize_metric("demo", values, bins=4)
     assert_allclose(report.per_case, [0.75, 0.5])
     assert_allclose(report.mean, 0.625)
     # per-sample dataset means are (0.5, 0, 1, 1)
@@ -765,13 +786,13 @@ def test_summarize_metric_histogram_matches_numpy(bins):
     )
     rng = np.random.default_rng(bins)
     values = np.concatenate([probes, rng.random(200)])[None, :]
-    report = summarize_metric("m", ["a"], values, bins=bins)
+    report = summarize_metric("m", values, bins=bins)
     counts, np_edges = np.histogram(values[0], bins=bins, range=(0.0, 1.0))
     assert_array_equal(report.histogram_counts, counts)
     assert report.histogram_counts.dtype == counts.dtype
     assert_array_equal(report.histogram_edges, np_edges)
     # each report owns writable edges, as np.histogram hands them out
-    other = summarize_metric("m", ["a"], values, bins=bins)
+    other = summarize_metric("m", values, bins=bins)
     report.histogram_edges[:] *= 100.0
     assert_array_equal(other.histogram_edges, np_edges)
 
@@ -790,7 +811,7 @@ def test_expected_risk_histogram_spans_every_risk_level(bins):
     rng = np.random.default_rng(bins)
     inside = np.concatenate([probes, 2.0 * rng.random(200)])
     values = np.concatenate([inside, outside])[None, :]
-    report = summarize_metric("expected_risk_mean", ["a"], values, bins=bins)
+    report = summarize_metric("expected_risk_mean", values, bins=bins)
     counts, np_edges = np.histogram(np.minimum(inside, 2.0), bins=bins, range=(0.0, 2.0))
     assert_array_equal(report.histogram_counts, counts)
     assert report.histogram_counts.sum() == inside.size
@@ -799,13 +820,11 @@ def test_expected_risk_histogram_spans_every_risk_level(bins):
 
 
 def test_summarize_metric_constant_values_have_zero_sd():
-    report = summarize_metric("flat", ["a"], np.full((1, 10), 0.3))
+    report = summarize_metric("flat", np.full((1, 10), 0.3))
     assert report.sample_sd <= 1e-12
     assert report.mean == pytest.approx(0.3)
 
 
 def test_summarize_metric_validation():
     with pytest.raises(ValueError):
-        summarize_metric("bad", ["a", "b"], np.zeros((3, 4)))
-    with pytest.raises(ValueError):
-        summarize_metric("bad", ["a"], np.zeros(4))
+        summarize_metric("bad", np.zeros(4))

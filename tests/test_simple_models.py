@@ -22,8 +22,6 @@ def test_counts_posterior_moments():
     var = mean * (1 - mean) / (conc.sum() + 1)
     gap = np.abs(out.samples.mean(axis=0) - mean)
     assert np.all(gap <= 4 * np.sqrt(var / 40_000))
-    assert out.model == "dirichlet-counts"
-    assert out.reliability == 1.0
 
 
 def test_lopsided_counts_are_nearly_certain():
