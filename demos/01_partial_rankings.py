@@ -16,6 +16,7 @@ from plaus import (
     PartialRanking,
     count_compatible_permutations,
     enumerate_compatible_permutations,
+    mean_average_overlap,
     permutation_matrix,
     to_block_matrix,
     to_soft_permutation,
@@ -55,3 +56,9 @@ soft = to_soft_permutation(ranking)
 with np.printoptions(precision=3, suppress=True):
     print("\nsoft permutation:\n", soft)
 print("row sums:", soft.sum(axis=1), " column sums:", soft.sum(axis=0))
+
+# Mean average overlap compares two partial rankings through their soft
+# permutations; it is normalized so that a ranking scores 1 against itself.
+other = PartialRanking([[0], [3]], space)
+similarity = mean_average_overlap(ranking, other, 3)
+print(f"\nmean average overlap with [[0], [3]] to depth 3: {similarity:.3f}")

@@ -22,7 +22,6 @@ from .prirn import DEFAULT_GAMMA_GRID, PrIrnModel
 from .pl_likelihood import (
     SubsetTable,
     subset_recursion,
-    pl_full_ranking_log_prob,
     pl_partial_ranking_log_prob,
     pl_log_likelihood,
 )
@@ -39,7 +38,6 @@ from .simple_models import (
 )
 from .metrics import (
     PredictionSet,
-    certainty_label,
     annotation_certainty_topj,
     ua_topk_accuracy,
     ua_set_accuracy,

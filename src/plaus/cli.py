@@ -60,7 +60,6 @@ __all__ = [
     "ingest",
     "run",
     "selfcheck",
-    "read_report",
     "main",
 ]
 
@@ -492,20 +491,6 @@ def _write_manifest(out_dir: str, **fields) -> None:
     path = os.path.join(out_dir, "manifest.json")
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(_dumps(manifest, indent=2) + "\n")
-
-
-def read_report(directory: str) -> dict:
-    """Read a report directory back into memory (manifest plus row files)."""
-    out = {"manifest": None, "files": {}}
-    for name in sorted(os.listdir(directory)):
-        path = os.path.join(directory, name)
-        if name == "manifest.json":
-            with open(path, encoding="utf-8") as handle:
-                out["manifest"] = json.load(handle)
-        elif name.endswith(".jsonl"):
-            with open(path, encoding="utf-8") as handle:
-                out["files"][name] = [json.loads(line) for line in handle if line.strip()]
-    return out
 
 
 def run(

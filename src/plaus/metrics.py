@@ -31,7 +31,6 @@ from .samples import _SIMPLEX_ATOL, PosteriorSamples
 __all__ = [
     "MissingRiskMappingError",
     "PredictionSet",
-    "certainty_label",
     "annotation_certainty_hits",
     "annotation_certainty_topj",
     "ua_topk_hits",
@@ -137,14 +136,6 @@ def _top_columns(arr: np.ndarray, k: int, order: np.ndarray | None) -> np.ndarra
     if order.shape[1] < k:
         raise ValueError(f"order holds {order.shape[1]} classes per sample, need {k}")
     return order[:, :k]
-
-
-def certainty_label(samples, label: int) -> float:
-    """Fraction of samples whose most plausible class is ``label``."""
-    arr = _sample_matrix(samples)
-    if not (0 <= label < arr.shape[1]):
-        raise ValueError(f"label {label} outside [0, {arr.shape[1]})")
-    return float(np.mean(_top_indices(arr, 1)[:, 0] == label))
 
 
 def annotation_certainty_hits(samples, j: int, *, order=None) -> np.ndarray:
@@ -327,66 +318,24 @@ def _risk_inputs(samples, class_space: ClassSpace):
     return arr, risk
 
 
-# Unit roundoff of float64.
-_UNIT_ROUNDOFF = np.finfo(float).eps / 2
-
-
-def _ordered_level_sums(arr: np.ndarray, risk: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """(len(rows), 3) per-level masses of the given rows, bit for bit as
-    ``arr[:, risk == level].sum(axis=1)`` computes them for all of ``arr``.
-
-    For two or more rows that boolean copy is F-ordered, so numpy adds each
-    row's columns one at a time in column order; ``accumulate`` keeps that
-    order for any subset of rows. A one-row matrix is contiguous, and numpy
-    sums it pairwise.
-    """
-    sub = arr[rows]
-    out = np.zeros((rows.size, 3))
-    for level in range(3):
-        cols = sub[:, risk == level]
-        if arr.shape[0] == 1:
-            out[:, level] = cols.sum(axis=1)
-        elif cols.shape[1]:
-            out[:, level] = np.add.accumulate(cols, axis=1)[:, -1]
-    return out
-
-
 def _risk_pass(samples, class_space: ClassSpace):
     """Per-sample top risk level (0 low, 1 medium, 2 high), its modal value
     and the per-sample expected risk, from one check of the risk map.
 
+    A level's mass is the sum of the sample's entries at that level, pooled
+    once for all three levels; a sample's top level is the argmax of those
+    masses, and the modal level the argmax of their counts, both breaking
+    exact ties to the lower level.
+
     A sample's expected risk is clamped to 2, the top level: a sample's
     entries sum to one only within the samples' row-sum tolerance, so the
     weighted levels could pass 2 by rounding. They cannot fall below 0.
-
-    A sample's top level is the argmax of its mass pooled by level; both
-    argmaxes break ties to the lower level, and a level's mass is defined
-    as the in-order sum over its columns (:func:`_ordered_level_sums`).
-
-    The levels are pooled here with one product against the (3, K) level
-    indicator, which adds the same terms in another order. Summed in any
-    order, K terms land within gamma_K A of their exact sum, where
-    gamma_K = K u / (1 - K u), u is the unit roundoff and A the sum of the
-    terms' absolute values. The gap between two levels can therefore differ
-    between the two orders by at most 2 gamma_K A, and where a row's two
-    largest pooled masses lie more than 4 gamma_K A apart (the factor two
-    absorbs the rounding of A itself), both orders pick the same level.
-    Every other row is decided again from the ordered sums. The samples'
-    entries are finite and non-negative, so A is the sum of the pooled
-    masses.
     """
     arr, risk = _risk_inputs(samples, class_space)
-    k = arr.shape[1]
     # (3, M) pooled masses. einsum, not a BLAS product, which would touch a
     # second thread's buffers: about 2 MB more peak memory at (1000, 400).
     pooled = np.einsum("mk,lk->ml", arr, (np.arange(3)[:, None] == risk).astype(float)).T
-    low, high = np.minimum(pooled[0], pooled[1]), np.maximum(pooled[0], pooled[1])
-    gap = np.maximum(high, pooled[2]) - np.maximum(low, np.minimum(high, pooled[2]))
-    gamma = k * _UNIT_ROUNDOFF / (1 - k * _UNIT_ROUNDOFF)
-    rows = np.flatnonzero(gap <= 4 * gamma * pooled.sum(axis=0))
     levels = pooled.argmax(axis=0)
-    if rows.size:
-        levels[rows] = _ordered_level_sums(arr, risk, rows).argmax(axis=1)
     expected = np.minimum(arr @ risk, 2.0)
     return levels, int(np.bincount(levels, minlength=3).argmax()), expected
 

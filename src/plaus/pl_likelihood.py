@@ -33,7 +33,6 @@ __all__ = [
     "MAX_BLOCK_SIZE",
     "SubsetTable",
     "subset_recursion",
-    "pl_full_ranking_log_prob",
     "pl_partial_ranking_log_prob",
     "pl_log_likelihood",
 ]
@@ -321,26 +320,6 @@ def subset_recursion(members, zbar: float, lam) -> SubsetTable:
         raise ValueError("zbar must be non-negative")
     values, _, log_scale = _table_values(lam[list(members)], float(zbar))
     return SubsetTable(members=members, zbar=float(zbar), values=values, log_scale=log_scale)
-
-
-def pl_full_ranking_log_prob(lam, sigma) -> float:
-    """Log probability of a full ranking.
-
-    Args:
-        lam: (K,) positive weights, not necessarily normalized.
-        sigma: permutation of all K class ids, most plausible first.
-
-    Returns:
-        Sum over positions of ``log lam[sigma_k]`` minus the log of the
-        weight still unranked at position k.
-    """
-    lam = _check_weights(lam)
-    sigma = np.asarray(sigma, dtype=np.int64)
-    if sorted(sigma.tolist()) != list(range(lam.size)):
-        raise ValueError("sigma must be a permutation of all class ids")
-    ordered = lam[sigma]
-    residual = np.cumsum(ordered[::-1])[::-1]
-    return float(np.sum(np.log(ordered) - np.log(residual)))
 
 
 def pl_partial_ranking_log_prob(lam, ranking: PartialRanking) -> float:

@@ -126,11 +126,6 @@ class ClassSpace:
         levels.setflags(write=False)
         return levels, tuple(c for c in range(self.size) if c not in self.risk)
 
-    def name_of(self, class_id: int) -> str:
-        if self.names is None:
-            return str(class_id)
-        return self.names[class_id]
-
     @cached_property
     def _ids(self) -> dict[str, int]:
         # Built in __post_init__ for a named space, where it also checks
@@ -216,10 +211,6 @@ class PartialRanking:
             return self.blocks + (rest,)
         return self.blocks
 
-    def num_blocks(self) -> int:
-        """Number of blocks in the completed partition."""
-        return len(self.partition())
-
 
 def count_compatible_permutations(ranking: PartialRanking) -> int:
     """Number of full orderings of the class space compatible with ``ranking``."""
@@ -286,14 +277,6 @@ class BlockMatrix:
     membership: np.ndarray
     structure: np.ndarray
     cum_sizes: np.ndarray
-
-    @property
-    def num_blocks(self) -> int:
-        return self.membership.shape[0]
-
-    @property
-    def num_classes(self) -> int:
-        return self.membership.shape[1]
 
 
 def to_block_matrix(ranking: PartialRanking) -> BlockMatrix:

@@ -53,14 +53,6 @@ class PosteriorSamples:
             _raise_invalid(arr)
         object.__setattr__(self, "samples", arr)
 
-    @property
-    def num_samples(self) -> int:
-        return self.samples.shape[0]
-
-    @property
-    def num_classes(self) -> int:
-        return self.samples.shape[1]
-
     @classmethod
     def point_mass(cls, vector: np.ndarray) -> "PosteriorSamples":
         """Wrap one plausibility vector as a single-sample posterior."""

@@ -22,13 +22,24 @@ from plaus.cli import (
     default_reliability_grid,
     ingest,
     main,
-    read_report,
     reliability_tag,
 )
 from plaus.pl_likelihood import MAX_BLOCK_SIZE
 from plaus.rankings import ClassSpace
 
 DATA = Path(__file__).parent / "data"
+
+
+def _read_report(directory) -> dict:
+    """A report directory in memory: its manifest and every row file."""
+    out = {"manifest": None, "files": {}}
+    for path in sorted(Path(directory).iterdir()):
+        if path.name == "manifest.json":
+            out["manifest"] = json.loads(path.read_text(encoding="utf-8"))
+        elif path.suffix == ".jsonl":
+            lines = path.read_text(encoding="utf-8").splitlines()
+            out["files"][path.name] = [json.loads(line) for line in lines if line.strip()]
+    return out
 
 
 def write_lines(path, rows):
@@ -487,7 +498,7 @@ def test_a_huge_reliability_keeps_a_short_tag(small_dataset, tmp_path):
     argv = ["certainty", "--cases", cases, "--annotations", annotations, "--model", "prirn",
             "--reliability", "1e300", "--samples", "20", "--out-dir", str(out)]
     assert run_main(argv) == 0
-    rows = read_report(str(out))["files"]["metrics_prirn_1e+300.jsonl"]
+    rows = _read_report(out)["files"]["metrics_prirn_1e+300.jsonl"]
     assert {row["reliability"] for row in rows} == {1e300}
 
 
@@ -514,7 +525,7 @@ def test_run_writes_reports_and_loo(small_dataset, tmp_path):
     config = RunConfig(model="prirn", reliability_grid=(20.0,), num_samples=200)
     manifest = cli.run(config, records, str(out))
     assert manifest["num_failures"] == 0
-    report = read_report(str(out))
+    report = _read_report(out)
     metric_rows = report["files"]["metrics_prirn_20.jsonl"]
     names = {r["metric"] for r in metric_rows}
     assert "annotation_certainty_top1" in names
@@ -550,7 +561,7 @@ def test_run_flushes_partial_results_on_case_failure(tmp_path):
     config = RunConfig(model="irn")
     manifest = cli.run(config, records, str(out))
     assert manifest["num_failures"] == 1
-    report = read_report(str(out))
+    report = _read_report(out)
     assert {r["case_id"] for r in report["files"]["metrics_irn_point.jsonl"]} == {"good"}
     (failure,) = report["files"]["failures_irn.jsonl"]
     assert failure["case_id"] == "silent"
@@ -562,7 +573,7 @@ def test_run_round_trip_is_lossless(small_dataset, tmp_path):
     records = ingest(cases, annotations, predictions)
     out = tmp_path / "out"
     cli.run(RunConfig(model="irn"), records, str(out))
-    report = read_report(str(out))
+    report = _read_report(out)
     for name, rows in report["files"].items():
         raw = (out / name).read_text().splitlines()
         rebuilt = [json.dumps(r, sort_keys=True) for r in rows]
@@ -593,7 +604,7 @@ def test_one_class_case_is_a_data_error_for_dirichlet_counts(tmp_path):
     out = tmp_path / "out"
     manifest = cli.run(config, ingest(cases, annotations), str(out))
     assert manifest["num_failures"] == 1
-    (failure,) = read_report(str(out))["files"]["failures_dirichlet-counts.jsonl"]
+    (failure,) = _read_report(out)["files"]["failures_dirichlet-counts.jsonl"]
     assert failure["error"] == "DataError"
 
 
@@ -608,7 +619,7 @@ def test_partial_risk_map_is_a_case_failure(tmp_path):
     out = tmp_path / "out"
     manifest = cli.run(RunConfig(model="irn"), ingest(cases, annotations), str(out))
     assert manifest["num_failures"] == 1
-    (failure,) = read_report(str(out))["files"]["failures_irn.jsonl"]
+    (failure,) = _read_report(out)["files"]["failures_irn.jsonl"]
     assert failure["error"] == "MissingRiskMappingError"
 
 
@@ -748,7 +759,7 @@ def test_aggregate_writes_no_file_for_the_score_model(tmp_path):
             "--model", "prirn,gaussian-scores", "--reliability", "20", "--threshold", "0.5",
             "--samples", "50", "--out-dir", str(out)]
     assert run_main(argv) == 0
-    listed = {name for m in read_report(str(out))["manifest"]["models"] for name in m["files"]}
+    listed = {name for m in _read_report(out)["manifest"]["models"] for name in m["files"]}
     written = set(os.listdir(out)) - {"manifest.json"}
     assert listed == written
     assert "aggregate_prirn_20.jsonl" in written
@@ -839,7 +850,7 @@ def test_evaluate_reports_an_oversized_tie_as_a_case_failure(tmp_path):
         ]
     )
     assert code == 2
-    (failure,) = read_report(str(out))["files"]["failures_pl.jsonl"]
+    (failure,) = _read_report(out)["files"]["failures_pl.jsonl"]
     assert failure["case_id"] == "wide"
     assert failure["error"] == "BlockTooLargeError"
     # the row alone reruns the unit
@@ -915,7 +926,7 @@ def test_point_models_ignore_the_reliability_grid(small_dataset, tmp_path):
          "--out-dir", str(out)]
     )
     assert code == 0
-    files = read_report(str(out))["files"]
+    files = _read_report(out)["files"]
     assert {"metrics_irn_point.jsonl", "metrics_prirn_10.jsonl"} <= set(files)
     assert {r["reliability"] for r in files["metrics_irn_point.jsonl"]} == {None}
     assert {r["reliability"] for r in files["metrics_prirn_10.jsonl"]} == {10}
@@ -946,7 +957,7 @@ def test_evaluate_pools_risk_levels_once_per_unit(tmp_path, monkeypatch):
     )
     assert code == 0
     assert calls == [(1, 8), (20, 8), (20, 8)]  # one derm case: irn, prirn x 2
-    rows = read_report(str(tmp_path / "out"))["files"]["metrics_prirn_10.jsonl"]
+    rows = _read_report(tmp_path / "out")["files"]["metrics_prirn_10.jsonl"]
     assert {"risk_certainty", "expected_risk_mean", "expected_risk_min",
             "expected_risk_max", "ua_risk_match"} <= {r["metric"] for r in rows}
 
@@ -972,7 +983,7 @@ def _evaluate_high_risk_case(tmp_path):
          "--model", "prirn,pl", "--samples", "200", "--out-dir", str(out)]
     )
     assert code == 0
-    return read_report(str(out))["files"]
+    return _read_report(out)["files"]
 
 
 def test_expected_risk_histograms_hold_every_sample_of_a_high_risk_case(tmp_path):

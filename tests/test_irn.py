@@ -35,7 +35,7 @@ def test_empty_ranking_scores_zero():
 
 @given(partial_rankings())
 def test_total_mass_is_harmonic_in_block_count(ranking):
-    expected = sum(1.0 / i for i in range(1, ranking.num_blocks()))
+    expected = sum(1.0 / i for i in range(1, len(ranking.partition())))
     assert_allclose(irn_single(ranking).sum(), expected, atol=1e-12)
 
 

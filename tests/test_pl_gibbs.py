@@ -365,7 +365,7 @@ def test_run_is_deterministic_given_seed(derm_rankings):
 def test_emitted_samples_are_normalized(derm_rankings):
     cfg = GibbsConfig(iterations=40, burn_in=10, thinning=3, repetitions=2, seed=1)
     out = gibbs_run(derm_rankings, cfg)
-    assert out.num_samples == cfg.num_retained
+    assert out.samples.shape[0] == cfg.num_retained
     assert_allclose(out.samples.sum(axis=1), 1.0, atol=1e-9)
     assert np.all(out.samples >= 0)
 

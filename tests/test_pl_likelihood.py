@@ -21,7 +21,6 @@ from plaus.pl_likelihood import (
     _table_values,
     _table_values_layered,
     _table_values_small,
-    pl_full_ranking_log_prob,
     pl_log_likelihood,
     pl_partial_ranking_log_prob,
     subset_recursion,
@@ -56,23 +55,19 @@ def test_three_way_tie_hand_probability():
 
 
 def test_full_ranking_hand_probability():
-    # (3/6) * (2/3) * 1
-    lp = pl_full_ranking_log_prob(np.array([1.0, 2.0, 3.0]), [2, 1, 0])
+    # a full ranking is a ranking of singleton blocks: (3/6) * (2/3) * 1
+    full = PartialRanking([[2], [1], [0]], ClassSpace(size=3))
+    lp = pl_partial_ranking_log_prob(np.array([1.0, 2.0, 3.0]), full)
     assert_allclose(math.exp(lp), 1.0 / 3.0, atol=1e-14)
-
-
-def test_full_ranking_requires_a_permutation():
-    with pytest.raises(ValueError):
-        pl_full_ranking_log_prob(np.array([1.0, 2.0]), [0, 0])
 
 
 def test_singleton_chain_equals_full_ranking():
     lam = np.array([0.3, 1.1, 2.4])
     partial = PartialRanking([[2], [1], [0]], ClassSpace(size=3))
     assert_allclose(
-        pl_partial_ranking_log_prob(lam, partial),
-        pl_full_ranking_log_prob(lam, [2, 1, 0]),
-        atol=1e-12,
+        math.exp(pl_partial_ranking_log_prob(lam, partial)),
+        brute_force_partial_prob(lam, partial),
+        rtol=1e-12,
     )
 
 

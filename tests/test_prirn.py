@@ -83,6 +83,5 @@ def test_sampling_is_deterministic_given_seed(derm_rankings):
 
 def test_sample_shape(derm_rankings):
     samples = PrIrnModel.fit(derm_rankings, gamma=20.0).sample(10, seed=4)
-    assert samples.num_samples == 10
-    assert samples.num_classes == 8
+    assert samples.samples.shape == (10, 8)
 
