@@ -275,10 +275,10 @@ def _prefix_weight(k: int, depth: int) -> np.ndarray:
 
 
 def _unnormalized_ao(soft_a: np.ndarray, soft_b: np.ndarray, depth: int) -> float:
-    k = soft_a.shape[0]
-    tri = np.tri(k)
-    weighted = _prefix_weight(k, depth)[:, None] * (tri @ soft_a)
-    return float(np.sum((tri @ soft_b) * weighted))
+    # Row i of a cumulative sum is the mass of each class in the first i + 1
+    # positions.
+    weighted = _prefix_weight(soft_a.shape[0], depth)[:, None] * soft_a.cumsum(axis=0)
+    return float(np.sum(soft_b.cumsum(axis=0) * weighted))
 
 
 def mean_average_overlap(
@@ -327,16 +327,18 @@ def _risk_pass(samples, class_space: ClassSpace):
     masses, and the modal level the argmax of their counts, both breaking
     exact ties to the lower level.
 
-    A sample's expected risk is clamped to 2, the top level: a sample's
-    entries sum to one only within the samples' row-sum tolerance, so the
-    weighted levels could pass 2 by rounding. They cannot fall below 0.
+    A sample's expected risk is the sum of each level times its mass, so
+    no BLAS product, whose summation order follows the host's kernel,
+    reaches it. It is clamped to 2, the top level: a sample's entries sum
+    to one only within the samples' row-sum tolerance, so the weighted
+    levels could pass 2 by rounding. They cannot fall below 0.
     """
     arr, risk = _risk_inputs(samples, class_space)
     # (3, M) pooled masses. einsum, not a BLAS product, which would touch a
     # second thread's buffers: about 2 MB more peak memory at (1000, 400).
     pooled = np.einsum("mk,lk->ml", arr, (np.arange(3)[:, None] == risk).astype(float)).T
     levels = pooled.argmax(axis=0)
-    expected = np.minimum(arr @ risk, 2.0)
+    expected = np.minimum(pooled[1] + 2.0 * pooled[2], 2.0)
     return levels, int(np.bincount(levels, minlength=3).argmax()), expected
 
 

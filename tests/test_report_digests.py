@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from report_digests import DIGESTS, differences, run_matrix, versions
+import plaus
+import plaus.cli as cli
+from report_digests import DIGESTS, _digest_files, _fixture_argv, differences, run_matrix, versions
 
 
 def test_reports_match_the_committed_digests():
@@ -35,3 +41,23 @@ def test_differences_name_each_moved_file_and_outcome():
         "c exit_code",
         "c stderr",
     ]
+
+
+def test_fixture_reports_do_not_depend_on_the_blas_kernel(tmp_path):
+    # OpenBLAS picks its kernels by CPU, and a BLAS product adds in the
+    # order its kernel does, so one would move report bytes from host to
+    # host. OPENBLAS_CORETYPE forces a kernel for the child process only.
+    models = "irn,prirn,dirichlet-counts"
+    default = str(tmp_path / "default")
+    assert cli.main(_fixture_argv("evaluate", default, models=models)) == 0
+    package_root = str(Path(plaus.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    for core in ("Haswell", "Sandybridge"):
+        out = str(tmp_path / core)
+        subprocess.run(
+            [sys.executable, "-m", "plaus.cli", *_fixture_argv("evaluate", out, models=models)],
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_CORETYPE": core},
+            check=True,
+            timeout=120,
+        )
+        assert _digest_files(out) == _digest_files(default), core
