@@ -95,6 +95,14 @@ class GibbsConfig:
     ``alpha`` is the shape of each weight's Gamma prior, whose rate is 1
     (see the module docstring). Defaults keep 1500 of 2000 sweeps after a
     500-sweep burn-in.
+
+    ``alpha`` must be at least 0.05. The chain starts from K Gamma(alpha, 1)
+    draws, and such a draw is below 2^-1074, the smallest positive double,
+    so 0, with probability about 2^(-1074 alpha) / Gamma(1 + alpha): about
+    7e-17 at alpha = 0.05, but 0.47 at alpha = 0.001, where a start of zero
+    weights, or of weights so small that the first latents overflow,
+    divides by zero. Every later draw of a class that some annotation ranks
+    has shape at least 1 + alpha, and every row of U holds such a class.
     """
 
     alpha: float = 1.0
@@ -105,8 +113,8 @@ class GibbsConfig:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if not 0 < self.alpha < np.inf:
-            raise ValueError("alpha must be positive and finite")
+        if not 0.05 <= self.alpha < np.inf:
+            raise ValueError("alpha must be finite and at least 0.05")
         counts = (self.iterations, self.burn_in, self.thinning, self.repetitions)
         if not _all_ints(*counts):
             raise ValueError(

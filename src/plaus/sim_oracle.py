@@ -47,7 +47,8 @@ class SimSpec:
 
     Args:
         true_lambda: ground-truth plausibilities; positive and finite, any
-            scale.
+            scale, as long as each ``true_lambda ** sharpness`` and its
+            reciprocal, the scale of its arrival time, are too.
         num_annotators: rankings to draw.
         block_sizes: sizes of the explicit blocks each annotator reports,
             e.g. (1, 2) for a top choice plus two tied runners-up. Must fit
@@ -68,16 +69,19 @@ class SimSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "true_lambda", tuple(float(v) for v in self.true_lambda))
         object.__setattr__(self, "block_sizes", tuple(int(s) for s in self.block_sizes))
-        if not all(0 < v < np.inf for v in self.true_lambda):
-            raise ValueError("true_lambda must be positive and finite")
+        # The race draws each arrival at scale 1 / (true_lambda ** sharpness).
+        with np.errstate(all="ignore"):
+            weights = np.asarray(self.true_lambda) ** self.sharpness
+            in_range = np.isfinite([weights, 1.0 / weights]).all()
+        if not (0 < self.sharpness < np.inf and all(v > 0 for v in self.true_lambda) and in_range):
+            raise ValueError("true_lambda and sharpness must be positive and finite, "
+                             "and so must each true_lambda ** sharpness and its reciprocal")
         if self.num_annotators < 1:
             raise ValueError("need at least one annotator")
         if any(s < 1 for s in self.block_sizes):
             raise ValueError("block sizes must be positive")
         if sum(self.block_sizes) > len(self.true_lambda):
             raise ValueError("block sizes exceed the class count")
-        if not 0 < self.sharpness < np.inf:
-            raise ValueError("sharpness must be positive and finite")
 
 
 def simulate_annotations(spec: SimSpec) -> list[PartialRanking]:
@@ -150,13 +154,11 @@ class GridPosterior:
     Attributes:
         mean: (K,) posterior mean of the normalized weights.
         variance: (K,) posterior variance per coordinate.
-        resolution: lattice subdivisions per edge.
         num_nodes: quadrature nodes evaluated.
     """
 
     mean: np.ndarray
     variance: np.ndarray
-    resolution: int
     num_nodes: int
 
 
@@ -215,9 +217,7 @@ def grid_posterior_oracle(rankings, alpha: float = 1.0, resolution: int = 200) -
     w /= w.sum()
     mean = w @ nodes
     variance = w @ (nodes - mean) ** 2
-    return GridPosterior(
-        mean=mean, variance=variance, resolution=resolution, num_nodes=nodes.shape[0]
-    )
+    return GridPosterior(mean=mean, variance=variance, num_nodes=nodes.shape[0])
 
 
 def random_partial_ranking(rng, space, max_blocks=3, max_block=3):

@@ -1141,17 +1141,44 @@ def test_simulate_validation(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "settings",
-    [["--true-lambda", "1,inf,2"], ["--true-lambda", "1,nan,2"], ["--sharpness", "inf"]],
+    [
+        ["--true-lambda", "1,inf,2"],
+        ["--true-lambda", "1,nan,2"],
+        ["--sharpness", "inf"],
+        ["--sharpness", "1e300"],
+        ["--true-lambda", "1e-320,1,2"],
+    ],
     ids=lambda settings: " ".join(settings),
 )
 def test_simulate_refuses_non_finite_weights_and_sharpness(tmp_path, capsys, settings):
     # each once exited 0: the weights wrote Infinity or NaN into truth.jsonl,
-    # and an infinite sharpness gave every annotator the same ranking
+    # an infinite sharpness gave every annotator the same ranking, and a
+    # weight ** sharpness of 0, or a reciprocal past float range, divided by
+    # zero or overflowed in the race's arrival scales
     out = tmp_path / "sim"
-    argv = ["simulate", "--classes", "3", "--cases", "1", "--out-dir", str(out)]
+    argv = ["simulate", "--classes", "3", "--cases", "2", "--out-dir", str(out)]
     assert run_main(argv + settings) == 1
     assert "must be positive and finite" in capsys.readouterr().err
-    assert not (out / "truth.jsonl").exists()
+    assert not list(out.glob("*"))
+
+
+def test_a_gibbs_alpha_whose_start_can_underflow_is_refused(tmp_path, capsys):
+    # Gamma(0.001, 1) starts underflow to 0, and the chain then divided by
+    # zero and wrote "samples must be finite" as a traceback
+    sim = tmp_path / "sim"
+    assert run_main(["simulate", "--classes", "4", "--cases", "2", "--annotators", "3",
+                     "--blocks", "1,1", "--predictions-from-truth", "--seed", "3",
+                     "--out-dir", str(sim)]) == 0
+    out = tmp_path / "out"
+    argv = ["evaluate", "--model", "pl", "--cases", str(sim / "cases.jsonl"),
+            "--annotations", str(sim / "annotations.jsonl"),
+            "--predictions", str(sim / "predictions.jsonl"), "--out-dir", str(out)]
+    capsys.readouterr()
+    assert run_main(argv + ["--gibbs-alpha", "0.001"]) == 1
+    assert capsys.readouterr().err == "error: gibbs alpha must be finite and at least 0.05\n"
+    assert not out.exists()
+    assert run_main(argv + ["--gibbs-alpha", "0.05", "--samples", "50",
+                            "--gibbs-burn-in", "10"]) == 0
 
 
 def test_report_writers_refuse_nan(tmp_path):

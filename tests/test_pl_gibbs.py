@@ -19,9 +19,10 @@ def make_sampler(blocks, k, **cfg):
 
 
 def test_config_validation():
-    for alpha in (0.0, np.inf, np.nan):
+    for alpha in (0.0, 0.001, np.nextafter(0.05, 0.0), np.inf, np.nan):
         with pytest.raises(ValueError, match="alpha"):
             GibbsConfig(alpha=alpha)
+    assert GibbsConfig(alpha=0.05).alpha == 0.05
     for iterations in (100, 0):
         with pytest.raises(ValueError, match="iterations must exceed burn_in"):
             GibbsConfig(iterations=iterations, burn_in=100)

@@ -14,6 +14,7 @@ from plaus.pl_likelihood import (
     _RESCALE_LO,
     _UNCHECKED_MAX_MASS,
     _UNCHECKED_MIN_WEIGHT,
+    _check_block_size,
     MAX_BLOCK_SIZE,
     BlockTooLargeError,
     NonPositiveWeightError,
@@ -44,6 +45,9 @@ def test_subset_table_hand_values():
     for mask, value in expected.items():
         assert_allclose(table.log_value(mask), math.log(float(value)), atol=1e-12)
     assert table.full_mask == 0b111
+    # a block with nothing below it: R({0, 1}) = (1/3 + 1/1) / 4
+    last = subset_recursion([0, 1], zbar=0.0, lam=np.array([1.0, 3.0]))
+    assert_allclose(last.log_value(0b11), math.log(1.0 / 3.0), atol=1e-14)
 
 
 def test_three_way_tie_hand_probability():
@@ -439,6 +443,9 @@ def test_range_guard_boundaries_match_the_checked_kernel(n):
 
 
 def test_block_size_cap():
+    _check_block_size(MAX_BLOCK_SIZE)
+    with pytest.raises(BlockTooLargeError):
+        _check_block_size(MAX_BLOCK_SIZE + 1)
     k = MAX_BLOCK_SIZE + 2
     lam = np.ones(k)
     oversized = PartialRanking([list(range(MAX_BLOCK_SIZE + 1))], ClassSpace(size=k))

@@ -158,6 +158,11 @@ def test_enumeration_cap():
         list(enumerate_compatible_permutations(r))
     lifted = enumerate_compatible_permutations(r, cap=50_000_000)
     assert len(list(itertools.islice(lifted, 3))) == 3
+    # a cap equal to the count admits every ordering; one less refuses them
+    r = PartialRanking([[0, 1, 2]], ClassSpace(size=5))
+    assert len(set(enumerate_compatible_permutations(r, cap=12))) == 12
+    with pytest.raises(CombinatorialCapError):
+        next(enumerate_compatible_permutations(r, cap=11))
 
 
 def test_worked_block_matrices():
