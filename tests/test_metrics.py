@@ -660,8 +660,8 @@ def test_risk_pass_levels_equal_the_ordered_sums(seed):
     raw[0, 0], raw[1, 30], raw[2, 0], raw[3, [1, 13]] = np.nan, np.inf, -np.inf, (np.inf, -np.inf)
     with pytest.raises(ValueError, match="^samples must be finite$"):
         _risk_pass(raw, space)
-    certain = np.zeros((5, arr.shape[1]))
-    certain[:, -1] = 1.0
+    clear = np.zeros((5, arr.shape[1]))
+    clear[:, -1] = 1.0
     for wrap in (lambda a: PosteriorSamples(a), np.asarray):
         levels, modal, expected_risk = _risk_pass(wrap(normalized), space)
         # levels weighted by their pooled masses: the same terms, in
@@ -672,7 +672,7 @@ def test_risk_pass_levels_equal_the_ordered_sums(seed):
         # a sample's level does not depend on the samples scored with it
         for row in range(0, len(normalized), 20):
             alone = normalized[row : row + 1]
-            among = np.concatenate([certain, alone, certain])
+            among = np.concatenate([clear, alone, clear])
             assert _risk_pass(wrap(alone), space)[0][0] == levels[row]
             assert _risk_pass(wrap(among), space)[0][5] == levels[row]
 
