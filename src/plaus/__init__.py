@@ -46,7 +46,6 @@ from .metrics import (
     mean_average_overlap,
     risk_metrics,
     loo_agreement,
-    MetricReport,
     summarize_metric,
 )
 from .sim_oracle import (

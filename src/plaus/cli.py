@@ -350,7 +350,7 @@ def ingest(
                 raise ParseError(f"{where}: 'ranked_classes' must be a non-empty list")
             ids = [_resolve_class(tok, space, where) for tok in raw]
             try:
-                predictions[case_id] = PredictionSet(tuple(ids), case_id=case_id)
+                predictions[case_id] = PredictionSet(tuple(ids))
             except ValueError as exc:
                 raise ParseError(f"{where}: {exc}") from None
 
@@ -399,35 +399,27 @@ def _posterior_for(record: CaseRecord, config: RunConfig, reliability, seed: int
     )
 
 
-def _score_metrics(record: CaseRecord, config: RunConfig, seed: int) -> dict:
-    """Threshold certainty of the gaussian-scores model, which has no posterior."""
-    scores = [s for s in record.scores if s is not None]
-    if len(scores) < len(record.scores) or not scores:
-        raise DataError("gaussian-scores needs a score on every annotation")
-    return {
-        "certainty_threshold": score_threshold_certainty(
-            scores, threshold=config.threshold, num_samples=config.num_samples, seed=seed
-        )
-    }
-
-
 def _compute_case(payload):
-    """One entry per reliability of a case, and the case's failure rows.
-
-    An entry is ``(case_id, seed, scalars, vectors, aggregate)``, or None
-    where the unit failed; ``aggregate`` is None unless asked for.
+    """One entry per reliability of a case: ``(seed, scalars, vectors,
+    aggregate)``, or the unit's failure row where its own data failed.
+    ``aggregate`` is None unless asked for.
     """
     record, config, include_aggregate = payload
     entries = []
-    failures = []
     for reliability in config.reliability_grid:
         tag = reliability_tag(reliability)
         seed = _case_seed(config.base_seed, record.case_id, config.model, tag)
         # Only errors in a case's own data become failure rows; a bug aborts the run.
         try:
             if config.model == "gaussian-scores":
-                scalars = _score_metrics(record, config, seed)
-                entries.append((record.case_id, seed, scalars, {}, None))
+                # Threshold certainty, from the scores alone: this model has no posterior.
+                scores = [s for s in record.scores if s is not None]
+                if len(scores) < len(record.scores) or not scores:
+                    raise DataError("gaussian-scores needs a score on every annotation")
+                certainty = score_threshold_certainty(
+                    scores, threshold=config.threshold, num_samples=config.num_samples, seed=seed
+                )
+                entries.append((seed, {"certainty_threshold": certainty}, {}, None))
                 continue
             posterior = _posterior_for(record, config, reliability, seed)
             scalars, vectors = case_metrics(
@@ -443,10 +435,9 @@ def _compute_case(payload):
                     "seed": seed,
                     "top_classes": np.argsort(-mean, kind="stable")[:5],
                 }
-            entries.append((record.case_id, seed, scalars, vectors, aggregate))
+            entries.append((seed, scalars, vectors, aggregate))
         except (DataError, AllZeroMassError, BlockTooLargeError, MissingRiskMappingError) as exc:
-            entries.append(None)
-            failures.append(
+            entries.append(
                 {
                     "case_id": record.case_id,
                     "model": config.model,
@@ -456,7 +447,7 @@ def _compute_case(payload):
                     "message": str(exc),
                 }
             )
-    return entries, failures
+    return entries
 
 
 # --------------------------------------------------------------------------
@@ -541,7 +532,7 @@ def run(
                 file=sys.stderr,
             )
             results += [_compute_case(p) for p in payloads[len(results) :]]
-    failures = [f for _, fails in results for f in fails]
+    failures = [entry for entries in results for entry in entries if isinstance(entry, dict)]
 
     summary_rows = []
     written_files = []
@@ -558,7 +549,11 @@ def run(
             "M": 1 if config.model == "irn" else config.num_samples,
             "schema_version": SCHEMA_VERSION,
         }
-        units = [entries[index] for entries, _ in results if entries[index] is not None]
+        units = [
+            (record.case_id, *entries[index])
+            for record, entries in zip(records, results)
+            if not isinstance(entries[index], dict)
+        ]
         case_rows = []
         scalar_stacks: dict[str, list] = {}
         vector_stacks: dict[str, list] = {}
@@ -597,12 +592,8 @@ def run(
                 "seed": config.base_seed,
             }
             if metric in vector_stacks:
-                report = summarize_metric(
-                    metric, np.vstack(vector_stacks[metric]), bins=config.histogram_bins
-                )
-                row["sample_sd"] = report.sample_sd
-                row["histogram_counts"] = report.histogram_counts
-                row["histogram_edges"] = report.histogram_edges
+                stacked = np.vstack(vector_stacks[metric])
+                row.update(summarize_metric(metric, stacked, bins=config.histogram_bins))
             summary_rows.append(row)
 
     # Annotation-only agreement, identical for every reliability.
@@ -836,9 +827,6 @@ def _cmd_simulate(args) -> int:
         raise ConfigError("--true-lambda length must match --classes")
     if not 0 < args.lambda_alpha < np.inf:
         raise ConfigError("--lambda-alpha must be positive and finite")
-    out_dir = _out_dir(args)
-    os.makedirs(out_dir, exist_ok=True)
-
     case_rows, annotation_rows, truth_rows, prediction_rows = [], [], [], []
     for index in range(args.cases):
         case_id = f"sim-{index:04d}"
@@ -876,6 +864,9 @@ def _cmd_simulate(args) -> int:
                 {"case_id": case_id, "ranked_classes": order[: min(5, args.classes)]}
             )
 
+    # Every case is built before the out dir exists, so a refused setting makes none.
+    out_dir = _out_dir(args)
+    os.makedirs(out_dir, exist_ok=True)
     _write_rows(os.path.join(out_dir, "cases.jsonl"), case_rows)
     _write_rows(os.path.join(out_dir, "annotations.jsonl"), annotation_rows)
     _write_rows(os.path.join(out_dir, "truth.jsonl"), truth_rows)

@@ -10,6 +10,11 @@ takes a :class:`PosteriorSamples`, or an (M, K) matrix that would make one:
 finite, non-negative rows that sum to one within 1e-9. Any other matrix is
 refused with the ValueError that :class:`PosteriorSamples` raises.
 
+Per-sample values come from :func:`case_metrics`, which checks its inputs,
+selects each sample's top classes and pools them by risk level once. The
+per-sample kernels (``*_hits`` and ``_overlap_curve``) read that selection,
+not the samples, and each library scalar is the mean of the same kernel.
+
 Rank similarity between two partial rankings is computed from their soft
 permutation matrices: average overlap of prefixes extends to tied and
 truncated rankings through the trace form, normalized so a ranking compared
@@ -44,7 +49,6 @@ __all__ = [
     "risk_metrics",
     "case_metrics",
     "loo_agreement",
-    "MetricReport",
     "summarize_metric",
 ]
 
@@ -60,11 +64,9 @@ class PredictionSet:
     Args:
         ranked_classes: distinct class ids, best first. May be shorter than
             the class space; metrics only look at the prefix they need.
-        case_id: optional identifier for report rows.
     """
 
     ranked_classes: tuple[int, ...]
-    case_id: str | None = None
 
     def __post_init__(self) -> None:
         # int() would truncate 1.7 and read True or "1" as class 1.
@@ -129,42 +131,31 @@ def _top_indices(arr: np.ndarray, k: int) -> np.ndarray:
     return order
 
 
-def _top_columns(arr: np.ndarray, k: int, order: np.ndarray | None) -> np.ndarray:
-    """The first k columns of a shared ``order``, or a fresh selection."""
-    if order is None:
-        return _top_indices(arr, k)
-    if order.shape[1] < k:
-        raise ValueError(f"order holds {order.shape[1]} classes per sample, need {k}")
-    return order[:, :k]
-
-
-def annotation_certainty_hits(samples, j: int, *, order=None) -> np.ndarray:
+def annotation_certainty_hits(order: np.ndarray, j: int, num_classes: int) -> np.ndarray:
     """Per-sample indicator that the sample's top-j set is the modal one.
 
     The top-j set of a sample is unordered; only sets actually realized in
     the samples compete, and ties between equally frequent sets go to the
     lexicographically lowest.
 
-    This and the other top-k kernels accept ``order``, the samples'
-    ``_top_indices`` to some depth of at least k, so that one selection
-    serves every kernel of a posterior; without it they select their own.
+    This and the other per-sample kernels read the first columns of
+    ``order``, the samples' (M, d) :func:`_top_indices` selection to a depth
+    d of at least the cutoff, in a space of ``num_classes`` classes. Their
+    callers have checked the samples, the cutoff and the prediction.
     """
-    arr = _sample_matrix(samples)
-    m, k = arr.shape
-    if not (1 <= j <= k):
-        raise ValueError(f"j must lie in [1, {k}]")
-    sets = np.sort(_top_columns(arr, j, order), axis=1)
-    # Base-k digits of the sorted set, so codes order as the sets do
+    m = order.shape[0]
+    sets = np.sort(order[:, :j], axis=1)
+    # Base-K digits of the sorted set, so codes order as the sets do
     # lexicographically. Before a digit could overflow int64, the codes are
     # replaced by their dense ranks, which keeps that order.
     code = np.zeros(m, dtype=np.int64)
     bound = 1
     for column in sets.T:
-        if bound > _INT64_MAX // k:
+        if bound > _INT64_MAX // num_classes:
             _, code = np.unique(code, return_inverse=True)
             bound = m
-        code = code * k + column
-        bound *= k
+        code = code * num_classes + column
+        bound *= num_classes
     codes, counts = np.unique(code, return_counts=True)
     return (code == codes[counts.argmax()]).astype(float)
 
@@ -172,18 +163,25 @@ def annotation_certainty_hits(samples, j: int, *, order=None) -> np.ndarray:
 def annotation_certainty_topj(samples, j: int) -> float:
     """Frequency of the modal top-j set (for j = 1, the certainty of the most
     likely label): mean of :func:`annotation_certainty_hits`."""
-    return float(np.mean(annotation_certainty_hits(samples, j)))
+    arr = _sample_matrix(samples)
+    k = arr.shape[1]
+    if not (1 <= j <= k):
+        raise ValueError(f"j must lie in [1, {k}]")
+    return float(np.mean(annotation_certainty_hits(_top_indices(arr, j), j, k)))
 
 
-def ua_topk_hits(samples, prediction: PredictionSet, k: int, *, order=None) -> np.ndarray:
-    """Per-sample indicator that the sample's best class is in the top-k set.
-
-    This and the other ``ua_*`` functions refuse, with ValueError, a
-    prediction naming a class outside the samples' class space.
-    """
+def _selection(samples, prediction: PredictionSet, depth: int) -> tuple[np.ndarray, int]:
+    """The samples' top-``depth`` selection and class count, once the samples
+    and the prediction's class ids are checked: the ``ua_*`` scalars refuse,
+    with ValueError, a prediction naming a class outside the class space."""
     arr = _sample_matrix(samples)
     _check_prediction(prediction, arr.shape[1])
-    best = _top_columns(arr, 1, order)[:, 0]
+    return _top_indices(arr, depth), arr.shape[1]
+
+
+def ua_topk_hits(order: np.ndarray, prediction: PredictionSet, k: int) -> np.ndarray:
+    """Per-sample indicator that the sample's best class is in the top-k set."""
+    best = order[:, 0]
     hits = np.zeros(best.shape, dtype=bool)
     for candidate in prediction.top(k):
         hits |= best == candidate
@@ -192,21 +190,21 @@ def ua_topk_hits(samples, prediction: PredictionSet, k: int, *, order=None) -> n
 
 def ua_topk_accuracy(samples, prediction: PredictionSet, k: int) -> float:
     """Uncertainty-adjusted top-k accuracy: mean of :func:`ua_topk_hits`."""
-    return float(np.mean(ua_topk_hits(samples, prediction, k)))
+    order, _ = _selection(samples, prediction, 1)
+    return float(np.mean(ua_topk_hits(order, prediction, k)))
 
 
-def ua_set_hits(samples, prediction: PredictionSet, k: int, *, order=None) -> np.ndarray:
+def ua_set_hits(order: np.ndarray, prediction: PredictionSet, k: int) -> np.ndarray:
     """Per-sample indicator that the sample's top-k set equals the predicted one."""
-    arr = _sample_matrix(samples)
-    _check_prediction(prediction, arr.shape[1])
     target = np.sort(np.asarray(prediction.top(k), dtype=np.int64))
-    sets = np.sort(_top_columns(arr, k, order), axis=1)
+    sets = np.sort(order[:, :k], axis=1)
     return np.all(sets == target, axis=1).astype(float)
 
 
 def ua_set_accuracy(samples, prediction: PredictionSet, k: int) -> float:
     """Uncertainty-adjusted set accuracy: mean of :func:`ua_set_hits`."""
-    return float(np.mean(ua_set_hits(samples, prediction, k)))
+    order, _ = _selection(samples, prediction, k)
+    return float(np.mean(ua_set_hits(order, prediction, k)))
 
 
 def overlap(candidate, reference) -> float:
@@ -218,22 +216,19 @@ def overlap(candidate, reference) -> float:
 
 
 def _overlap_curve(
-    samples, prediction: PredictionSet, depth: int, *, order=None
+    order: np.ndarray, prediction: PredictionSet, depth: int, num_classes: int
 ) -> np.ndarray:
     """(depth, M) per-sample overlaps of predicted and sampled top-k sets.
 
     Row k - 1 counts the sample's first k classes that the prediction ranks
     among its first k, divided by k. A sample's class at position i counts
     from cutoff max(i, its predicted position) + 1 on, so one count of those
-    cutoffs per sample, summed cumulatively, serves every k. Its callers
-    have checked that the prediction's ids lie in the class space.
+    cutoffs per sample, summed cumulatively, serves every k.
     """
-    arr = _sample_matrix(samples)
-    order = _top_columns(arr, depth, order)
-    m, k = arr.shape
-    position = np.full(k, depth)
+    m = order.shape[0]
+    position = np.full(num_classes, depth)
     position[list(prediction.top(depth))] = np.arange(depth)
-    first = np.maximum(position[order], np.arange(depth))
+    first = np.maximum(position[order[:, :depth]], np.arange(depth))
     first += np.arange(0, m * (depth + 1), depth + 1)[:, None]
     counts = np.bincount(first.ravel(), minlength=m * (depth + 1)).reshape(m, depth + 1)
     # Means over this array add in memory order, so it stays (depth, M) C-order.
@@ -251,9 +246,8 @@ def ua_average_overlap(samples, prediction: PredictionSet, depth: int) -> float:
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    arr = _sample_matrix(samples)
-    _check_prediction(prediction, arr.shape[1])
-    return float(np.mean(_overlap_curve(arr, prediction, depth)))
+    order, num_classes = _selection(samples, prediction, depth)
+    return float(np.mean(_overlap_curve(order, prediction, depth, num_classes)))
 
 
 def average_overlap(sigma, sigma_prime, depth: int) -> float:
@@ -305,26 +299,14 @@ def mean_average_overlap(
     return cross / np.sqrt(self_a * self_b)
 
 
-def _risk_inputs(samples, class_space: ClassSpace):
-    """The (M, K) sample matrix and the (K,) risk level vector."""
-    arr = _sample_matrix(samples)
-    if class_space.risk_levels is None:
-        raise MissingRiskMappingError("class space carries no risk levels")
-    risk, missing = class_space.risk_levels
-    if missing:
-        raise MissingRiskMappingError(f"no risk level for classes {list(missing)}")
-    if arr.shape[1] != class_space.size:
-        raise ValueError("sample width does not match the class space")
-    return arr, risk
+def _risk_values(samples, class_space: ClassSpace, prediction: PredictionSet | None):
+    """The modal top risk level, the per-sample ``risk_certainty`` hits and
+    expected risk (``expected_risk_mean``), and every risk summary as a
+    scalar, from one check of the risk map and one pooling of the samples.
 
-
-def _risk_pass(samples, class_space: ClassSpace):
-    """Per-sample top risk level (0 low, 1 medium, 2 high), its modal value
-    and the per-sample expected risk, from one check of the risk map.
-
-    A level's mass is the sum of the sample's entries at that level, pooled
-    once for all three levels; a sample's top level is the argmax of those
-    masses, and the modal level the argmax of their counts, both breaking
+    A sample's top level (0 low, 1 medium, 2 high) is the argmax of its
+    masses at the three levels, each the sum of the sample's entries at that
+    level, and the modal level the argmax of their counts, both breaking
     exact ties to the lower level.
 
     A sample's expected risk is the sum of each level times its mass, so
@@ -333,20 +315,20 @@ def _risk_pass(samples, class_space: ClassSpace):
     to one only within the samples' row-sum tolerance, so the weighted
     levels could pass 2 by rounding. They cannot fall below 0.
     """
-    arr, risk = _risk_inputs(samples, class_space)
+    arr = _sample_matrix(samples)
+    if class_space.risk_levels is None:
+        raise MissingRiskMappingError("class space carries no risk levels")
+    risk, missing = class_space.risk_levels
+    if missing:
+        raise MissingRiskMappingError(f"no risk level for classes {list(missing)}")
+    if arr.shape[1] != class_space.size:
+        raise ValueError("sample width does not match the class space")
     # (3, M) pooled masses. einsum, not a BLAS product, which would touch a
     # second thread's buffers: about 2 MB more peak memory at (1000, 400).
     pooled = np.einsum("mk,lk->ml", arr, (np.arange(3)[:, None] == risk).astype(float)).T
     levels = pooled.argmax(axis=0)
+    modal = int(np.bincount(levels, minlength=3).argmax())
     expected = np.minimum(pooled[1] + 2.0 * pooled[2], 2.0)
-    return levels, int(np.bincount(levels, minlength=3).argmax()), expected
-
-
-def _risk_values(samples, class_space: ClassSpace, prediction: PredictionSet | None):
-    """The modal top risk level, the per-sample ``risk_certainty`` hits and
-    expected risk (``expected_risk_mean``), and every risk summary as a
-    scalar, all from one :func:`_risk_pass`."""
-    levels, modal, expected = _risk_pass(samples, class_space)
     vectors = {"risk_certainty": (levels == modal).astype(float), "expected_risk_mean": expected}
     scalars = {name: float(v.mean()) for name, v in vectors.items()}
     scalars["expected_risk_min"] = float(expected.min())
@@ -391,15 +373,22 @@ def case_metrics(
     the class space; and given risk levels, the summaries of
     :func:`risk_metrics` but its two levels.
 
-    Every kernel returns per-sample values: (M,), or (depth, M) for the
-    overlap curve. A metric's value is their mean and its per-sample vector
-    their mean over the leading axis. The top-k kernels all slice one
-    selection of each sample's top classes, made to the deepest k they need,
-    and the risk metrics all read one pooling of the samples by risk level.
-    A prediction naming a class outside ``class_space`` raises ValueError.
+    The samples and the prediction are checked here once. Every kernel
+    returns per-sample values: (M,), or (depth, M) for the overlap curve. A
+    metric's value is their mean and its per-sample vector their mean over
+    the leading axis. The top-k kernels all read one :func:`_top_indices`
+    selection of each sample's top classes, made to the deepest k they
+    need, and the risk metrics all read one pooling of the samples by risk
+    level. Each library scalar is the mean of the same kernel, so it equals
+    the scalar of its name here. Samples whose width is not the size of
+    ``class_space``, or a prediction naming a class outside it, raise
+    ValueError.
     """
     if not isinstance(samples, PosteriorSamples):
         samples = PosteriorSamples(samples)  # checked here once, not by every kernel
+    arr = samples.samples
+    if arr.shape[1] != class_space.size:
+        raise ValueError("sample width does not match the class space")
     top_j = min(3, class_space.size)
     usable = 0
     if prediction is not None:
@@ -407,18 +396,17 @@ def case_metrics(
         usable = len(prediction.ranked_classes)
     k_grid = [k for k in k_grid if k <= usable]
     depth = overlap_depth if overlap_depth <= usable else 0
-    order = _top_indices(samples.samples, max(top_j, depth, *k_grid))
+    order = _top_indices(arr, max(top_j, depth, *k_grid))
 
-    kernels = [
-        (f"annotation_certainty_top{j}", annotation_certainty_hits, (j,))
+    values = {
+        f"annotation_certainty_top{j}": annotation_certainty_hits(order, j, class_space.size)
         for j in range(1, top_j + 1)
-    ]
+    }
     for k in k_grid:
-        kernels.append((f"ua_top{k}_accuracy", ua_topk_hits, (prediction, k)))
-        kernels.append((f"ua_set{k}_accuracy", ua_set_hits, (prediction, k)))
+        values[f"ua_top{k}_accuracy"] = ua_topk_hits(order, prediction, k)
+        values[f"ua_set{k}_accuracy"] = ua_set_hits(order, prediction, k)
     if depth:
-        kernels.append(("ua_average_overlap", _overlap_curve, (prediction, depth)))
-    values = {name: kernel(samples, *args, order=order) for name, kernel, args in kernels}
+        values["ua_average_overlap"] = _overlap_curve(order, prediction, depth, class_space.size)
 
     scalars = {name: float(v.mean()) for name, v in values.items()}
     vectors = {name: v if v.ndim == 1 else v.mean(axis=0) for name, v in values.items()}
@@ -456,38 +444,11 @@ def loo_agreement(rankings) -> float:
     return hits / len(rankings)
 
 
-@dataclass(frozen=True, eq=False)
-class MetricReport:
-    """One metric summarized over a dataset. Which cases, model, reliability
-    and seed it covers is the caller's to record.
-
-    Attributes:
-        metric: metric name.
-        per_case: Monte Carlo mean per case, in the caller's case order.
-        mean: dataset mean of the per-case values.
-        sample_sd: standard deviation across samples of the dataset mean,
-            i.e. the metric is averaged over cases within each sample index
-            first and the spread of those M values is reported.
-        histogram_counts: histogram of the M per-sample dataset means.
-        histogram_edges: bin edges on [0, 1], or on [0, 2] for
-            ``expected_risk_mean``, whose values are risk levels; its
-            values above 2 by at most the samples' row-sum tolerance
-            count in the last bin.
-    """
-
-    metric: str
-    per_case: np.ndarray
-    mean: float
-    sample_sd: float
-    histogram_counts: np.ndarray
-    histogram_edges: np.ndarray
-
-
 # A metric's histogram range where it is not [0, 1]: (upper edge, largest
 # value counted, in the last bin). A sample's expected risk level weights
 # levels up to 2 by plausibilities that sum to one within the samples'
 # tolerance, so a caller's own values may pass 2 by as much (those of
-# _risk_pass are clamped to 2).
+# _risk_values are clamped to 2).
 _HISTOGRAM_RANGE = {"expected_risk_mean": (2.0, 2.0 * (1.0 + _SIMPLEX_ATOL))}
 
 
@@ -507,32 +468,37 @@ def _histogram_edges(bins: int, upper: float) -> np.ndarray:
     return edges
 
 
-def summarize_metric(metric: str, per_sample_values: np.ndarray, bins: int = 20) -> MetricReport:
-    """Fold per-case, per-sample metric values into a report.
+def summarize_metric(metric: str, per_sample_values: np.ndarray, bins: int = 20) -> dict:
+    """The spread and histogram of a metric's per-sample dataset means.
+
+    The metric is averaged over cases within each sample index first, and
+    the M means are summarized; the dataset mean itself is the caller's,
+    from the per-case values.
 
     Args:
         metric: metric name.
         per_sample_values: (N, M) array, one row per case; every case must
             carry the same number of samples so the per-sample dataset mean
             is defined.
-        bins: histogram bins on [0, 1], or on [0, 2] for
-            ``expected_risk_mean``.
+        bins: number of histogram bins.
+
+    Returns:
+        ``sample_sd``, the standard deviation of the M means;
+        ``histogram_counts``, their histogram; and ``histogram_edges``, its
+        bin edges on [0, 1], or on [0, 2] for ``expected_risk_mean``, whose
+        values are risk levels (its values above 2 by at most the samples'
+        row-sum tolerance count in the last bin).
     """
     values = np.asarray(per_sample_values, dtype=float)
     if values.ndim != 2:
         raise ValueError("per_sample_values must be (num_cases, num_samples)")
-    per_case = values.mean(axis=1)
     dataset_per_sample = values.mean(axis=0)
     upper, last = _HISTOGRAM_RANGE.get(metric, (1.0, 1.0))
     edges = _histogram_edges(operator.index(bins), upper)
     inside = dataset_per_sample[(dataset_per_sample >= 0.0) & (dataset_per_sample <= last)]
     bin_of = np.searchsorted(edges[1:-1], inside, side="right")
-    counts = np.bincount(bin_of, minlength=edges.size - 1)
-    return MetricReport(
-        metric=metric,
-        per_case=per_case,
-        mean=float(per_case.mean()),
-        sample_sd=float(dataset_per_sample.std(ddof=0)),
-        histogram_counts=counts,
-        histogram_edges=edges.copy(),
-    )
+    return {
+        "sample_sd": float(dataset_per_sample.std(ddof=0)),
+        "histogram_counts": np.bincount(bin_of, minlength=edges.size - 1),
+        "histogram_edges": edges.copy(),
+    }

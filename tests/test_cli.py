@@ -936,13 +936,13 @@ def test_evaluate_pools_risk_levels_once_per_unit(tmp_path, monkeypatch):
     # risk certainty, expected risk and risk match of a (case, reliability)
     # unit come from one pooling of its samples by risk level
     calls = []
-    real_risk_pass = metrics._risk_pass
+    real_risk_values = metrics._risk_values
 
-    def counting_risk_pass(samples, class_space):
+    def counting_risk_values(samples, class_space, prediction):
         calls.append(samples.samples.shape)
-        return real_risk_pass(samples, class_space)
+        return real_risk_values(samples, class_space, prediction)
 
-    monkeypatch.setattr(metrics, "_risk_pass", counting_risk_pass)
+    monkeypatch.setattr(metrics, "_risk_values", counting_risk_values)
     code = run_main(
         [
             "evaluate",
@@ -1159,7 +1159,7 @@ def test_simulate_refuses_non_finite_weights_and_sharpness(tmp_path, capsys, set
     argv = ["simulate", "--classes", "3", "--cases", "2", "--out-dir", str(out)]
     assert run_main(argv + settings) == 1
     assert "must be positive and finite" in capsys.readouterr().err
-    assert not list(out.glob("*"))
+    assert not out.exists()
 
 
 def test_a_gibbs_alpha_whose_start_can_underflow_is_refused(tmp_path, capsys):
