@@ -45,7 +45,7 @@ from .sim_oracle import (
     recursion_enumeration_gap,
     simulate_annotations,
 )
-from .simple_models import dirichlet_from_counts, score_threshold_certainty
+from .simple_models import dirichlet_from_counts, score_threshold_certainty, unvoted_gammas
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -66,6 +66,9 @@ __all__ = [
 SCHEMA_VERSION = 1
 MODELS = ("irn", "prirn", "pl", "dirichlet-counts", "gaussian-scores")
 OUTPUT_DIR_ENV = "PLAUS_OUTPUT_DIR"
+# Each summary row carries 2 * bins + 1 histogram numbers; the bound keeps
+# a row, and the histogram arrays behind it, small.
+MAX_HISTOGRAM_BINS = 10_000
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -158,8 +161,8 @@ class RunConfig:
             raise ConfigError(f"k grid repeats a value: {list(self.k_grid)}")
         if self.overlap_depth < 1:
             raise ConfigError("overlap depth must be >= 1")
-        if self.histogram_bins < 1:
-            raise ConfigError("histogram bins must be >= 1")
+        if not 1 <= self.histogram_bins <= MAX_HISTOGRAM_BINS:
+            raise ConfigError(f"histogram bins must be between 1 and {MAX_HISTOGRAM_BINS}")
         if not 0 < self.dirichlet_prior_alpha < np.inf:
             raise ConfigError("dirichlet prior alpha must be positive and finite")
         if self.model == "gaussian-scores" and self.threshold is None:
@@ -370,7 +373,9 @@ def ingest(
 # sampling per model
 
 
-def _posterior_for(record: CaseRecord, config: RunConfig, reliability, seed: int) -> PosteriorSamples:
+def _posterior_for(
+    record: CaseRecord, config: RunConfig, reliability, seed: int, unvoted
+) -> PosteriorSamples:
     if not record.rankings or all(not r.blocks for r in record.rankings):
         raise AllZeroMassError("no annotator ranked any class")
     if config.model == "irn":
@@ -396,46 +401,66 @@ def _posterior_for(record: CaseRecord, config: RunConfig, reliability, seed: int
         prior_alpha=config.dirichlet_prior_alpha,
         num_samples=config.num_samples,
         seed=seed,
+        unvoted=unvoted,
     )
 
 
+def _score_unit(
+    record: CaseRecord, config: RunConfig, reliability, seed: int, include_aggregate, unvoted
+):
+    """Sample and score one (case, reliability) unit: ``(seed, scalars,
+    vectors, aggregate)``, where ``aggregate`` is None unless asked for."""
+    if config.model == "gaussian-scores":
+        # Threshold certainty, from the scores alone: this model has no posterior.
+        scores = [s for s in record.scores if s is not None]
+        if len(scores) < len(record.scores) or not scores:
+            raise DataError("gaussian-scores needs a score on every annotation")
+        certainty = score_threshold_certainty(
+            scores, threshold=config.threshold, num_samples=config.num_samples, seed=seed
+        )
+        return seed, {"certainty_threshold": certainty}, {}, None
+    posterior = _posterior_for(record, config, reliability, seed, unvoted)
+    scalars, vectors = case_metrics(
+        posterior, record.class_space, record.prediction, config.k_grid, config.overlap_depth
+    )
+    aggregate = None
+    if include_aggregate:
+        mean = posterior.samples.mean(axis=0)
+        aggregate = {
+            "mean": mean,
+            "sd": posterior.samples.std(axis=0, ddof=0),
+            "seed": seed,
+            "top_classes": np.argsort(-mean, kind="stable")[:5],
+        }
+    return seed, scalars, vectors, aggregate
+
+
 def _compute_case(payload):
-    """One entry per reliability of a case: ``(seed, scalars, vectors,
-    aggregate)``, or the unit's failure row where its own data failed.
-    ``aggregate`` is None unless asked for.
+    """One entry per reliability of a case: ``_score_unit``'s tuple, or the
+    unit's failure row where its own data failed.
+
+    Under dirichlet-counts the case draws its unvoted classes' Gammas once,
+    from a seed no reliability tag can give, and every unit shares them.
     """
     record, config, include_aggregate = payload
+    unvoted = None
+    if config.model == "dirichlet-counts":
+        unvoted = unvoted_gammas(
+            record.class_space.size,
+            config.dirichlet_prior_alpha,
+            config.num_samples,
+            _case_seed(config.base_seed, record.case_id, config.model, "unvoted"),
+        )
     entries = []
     for reliability in config.reliability_grid:
         tag = reliability_tag(reliability)
         seed = _case_seed(config.base_seed, record.case_id, config.model, tag)
-        # Only errors in a case's own data become failure rows; a bug aborts the run.
+        # Only errors in a case's own data become failure rows; a bug aborts
+        # the run. A unit's samples are freed when _score_unit returns, before
+        # the next unit draws its own.
         try:
-            if config.model == "gaussian-scores":
-                # Threshold certainty, from the scores alone: this model has no posterior.
-                scores = [s for s in record.scores if s is not None]
-                if len(scores) < len(record.scores) or not scores:
-                    raise DataError("gaussian-scores needs a score on every annotation")
-                certainty = score_threshold_certainty(
-                    scores, threshold=config.threshold, num_samples=config.num_samples, seed=seed
-                )
-                entries.append((seed, {"certainty_threshold": certainty}, {}, None))
-                continue
-            posterior = _posterior_for(record, config, reliability, seed)
-            scalars, vectors = case_metrics(
-                posterior, record.class_space, record.prediction,
-                config.k_grid, config.overlap_depth,
-            )
-            aggregate = None
-            if include_aggregate:
-                mean = posterior.samples.mean(axis=0)
-                aggregate = {
-                    "mean": mean,
-                    "sd": posterior.samples.std(axis=0, ddof=0),
-                    "seed": seed,
-                    "top_classes": np.argsort(-mean, kind="stable")[:5],
-                }
-            entries.append((seed, scalars, vectors, aggregate))
+            entry = _score_unit(record, config, reliability, seed, include_aggregate, unvoted)
+            entries.append(entry)
         except (DataError, AllZeroMassError, BlockTooLargeError, MissingRiskMappingError) as exc:
             entries.append(
                 {
@@ -519,7 +544,7 @@ def run(
 
         results = []
         try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with ProcessPoolExecutor(max_workers=min(workers, len(records))) as pool:
                 for result in pool.map(_compute_case, payloads):
                     results.append(result)
         except BrokenProcessPool:
@@ -654,6 +679,8 @@ def run(
 def selfcheck(seed: int = 0) -> list[tuple[str, bool, str]]:
     """Run acceptance criteria 01, 03 and 04 at smaller sizes, print one
     PASS/FAIL line per check and return (name, passed, detail) per check."""
+    if seed < 0:
+        raise ConfigError("selfcheck seed must be >= 0")
     pair = [PartialRanking([[0], [1]], ClassSpace(size=2))]
     chain = GibbsConfig(iterations=4500, burn_in=500, seed=seed + 1)
     checks = (

@@ -115,15 +115,18 @@ def _top_indices(arr: np.ndarray, k: int) -> np.ndarray:
     """Per-row indices of the k largest entries, ties to the lower id.
 
     Equals ``np.argsort(-arr, axis=1, kind="stable")[:, :k]`` for finite
-    rows and k up to their width. Each block of rows is copied once and
-    takes k argmax passes, each masking its picks with -inf; argmax returns
-    the first maximum, so ties go to the lower id.
+    rows and k up to their width. Each block of rows is copied once, into
+    one buffer all blocks reuse, and takes k argmax passes, each masking its
+    picks with -inf; argmax returns the first maximum, so ties go to the
+    lower id.
     """
     m, width = arr.shape
     step = max(1, _BLOCK_ENTRIES // width)
     order = np.empty((m, k), dtype=np.intp)
+    buffer = np.empty((min(step, m), width))
     for start in range(0, m, step):
-        work = arr[start : start + step].astype(float, order="C")
+        work = buffer[: min(step, m - start)]
+        work[...] = arr[start : start + step]
         flat, offsets = work.reshape(-1), np.arange(0, work.size, width)
         for i in range(k):
             order[start : start + step, i] = best = work.argmax(axis=1)

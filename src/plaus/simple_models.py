@@ -18,9 +18,19 @@ from .samples import PosteriorSamples
 
 __all__ = [
     "dirichlet_from_counts",
+    "unvoted_gammas",
     "NormalScoreModel",
     "score_threshold_certainty",
 ]
+
+
+def unvoted_gammas(num_classes: int, prior_alpha: float, num_samples: int, seed=None) -> np.ndarray:
+    """(num_samples, num_classes) Gamma(prior_alpha) draws: the columns that
+    :func:`dirichlet_from_counts` uses for the classes with no votes.
+
+    ``seed`` is an int, None or a ``numpy.random.Generator`` to draw from.
+    """
+    return np.random.default_rng(seed).standard_gamma(prior_alpha, size=(num_samples, num_classes))
 
 
 def dirichlet_from_counts(
@@ -29,6 +39,7 @@ def dirichlet_from_counts(
     prior_alpha: float = 0.01,
     num_samples: int = 1000,
     seed: int | None = None,
+    unvoted: np.ndarray | None = None,
 ) -> PosteriorSamples:
     """Posterior plausibilities from per-class vote counts.
 
@@ -36,12 +47,24 @@ def dirichlet_from_counts(
     how literally the counts are taken: large gamma concentrates the
     posterior on the empirical vote shares.
 
+    A row is one Gamma(gamma * count + prior_alpha) draw per class, divided by
+    the row's sum. A class with no votes has shape ``prior_alpha`` whatever
+    gamma is, so its column is taken from ``unvoted``, which the units of one
+    case over a reliability grid can share; the voted classes are drawn from
+    ``seed``. Every unit is still exactly Dirichlet. When every concentration
+    is below 0.1 the row is ``Generator.dirichlet``'s stick-breaking draw
+    from ``seed`` instead, and ``unvoted`` is not read: normalized Gammas that
+    small can all underflow to zero.
+
     Args:
         counts: (K,) non-negative vote counts.
         gamma: reliability multiplier, > 0.
         prior_alpha: symmetric prior concentration added to every class.
         num_samples: rows to draw.
         seed: RNG seed.
+        unvoted: (num_samples, K) Gamma(prior_alpha) draws, as
+            :func:`unvoted_gammas` makes them; the columns of voted classes
+            are not read. Drawn from ``seed`` when None.
     """
     counts = np.asarray(counts, dtype=float)
     if counts.ndim != 1 or counts.size < 2:
@@ -54,9 +77,18 @@ def dirichlet_from_counts(
         raise ValueError("prior_alpha must be positive")
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
+    if unvoted is not None and np.shape(unvoted) != (num_samples, counts.size):
+        raise ValueError("unvoted must hold num_samples rows of one draw per class")
     rng = np.random.default_rng(seed)
     concentration = gamma * counts + prior_alpha
-    draws = rng.dirichlet(concentration, size=num_samples)
+    if concentration.max() < 0.1:
+        return PosteriorSamples(rng.dirichlet(concentration, size=num_samples))
+    if unvoted is None:
+        unvoted = unvoted_gammas(counts.size, prior_alpha, num_samples, rng)
+    voted = np.flatnonzero(counts)
+    draws = np.array(unvoted, dtype=float)
+    draws[:, voted] = rng.standard_gamma(concentration[voted], size=(num_samples, voted.size))
+    draws /= draws.sum(axis=1, keepdims=True)
     return PosteriorSamples(draws)
 
 

@@ -5,11 +5,11 @@ the sha256 of every report file, the exit code and stderr. The inputs are
 the dermatology fixture in ``tests/data`` and shrunken, seeded inputs of
 the benchmark's workloads (``bench/workloads.py``), plus three tiny inputs
 written here. The matrix covers the tied and the untied Gibbs chain, the
-iid samplers, the point-mass model, the score model, a worker pool, cases
-that fail, cutoffs deeper than a prediction, and the files ``simulate``
-writes. ``test_report_digests.py`` regenerates it and compares it
-with ``tests/data/report_digests.json``, so a change that must leave report
-bytes alone is checked by Tier-1.
+iid samplers (dirichlet-counts on both its paths), the point-mass model,
+the score model, a worker pool, cases that fail, cutoffs deeper than a
+prediction, and the files ``simulate`` writes. ``test_report_digests.py``
+regenerates it and compares it with ``tests/data/report_digests.json``, so
+a change that must leave report bytes alone is checked by Tier-1.
 
 Regenerate the committed file (only for a change meant to move report
 bytes), from the repository root:
@@ -116,6 +116,12 @@ def _entries(work: str):
     # Cutoffs deeper than the fixture's three-class prediction are left out.
     argv = _fixture_argv("evaluate", os.path.join(work, "fixture-deep-cutoffs"))
     yield "fixture-deep-cutoffs", argv + ["--k-grid", "1,2,5", "--overlap-depth", "4"]
+    # Both dirichlet-counts paths: at reliability 0.01 every concentration is
+    # below 0.1, so the unit is Generator.dirichlet's stick-breaking draw; at
+    # 10 it shares the case's unvoted-class Gammas.
+    out = os.path.join(work, "fixture-dirichlet-paths")
+    argv = _fixture_argv("evaluate", out, models="dirichlet-counts")
+    yield "fixture-dirichlet-paths", argv + ["--reliability", "0.01,10"]
     # The score model; one annotation lacks its score, so that case fails.
     scored = [("s-1", 0.8, 0.4), ("s-2", 0.3, None), ("s-3", 0.9, 0.7)]
     inputs = _write_inputs(

@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -649,6 +650,103 @@ def test_worker_pool_output_matches_serial(small_dataset, tmp_path):
         assert a.read_bytes() == b.read_bytes(), a.name
 
 
+def test_a_pool_has_no_more_workers_than_cases(small_dataset, tmp_path, monkeypatch):
+    # Under fork, the pool starts all its processes at the first submit.
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, payloads):
+            return map(fn, payloads)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    cases, annotations, predictions = small_dataset
+    records = ingest(cases, annotations, predictions)
+    cli.run(RunConfig(model="irn"), records, str(tmp_path / "out"), workers=64)
+    assert sizes == [len(records)] == [2]
+
+
+def _dirichlet_run_config():
+    return RunConfig(model="dirichlet-counts", reliability_grid=(0.5, 10.0, 100.0), num_samples=200)
+
+
+def test_each_run_draws_each_cases_unvoted_block_once(small_dataset, tmp_path, monkeypatch):
+    cases, annotations, _ = small_dataset
+    records = ingest(cases, annotations)
+    seeds, blocks = [], []
+
+    def recording_unvoted_gammas(num_classes, prior_alpha, num_samples, seed):
+        seeds.append(seed)
+        return real_unvoted_gammas(num_classes, prior_alpha, num_samples, seed)
+
+    def recording_dirichlet(counts, **settings):
+        blocks.append(settings["unvoted"])
+        return real_dirichlet(counts, **settings)
+
+    real_unvoted_gammas, real_dirichlet = cli.unvoted_gammas, cli.dirichlet_from_counts
+    monkeypatch.setattr(cli, "unvoted_gammas", recording_unvoted_gammas)
+    monkeypatch.setattr(cli, "dirichlet_from_counts", recording_dirichlet)
+    config = _dirichlet_run_config()
+    cli.run(config, records, str(tmp_path / "first"))
+    cli.run(config, records, str(tmp_path / "second"))
+    assert seeds == [_case_seed(0, case, "dirichlet-counts", "unvoted") for case in ("a", "b")] * 2
+    # Three units a case share one block, and no block outlives its run.
+    cases_blocks = [blocks[i : i + 3] for i in range(0, 12, 3)]
+    assert all(unit is block[0] for block in cases_blocks for unit in block)
+    assert len({id(block[0]) for block in cases_blocks}) == 4
+    np.testing.assert_array_equal(cases_blocks[0][0], cases_blocks[2][0])
+
+
+def test_a_cases_units_share_its_unvoted_draws(small_dataset, tmp_path, monkeypatch):
+    cases, annotations, _ = small_dataset
+    records = ingest(cases, annotations)
+    draws = {}
+
+    def recording_dirichlet(counts, **settings):
+        posterior = real_dirichlet(counts, **settings)
+        draws.setdefault(tuple(counts), []).append(posterior.samples)
+        return posterior
+
+    real_dirichlet = cli.dirichlet_from_counts
+    monkeypatch.setattr(cli, "dirichlet_from_counts", recording_dirichlet)
+    cli.run(_dirichlet_run_config(), records, str(tmp_path / "out"))
+    assert sorted(draws) == [(0.0, 0.0, 2.0), (1.0, 1.0, 0.0)]  # case b, case a
+    for counts, units in draws.items():
+        zero = np.array(counts) == 0
+        shares = [unit[:, zero] / unit[:, zero].sum(axis=1, keepdims=True) for unit in units]
+        assert len(shares) == 3
+        for other in shares[1:]:
+            np.testing.assert_allclose(other, shares[0], rtol=0, atol=1e-12)
+
+
+def test_a_unit_frees_its_samples_before_the_next_unit_draws(small_dataset, tmp_path, monkeypatch):
+    # Two (M, K) sample matrices alive at once would double the peak memory.
+    cases, annotations, _ = small_dataset
+    records = ingest(cases, annotations)
+    previous, live_at_draw = [], []
+
+    def recording_dirichlet(counts, **settings):
+        live_at_draw.append(any(ref() is not None for ref in previous))
+        posterior = real_dirichlet(counts, **settings)
+        previous.append(weakref.ref(posterior.samples))
+        return posterior
+
+    real_dirichlet = cli.dirichlet_from_counts
+    monkeypatch.setattr(cli, "dirichlet_from_counts", recording_dirichlet)
+    cli.run(_dirichlet_run_config(), records, str(tmp_path / "out"))
+    assert live_at_draw == [False] * 6
+
+
 _TEST_PID = os.getpid()
 _real_compute_case = cli._compute_case
 
@@ -1061,6 +1159,22 @@ def test_selfcheck_passes_and_hook_fails_it(capsys, monkeypatch):
     monkeypatch.setattr(cli, "point_mass_reduction_gap", lambda seed, trials: 0.01)
     assert run_main(["selfcheck", "--seed", "0"]) == 3
     assert "FAIL reduction_law" in capsys.readouterr().out
+
+
+def test_a_negative_selfcheck_seed_exits_one(capsys):
+    assert run_main(["selfcheck", "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: selfcheck seed must be >= 0\n"
+
+
+def test_histogram_bins_above_the_bound_exit_one_before_ingest(small_dataset, tmp_path, capsys):
+    assert RunConfig(model="irn", histogram_bins=cli.MAX_HISTOGRAM_BINS).histogram_bins == 10_000
+    cases, annotations, _ = small_dataset
+    out = tmp_path / "out"
+    argv = ["certainty", "--cases", cases, "--annotations", annotations, "--model", "irn",
+            "--bins", str(cli.MAX_HISTOGRAM_BINS + 1), "--out-dir", str(out)]
+    assert run_main(argv) == 1
+    assert "histogram bins must be between 1 and 10000" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_writes_a_dataset(tmp_path):

@@ -11,6 +11,7 @@ from plaus.simple_models import (
     dirichlet_from_counts,
     _normal_cdf,
     score_threshold_certainty,
+    unvoted_gammas,
 )
 
 
@@ -35,6 +36,56 @@ def test_gamma_concentrates_on_the_vote_shares():
     assert abs(tight.samples[:, 0].mean() - 2.0 / 3.0) < 0.01
 
 
+@pytest.mark.parametrize("prior_alpha", [0.01, 0.3])
+def test_units_sharing_unvoted_draws_are_each_exactly_dirichlet(prior_alpha):
+    # Two reliabilities of one case share its unvoted block, as the command
+    # line's units do. Each class's marginal is Beta(a, total - a), whose mean
+    # and variance (with the variance's standard error, from the Beta's
+    # fourth central moment) are known in closed form.
+    counts = np.array([3.0, 1.0, 0.0, 0.0, 2.0, 0.0])
+    m = 40_000
+    unvoted = unvoted_gammas(counts.size, prior_alpha, m, seed=11)
+    for gamma, seed in ((0.5, 12), (4.0, 13)):
+        unit = dirichlet_from_counts(counts, gamma, prior_alpha, m, seed=seed, unvoted=unvoted)
+        draws = unit.samples
+        a = gamma * counts + prior_alpha
+        b = a.sum() - a
+        n = a + b
+        mean = a / n
+        var = a * b / (n**2 * (n + 1))
+        kurtosis = 6 * ((a - b) ** 2 * (n + 1) - a * b * (n + 2)) / (a * b * (n + 2) * (n + 3))
+        var_se = var * np.sqrt((kurtosis + 2) / m)  # kurtosis is the excess one
+        assert np.all(np.abs(draws.mean(axis=0) - mean) <= 4 * np.sqrt(var / m)), gamma
+        assert np.all(np.abs(draws.var(axis=0) - var) <= 4 * var_se), gamma
+
+
+def test_units_share_the_unvoted_columns_up_to_scale():
+    counts = np.array([2.0, 0.0, 1.0, 0.0, 0.0])
+    zero = counts == 0
+    unvoted = unvoted_gammas(counts.size, 0.01, 500, seed=3)
+    shares = []
+    for gamma, seed in ((0.5, 4), (10.0, 5), (100.0, 6)):
+        draws = dirichlet_from_counts(counts, gamma, 0.01, 500, seed=seed, unvoted=unvoted).samples
+        shares.append(draws[:, zero] / draws[:, zero].sum(axis=1, keepdims=True))
+    for other in shares[1:]:
+        assert_allclose(other, shares[0], rtol=0, atol=1e-12)
+    # Called alone, the sampler draws its own block from its seed.
+    alone = dirichlet_from_counts(counts, 10.0, 0.01, 500, seed=5).samples
+    assert not np.allclose(alone[:, zero] / alone[:, zero].sum(axis=1, keepdims=True), shares[1])
+    assert_array_equal(alone, dirichlet_from_counts(counts, 10.0, 0.01, 500, seed=5).samples)
+
+
+def test_tiny_concentrations_give_finite_rows_that_sum_to_one():
+    # Gamma draws at shapes near 1e-3 underflow to zero together in about a
+    # fifth of the rows; the stick-breaking draw has no such row.
+    unvoted = unvoted_gammas(2, 1e-3, 100_000, seed=7)
+    for shared in (None, unvoted):
+        unit = dirichlet_from_counts([1.0, 0.0], 1e-6, 1e-3, 100_000, seed=8, unvoted=shared)
+        draws = unit.samples
+        assert np.all(np.isfinite(draws))
+        assert_allclose(draws.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+
 def test_counts_validation():
     with pytest.raises(ValueError):
         dirichlet_from_counts([1.0])
@@ -46,6 +97,8 @@ def test_counts_validation():
         dirichlet_from_counts([1.0, 1.0], prior_alpha=0.0)
     with pytest.raises(ValueError):
         dirichlet_from_counts([1.0, 1.0], num_samples=0)
+    with pytest.raises(ValueError, match="unvoted"):
+        dirichlet_from_counts([1.0, 1.0], num_samples=3, unvoted=np.ones((3, 3)))
 
 
 def test_prior_from_scores_moment_matches():
